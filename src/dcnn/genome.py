@@ -26,6 +26,7 @@ _BASE_INDEX = {b: i for i, b in enumerate(ALPHABET)}
 TAL1_CONSENSUS = "AACAGATGGT"
 
 _FASTA_HEADER = re.compile(r"^>(\S+) label=([01]) motifs=(none|\d+(?:,\d+)*)$")
+_NON_ACGT = re.compile(r"[^ACGT]")
 
 _ROW_TOL = 1e-6
 
@@ -317,7 +318,7 @@ def read_fasta(path) -> list:
                     raise ParseError(
                         f"{path}:{lineno}: sequence data before any header"
                     )
-                if any(ch not in _BASE_INDEX for ch in line):
+                if _NON_ACGT.search(line):
                     raise ParseError(
                         f"{path}:{lineno}: sequence line contains characters "
                         f"outside ACGT"

@@ -2,15 +2,21 @@
 
 Valid (no padding, stride 1) 1-D convolution over one-hot channels,
 windowed max pooling, a single-logit dense layer, and sigmoid/relu
-activations, each with a hand-written backward pass.
+activations, each with a hand-written backward pass.  The convolution
+also comes in a base-code form for one-hot DNA: the input is uint8 codes
+[..., L] (A/C/G/T = 0-3), the forward gathers one filter column per tap
+instead of multiplying by zeros, and the backward scatters only the
+gradients of the max-pool winners.  On one-hot input it is bit-identical
+to the dense form, which stays as its oracle and serves float inputs.
 
 All kernels are pure functions on numpy arrays in float32 or float64 and
 accept an optional leading batch dimension. Reductions run in a fixed
 order so identical inputs give bit-identical outputs: the convolution
 forward accumulates bias first, then filter taps in ascending (tap,
 channel) order, which makes it bit-equal to a naive triple loop; gradient
-reductions go through single-threaded ``einsum``/``add.at`` paths that
-never depend on thread scheduling.
+reductions go through single-threaded ``einsum``/``add.at`` paths (the
+base-code backward through ``add.at`` alone, in ascending sample and row
+order) that never depend on thread scheduling.
 """
 
 from __future__ import annotations
@@ -102,6 +108,96 @@ def conv1d_backward(
         grad_filters[:, j, :] = np.einsum("bif,bic->fc", flat_grad, window)
     grad_bias = grad_out.reshape(-1, n_filters).sum(axis=0)
     return grad_filters, grad_bias
+
+
+def _codes_out_length(codes, filters) -> int:
+    """Validate base codes and filters; returns the conv output length."""
+    if codes.ndim < 1 or codes.dtype.kind not in "iu":
+        raise ShapeError(
+            f"conv1d codes must be integer [..., L], got {codes.dtype} {codes.shape}"
+        )
+    if filters.ndim != 3 or filters.shape[2] != 4:
+        raise ShapeError(f"conv1d filters must be [F, W, 4], got shape {filters.shape}")
+    width = filters.shape[1]
+    if codes.shape[-1] < width:
+        raise ShapeError(
+            f"conv1d would produce an empty output: input length {codes.shape[-1]} "
+            f"< filter width {width}"
+        )
+    return codes.shape[-1] - width + 1
+
+
+def conv1d_forward_codes(codes: np.ndarray, filters: np.ndarray, bias: np.ndarray,
+                         dtype=None) -> np.ndarray:
+    """conv1d_forward on the one-hot encoding of ``codes`` without building it.
+
+    ``codes`` is [..., L] with values 0-3 (A, C, G, T); returns
+    [..., L-W+1, F] in ``dtype`` (default: the filters' dtype).  Each tap j
+    adds the filter column of the base at i+j, filters[:, j, codes[i+j]], in
+    ascending tap order after the bias.  The dense kernel's other three
+    channels add exact zeros, so the two are bit-identical.
+    """
+    codes = np.asarray(codes)
+    filters = np.asarray(filters)
+    bias = np.asarray(bias)
+    out_length = _codes_out_length(codes, filters)
+    n_filters, width, _ = filters.shape
+    if bias.shape != (n_filters,):
+        raise ShapeError(f"conv1d bias must have shape ({n_filters},), got {bias.shape}")
+    dtype = filters.dtype if dtype is None else np.dtype(dtype)
+    table = filters.transpose(1, 2, 0).astype(dtype)  # [W, 4, F]
+    out = np.empty(codes.shape[:-1] + (out_length, n_filters), dtype=dtype)
+    out[...] = bias
+    tmp = np.empty_like(out)
+    for j in range(width):
+        np.take(table[j], codes[..., j : j + out_length], axis=0, out=tmp)
+        out += tmp
+    return out
+
+
+def conv1d_backward_codes(
+    codes: np.ndarray, filters: np.ndarray, rows: np.ndarray, grad_rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """conv1d_backward for a base-code input whose output gradient is zero
+    everywhere except at given rows, as after a max-pool.
+
+    ``codes`` is [B, L]; ``rows`` [B, P, F] holds the conv output row that
+    carries each gradient in ``grad_rows`` [B, P, F] (for filter f).  Each
+    nonzero gradient g at (b, row, f) adds g to grad_bias[f] and to
+    grad_filters[f, j, codes[b, row + j]] for every tap j, in ascending
+    (b, p) order, which is ascending (b, row) when pools do not overlap.
+    That is the order in which conv1d_backward sums the same nonzero
+    terms.  Sums run in ``grad_rows``'s dtype; grad_filters comes back in
+    the filters' dtype.
+    """
+    codes = np.asarray(codes)
+    filters = np.asarray(filters)
+    rows = np.asarray(rows)
+    grad_rows = np.asarray(grad_rows)
+    out_length = _codes_out_length(codes, filters)
+    n_filters, width, _ = filters.shape
+    if (codes.ndim != 2 or rows.ndim != 3 or rows.shape != grad_rows.shape
+            or rows.shape[0] != codes.shape[0] or rows.shape[2] != n_filters):
+        raise ShapeError(
+            f"conv1d_backward_codes: codes {codes.shape}, rows {rows.shape} and "
+            f"grad_rows {grad_rows.shape} do not fit filters {filters.shape}"
+        )
+    if rows.size and (rows.min() < 0 or rows.max() >= out_length):
+        raise InternalConsistencyError(
+            f"conv1d gradient row {int(rows.max())} outside output of length {out_length}"
+        )
+    carries = grad_rows != 0
+    b, _, f = np.nonzero(carries)  # C order: ascending (b, p, f)
+    g = grad_rows[carries]
+    row = rows[carries]
+    taps = np.arange(width)
+    # flat index of [f, j, codes[b, row + j]] in a [F, W, 4] array, [n, W]
+    index = (f[:, None] * width + taps) * 4 + codes[b[:, None], row[:, None] + taps]
+    grad_filters = np.zeros(n_filters * width * 4, dtype=grad_rows.dtype)
+    np.add.at(grad_filters, index.ravel(), np.repeat(g, width))
+    grad_bias = np.zeros(n_filters, dtype=grad_rows.dtype)
+    np.add.at(grad_bias, f, g)
+    return grad_filters.reshape(filters.shape).astype(filters.dtype, copy=False), grad_bias
 
 
 def maxpool1d_forward(

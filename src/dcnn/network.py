@@ -135,23 +135,42 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams
 @dataclass
 class ForwardCache:
     params: ModelParams
-    inputs: np.ndarray
-    conv_out: np.ndarray
+    inputs: object  # one-hot [B, L, 4], or None on the base-code path
+    conv_out: object  # [B, T, F], kept on the dense path only
     argmax_rows: np.ndarray
     flat: np.ndarray
     probs: np.ndarray
+    codes: object = None  # [B, L] base codes on the base-code path
 
 
 def forward(params: ModelParams, batch, config: ModelConfig):
     """(probs in (0,1), cache for backward).  ``batch`` is a pipeline
-    Batch or any object with .inputs [B, L, 4] and .labels."""
-    x = batch.inputs
-    if x.ndim != 3 or x.shape[1] != config.seq_length or x.shape[2] != 4:
-        raise ShapeError(
-            f"batch inputs {x.shape} do not match the model's expected "
-            f"[B, {config.seq_length}, 4]"
+    Batch or any object with .inputs [B, L, 4] and .labels.
+
+    A batch that carries base codes (.codes, uint8 [B, L]) takes the
+    base-code convolution, computed in the labels' dtype; one with only
+    float inputs takes the dense one.  Both give bit-identical outputs
+    on one-hot inputs.
+    """
+    codes = getattr(batch, "codes", None)
+    if codes is not None:
+        if codes.ndim != 2 or codes.shape[1] != config.seq_length:
+            raise ShapeError(
+                f"batch codes {codes.shape} do not match the model's expected "
+                f"[B, {config.seq_length}] (one-hot [B, {config.seq_length}, 4])"
+            )
+        x = None
+        conv_out = kernels.conv1d_forward_codes(
+            codes, params.conv_filters, params.conv_bias, dtype=batch.labels.dtype
         )
-    conv_out = kernels.conv1d_forward(x, params.conv_filters, params.conv_bias)
+    else:
+        x = batch.inputs
+        if x.ndim != 3 or x.shape[1] != config.seq_length or x.shape[2] != 4:
+            raise ShapeError(
+                f"batch inputs {x.shape} do not match the model's expected "
+                f"[B, {config.seq_length}, 4]"
+            )
+        conv_out = kernels.conv1d_forward(x, params.conv_filters, params.conv_bias)
     if config.conv_activation == "relu":
         act = kernels.relu(conv_out)
     else:
@@ -165,10 +184,11 @@ def forward(params: ModelParams, batch, config: ModelConfig):
     cache = ForwardCache(
         params=params,
         inputs=x,
-        conv_out=conv_out,
+        conv_out=None if codes is not None else conv_out,
         argmax_rows=argmax_rows,
         flat=flat,
         probs=probs,
+        codes=codes,
     )
     return probs, cache
 
@@ -223,16 +243,25 @@ def backward(params: ModelParams, cache: ForwardCache, labels: np.ndarray,
         cache.flat, params.dense_weights, dlogit
     )
     dpooled = dflat.reshape(batch_size, config.pool_out_length, config.n_filters)
-    dact = kernels.maxpool1d_backward(
-        cache.argmax_rows, dpooled, config.conv_out_length
-    )
-    if config.conv_activation == "relu":
-        dconv = dact * kernels.relu_grad(cache.conv_out)
+    if cache.codes is not None:
+        # only the pool winners carry gradient, and ReLU passes it where
+        # the pooled value is positive
+        if config.conv_activation == "relu":
+            dpooled = dpooled * (cache.flat.reshape(dpooled.shape) > 0)
+        grad_filters, grad_bias = kernels.conv1d_backward_codes(
+            cache.codes, params.conv_filters, cache.argmax_rows, dpooled
+        )
     else:
-        dconv = dact
-    grad_filters, grad_bias = kernels.conv1d_backward(
-        cache.inputs, params.conv_filters, dconv
-    )
+        dact = kernels.maxpool1d_backward(
+            cache.argmax_rows, dpooled, config.conv_out_length
+        )
+        if config.conv_activation == "relu":
+            dconv = dact * kernels.relu_grad(cache.conv_out)
+        else:
+            dconv = dact
+        grad_filters, grad_bias = kernels.conv1d_backward(
+            cache.inputs, params.conv_filters, dconv
+        )
     return Gradients(
         conv_filters=grad_filters,
         conv_bias=grad_bias,

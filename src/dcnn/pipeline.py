@@ -1,9 +1,9 @@
 """From sequence records to training batches.
 
-One-hot encoding (columns A, C, G, T), a seeded stratified split,
-a streaming buffer shuffle, fixed-size global batches, and contiguous
-per-replica sharding.  All randomness flows through PCG64 generators
-seeded explicitly, so every stage is reproducible.
+Base codes (A, C, G, T -> 0-3) and their one-hot encoding, a seeded
+stratified split, a streaming buffer shuffle, fixed-size global batches,
+and contiguous per-replica sharding.  All randomness flows through PCG64
+generators seeded explicitly, so every stage is reproducible.
 """
 
 from __future__ import annotations
@@ -56,38 +56,75 @@ class PipelineConfig:
         return self.batch_per_replica * self.n_replicas
 
 
-@dataclass
 class Batch:
-    """One-hot inputs [B, L, 4] and matching labels [B] of 0/1."""
+    """Labels [B] of 0/1 with the sequences either as one-hot inputs
+    [B, L, 4] or as base codes [B, L] (uint8, A/C/G/T = 0-3).
 
-    inputs: np.ndarray
-    labels: np.ndarray
+    ``network.forward`` reads the codes whenever a batch has them.  A batch
+    of codes builds its one-hot ``inputs`` only on first access, in the
+    labels' dtype; a row slice of it (see :meth:`rows`) reads them as a
+    view of its parent's.
+    """
 
-    def __post_init__(self):
-        if self.inputs.ndim != 3 or self.inputs.shape[2] != 4:
+    def __init__(self, inputs, labels, codes=None):
+        if (inputs is None) == (codes is None):
+            raise ValidationError("a batch holds either one-hot inputs or base codes")
+        if inputs is not None and (inputs.ndim != 3 or inputs.shape[2] != 4):
             raise ValidationError(
-                f"batch inputs must be [B, L, 4], got {self.inputs.shape}"
+                f"batch inputs must be [B, L, 4], got {inputs.shape}"
             )
-        if self.labels.shape != (self.inputs.shape[0],):
+        if codes is not None and (codes.ndim != 2 or codes.dtype != np.uint8):
             raise ValidationError(
-                f"labels shape {self.labels.shape} does not match batch of "
-                f"{self.inputs.shape[0]}"
+                f"batch codes must be uint8 [B, L], got {codes.dtype} {codes.shape}"
             )
+        rows = (codes if inputs is None else inputs).shape[0]
+        if labels.shape != (rows,):
+            raise ValidationError(
+                f"labels shape {labels.shape} does not match batch of {rows}"
+            )
+        self._inputs = inputs
+        self.labels = labels
+        self.codes = codes
+        self._parent_rows = None  # (parent batch, row slice) for a lazy view
+
+    @property
+    def inputs(self) -> np.ndarray:
+        if self._inputs is None:
+            if self._parent_rows is not None:
+                parent, rows = self._parent_rows
+                self._inputs = parent.inputs[rows]
+            else:
+                self._inputs = np.eye(4, dtype=self.labels.dtype)[self.codes]
+        return self._inputs
+
+    def rows(self, start: int, stop: int) -> "Batch":
+        """Records ``start:stop`` as a batch of views into this one."""
+        rows = slice(start, stop)
+        if self.codes is None:
+            return Batch(self._inputs[rows], self.labels[rows])
+        part = Batch(None, self.labels[rows], self.codes[rows])
+        part._parent_rows = (self, rows)
+        return part
 
     def __len__(self) -> int:
-        return self.inputs.shape[0]
+        return self.labels.shape[0]
 
     def validate(self) -> None:
         """Full invariant check (every input row strictly one-hot)."""
-        ones = self.inputs == 1
-        if not (ones.sum(axis=2) == 1).all() or not ((self.inputs == 0) | ones).all():
-            raise ValidationError("batch inputs contain a row that is not one-hot")
+        if self.codes is not None:
+            if (self.codes > 3).any():
+                raise ValidationError("batch codes contain a value outside 0-3")
+        else:
+            ones = self.inputs == 1
+            if not (ones.sum(axis=2) == 1).all() or not ((self.inputs == 0) | ones).all():
+                raise ValidationError("batch inputs contain a row that is not one-hot")
         if not np.isin(self.labels, (0, 1)).all():
             raise ValidationError("batch labels must be 0 or 1")
 
 
-def one_hot(bases: str, dtype=np.float32) -> np.ndarray:
-    """[L, 4] encoding with column order A, C, G, T ('A' -> [1,0,0,0])."""
+def base_codes(bases: str) -> np.ndarray:
+    """[L] uint8 codes with A, C, G, T -> 0, 1, 2, 3: the column of each
+    base's 1 in :func:`one_hot`."""
     try:
         raw = bases.encode("ascii")
     except UnicodeEncodeError as exc:
@@ -99,9 +136,12 @@ def one_hot(bases: str, dtype=np.float32) -> np.ndarray:
     if bad.size:
         pos = int(bad[0])
         raise ValidationError(f"cannot encode base {bases[pos]!r} at position {pos}")
-    out = np.zeros((len(bases), 4), dtype=dtype)
-    out[np.arange(len(bases)), codes] = 1
-    return out
+    return codes.view(np.uint8)
+
+
+def one_hot(bases: str, dtype=np.float32) -> np.ndarray:
+    """[L, 4] encoding with column order A, C, G, T ('A' -> [1,0,0,0])."""
+    return np.eye(4, dtype=dtype)[base_codes(bases)]
 
 
 def decode(encoded: np.ndarray) -> str:
@@ -178,12 +218,13 @@ def shuffled_stream(records, shuffle_buffer_size: int, seed: int):
 
 
 def encode_batch(records, dtype=np.float32) -> Batch:
-    """Stack one-hot encodings of the given records into a Batch."""
+    """Stack the base codes of the given records into a Batch; its labels
+    (and one-hot inputs, if read) are in ``dtype``."""
     if not records:
         raise ValidationError("cannot encode an empty batch")
-    inputs = np.stack([one_hot(rec.bases, dtype=dtype) for rec in records])
+    codes = np.stack([base_codes(rec.bases) for rec in records])
     labels = np.asarray([rec.label for rec in records], dtype=dtype)
-    return Batch(inputs, labels)
+    return Batch(None, labels, codes)
 
 
 def make_batches(stream, global_batch: int, dtype=np.float32):
@@ -212,7 +253,4 @@ def shard(batch: Batch, n_replicas: int):
     if n_replicas == 1:
         return [batch]
     per = size // n_replicas
-    return [
-        Batch(batch.inputs[r * per : (r + 1) * per], batch.labels[r * per : (r + 1) * per])
-        for r in range(n_replicas)
-    ]
+    return [batch.rows(r * per, (r + 1) * per) for r in range(n_replicas)]

@@ -50,7 +50,7 @@ from .collective import (
 )
 from .errors import DcnnError, TrainingDivergedError, ValidationError
 from .kernels import dtype_for
-from .pipeline import encode_batch, make_batches, shard, shuffled_stream
+from .pipeline import Batch, encode_batch, shuffled_stream
 from .transport import ProcessLinks, ThreadGroup, TransportStats
 
 _HALT = 1.0
@@ -155,23 +155,22 @@ def epoch_stream_seed(seed: int, epoch: int) -> int:
 
 def evaluate(params: nw.ModelParams, records, model_config: nw.ModelConfig,
              precision: str = "f32", chunk_size: int = 256) -> dict:
-    """Loss/accuracy/auROC/auPRC of ``params`` on a record list.
+    """Loss/accuracy/auROC/auPRC of ``params`` on a record list, or on the
+    Batch that ``encode_batch`` made of one (it keeps its own dtype).
 
     auROC/auPRC come back as None when the labels contain one class.
     """
     if not records:
         raise ValidationError("cannot evaluate on an empty record list")
-    dtype = dtype_for(precision)
-    probs_parts = []
-    labels_parts = []
-    for start in range(0, len(records), chunk_size):
-        chunk = records[start : start + chunk_size]
-        batch = encode_batch(chunk, dtype=dtype)
-        p, _ = nw.forward(params, batch, model_config)
-        probs_parts.append(p)
-        labels_parts.append(batch.labels)
-    probs = np.concatenate(probs_parts)
-    labels = np.concatenate(labels_parts)
+    if isinstance(records, Batch):
+        batch = records
+    else:
+        batch = encode_batch(records, dtype=dtype_for(precision))
+    probs = np.concatenate([
+        nw.forward(params, batch.rows(start, start + chunk_size), model_config)[0]
+        for start in range(0, len(batch), chunk_size)
+    ])
+    labels = batch.labels
     return {
         "loss": nw.bce_loss(probs, labels),
         "accuracy": metrics_mod.accuracy(probs, labels),
@@ -216,11 +215,13 @@ def config_to_dict(config: TrainConfig) -> dict:
 # The worker loop (runs on every rank, any backend)
 
 
-def _worker_loop(rank, endpoint, config: TrainConfig, model_config, dataset,
-                 server_rank=None):
+def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
+                 validation_set, server_rank=None):
     """One replica's whole training run; returns a result dict.
 
-    ``endpoint`` is None only for the inline N=1 serverless path.
+    ``train_set`` and ``validation_set`` are the encoded Batches of the
+    dataset's splits.  ``endpoint`` is None only for the inline N=1
+    serverless path.
     """
     n = config.n_replicas
     dtype = dtype_for(config.precision)
@@ -231,10 +232,10 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, dataset,
         if uses_local_adam
         else None
     )
-    steps_per_epoch = len(dataset.train) // config.global_batch
+    steps_per_epoch = len(train_set) // config.global_batch
     if steps_per_epoch < 1:
         raise ValidationError(
-            f"training split of {len(dataset.train)} records is smaller than "
+            f"training split of {len(train_set)} records is smaller than "
             f"one global batch ({config.global_batch})"
         )
     is_root = rank == 0
@@ -339,13 +340,20 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, dataset,
     try:
         for epoch in range(config.epochs_max):
             epoch_t0 = time.perf_counter()
-            stream = shuffled_stream(
-                dataset.train, config.shuffle_buffer_size,
-                epoch_stream_seed(config.seed, epoch),
+            # the epoch's record order; this rank trains on its contiguous
+            # share of each global batch (a trailing partial batch is dropped)
+            order = np.fromiter(
+                shuffled_stream(
+                    range(len(train_set)), config.shuffle_buffer_size,
+                    epoch_stream_seed(config.seed, epoch),
+                ),
+                dtype=np.intp, count=len(train_set),
             )
             step_losses = []
-            for batch in make_batches(stream, config.global_batch, dtype=dtype):
-                micro = shard(batch, n)[rank] if n > 1 else batch
+            for step in range(steps_per_epoch):
+                start = step * config.global_batch + rank * config.batch_per_replica
+                mine = order[start : start + config.batch_per_replica]
+                micro = Batch(None, train_set.labels[mine], train_set.codes[mine])
                 probs, cache = nw.forward(params, micro, model_config)
                 local_loss = nw.bce_loss(probs, micro.labels)
                 grads = nw.backward(params, cache, micro.labels, model_config)
@@ -369,7 +377,7 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, dataset,
                 if not np.isfinite(global_loss):
                     raise _Diverged(last_good_epoch)
                 val = evaluate(
-                    eval_params, dataset.validation, model_config,
+                    eval_params, validation_set, model_config,
                     precision=config.precision,
                 )
                 epoch_rows.append(
@@ -413,9 +421,7 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, dataset,
             partial_report=TrainReport(
                 config=config_to_dict(config),
                 epochs=epoch_rows,
-                total_wall_seconds=float(
-                    sum(row.wall_seconds for row in epoch_rows)
-                ),
+                total_wall_seconds=0.0,  # train() times the whole call
                 total_messages=endpoint.stats.messages if endpoint else 0,
                 total_bytes=endpoint.stats.bytes if endpoint else 0,
                 stop_reason="diverged",
@@ -519,7 +525,21 @@ def train(config: TrainConfig, model_config: nw.ModelConfig, dataset: Dataset):
 
     Deterministic given (config, model_config, dataset): metrics and the
     final parameters repeat bit-for-bit; only wall-clock fields vary.
+    The report's total_wall_seconds, and that of the partial report of a
+    diverged run, time this whole call.
     """
+    t0 = time.perf_counter()
+    try:
+        params, report = _train(config, model_config, dataset)
+    except TrainingDivergedError as exc:
+        if exc.partial_report is not None:
+            exc.partial_report.total_wall_seconds = time.perf_counter() - t0
+        raise
+    report.total_wall_seconds = time.perf_counter() - t0
+    return params, report
+
+
+def _train(config, model_config, dataset):
     if len(dataset.train) < config.global_batch:
         raise ValidationError(
             f"training split of {len(dataset.train)} records is smaller than "
@@ -528,12 +548,16 @@ def train(config: TrainConfig, model_config: nw.ModelConfig, dataset: Dataset):
     if not dataset.validation:
         raise ValidationError("training needs a non-empty validation split")
 
+    # encoded once here, before any fork, and shared by every rank
+    dtype = dtype_for(config.precision)
+    data = (encode_batch(dataset.train, dtype=dtype),
+            encode_batch(dataset.validation, dtype=dtype))
     needs_server = config.strategy == "ps"
     n = config.n_replicas
     group_size = n + 1 if needs_server else n
 
     if group_size == 1:
-        result = _worker_loop(0, None, config, model_config, dataset)
+        result = _worker_loop(0, None, config, model_config, *data)
         return _finish(config, model_config, [result], [])
 
     if config.backend == "threads":
@@ -543,7 +567,7 @@ def train(config: TrainConfig, model_config: nw.ModelConfig, dataset: Dataset):
             ep = group.endpoint(rank)
             fns.append(
                 lambda rank=rank, ep=ep: _worker_loop(
-                    rank, ep, config, model_config, dataset,
+                    rank, ep, config, model_config, *data,
                     server_rank=n if needs_server else None,
                 )
             )
@@ -569,7 +593,7 @@ def train(config: TrainConfig, model_config: nw.ModelConfig, dataset: Dataset):
     for rank in range(n):
         add_child(
             _worker_loop,
-            (rank, links.endpoint(rank), config, model_config, dataset,
+            (rank, links.endpoint(rank), config, model_config, *data,
              n if needs_server else None),
         )
     if needs_server:
@@ -630,7 +654,7 @@ def _finish(config, model_config, worker_results, extra_stats):
     report = TrainReport(
         config=config_to_dict(config),
         epochs=root["epochs"],
-        total_wall_seconds=float(sum(r.wall_seconds for r in root["epochs"])),
+        total_wall_seconds=0.0,  # train() times the whole call
         total_messages=stats.messages,
         total_bytes=stats.bytes,
         stop_reason=root["stop_reason"],

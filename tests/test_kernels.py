@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from dcnn.errors import InternalConsistencyError, ShapeError, ValidationError
 from dcnn.kernels import (
     conv1d_backward,
+    conv1d_backward_codes,
     conv1d_forward,
+    conv1d_forward_codes,
     dense_backward,
     dense_forward,
     dtype_for,
@@ -122,6 +124,60 @@ class TestConvBackward:
         filters = rng.standard_normal((3, 5, 4))
         with pytest.raises(ShapeError, match="grad_out"):
             conv1d_backward(x, filters, np.zeros((7, 3)))
+
+
+class TestBaseCodeConv:
+    """The base-code kernels against the dense ones on the one-hot input."""
+
+    @staticmethod
+    def operands(rng, dtype, batch, length, n_filters, width):
+        codes = rng.integers(0, 4, size=(batch, length)).astype(np.uint8)
+        filters = rng.standard_normal((n_filters, width, 4)).astype(dtype)
+        bias = rng.standard_normal(n_filters).astype(dtype)
+        return codes, np.eye(4, dtype=dtype)[codes], filters, bias
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 12, 2, 5), (8, 1500, 15, 10), (1, 7, 1, 7)])
+    def test_forward_bit_equal_to_dense(self, rng, dtype, shape):
+        codes, x, filters, bias = self.operands(rng, dtype, *shape)
+        out = conv1d_forward_codes(codes, filters, bias)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, conv1d_forward(x, filters, bias))
+
+    def test_forward_output_dtype(self, rng):
+        codes, x, filters, bias = self.operands(rng, np.float32, 2, 20, 3, 4)
+        out = conv1d_forward_codes(codes, filters, bias, dtype=np.float64)
+        np.testing.assert_array_equal(out, conv1d_forward(x.astype(np.float64),
+                                                          filters, bias))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,pool", [((4, 200, 15, 10), 35), ((8, 1500, 15, 10), 35),
+                                            ((5, 40, 3, 6), 5)])
+    def test_backward_bit_equal_to_dense(self, rng, dtype, shape, pool):
+        codes, x, filters, bias = self.operands(rng, dtype, *shape)
+        conv_out = conv1d_forward_codes(codes, filters, bias)
+        pooled, rows = maxpool1d_forward(relu(conv_out), pool, pool)
+        grad_pooled = rng.standard_normal(pooled.shape).astype(dtype)
+        # winners-only, relu-masked at the winner
+        gf, gb = conv1d_backward_codes(codes, filters, rows, grad_pooled * (pooled > 0))
+        dense = maxpool1d_backward(rows, grad_pooled, conv_out.shape[1]) * relu_grad(conv_out)
+        want_f, want_b = conv1d_backward(x, filters, dense)
+        assert gf.dtype == want_f.dtype and gb.dtype == want_b.dtype
+        np.testing.assert_array_equal(gf, want_f)
+        np.testing.assert_array_equal(gb, want_b)
+
+    def test_rejects_float_codes_and_short_input(self):
+        with pytest.raises(ShapeError, match="integer"):
+            conv1d_forward_codes(np.zeros((2, 10)), np.zeros((2, 3, 4)), np.zeros(2))
+        with pytest.raises(ShapeError, match="empty"):
+            conv1d_forward_codes(np.zeros((2, 3), np.uint8), np.zeros((2, 5, 4)),
+                                 np.zeros(2))
+
+    def test_backward_rejects_out_of_range_row(self):
+        codes = np.zeros((1, 10), dtype=np.uint8)
+        with pytest.raises(InternalConsistencyError):
+            conv1d_backward_codes(codes, np.zeros((1, 5, 4)), np.array([[[6]]]),
+                                  np.array([[[1.0]]]))
 
 
 class TestMaxPoolForward:

@@ -1,5 +1,6 @@
 """Tests for the CNN: shapes, loss, gradients, Adam, checkpoints."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -231,6 +232,112 @@ class TestBackward:
         _, cache = nw.forward(params, batch, TINY)
         with pytest.raises(ShapeError, match="labels"):
             nw.backward(params, cache, np.zeros(3), TINY)
+
+
+def dense_twin(batch):
+    """The same records as a batch with one-hot inputs only (dense path)."""
+    from dcnn.pipeline import Batch
+
+    return Batch(batch.inputs, batch.labels)
+
+
+def fd_gradient(params, batch, cfg, h=1e-6):
+    theta0 = nw.flatten_params(params)
+    fd = np.empty_like(theta0)
+    for i in range(theta0.shape[0]):
+        up, down = theta0.copy(), theta0.copy()
+        up[i] += h
+        down[i] -= h
+        losses = [
+            nw.bce_loss(nw.forward(nw.unflatten_params(t, cfg), batch, cfg)[0],
+                        batch.labels)
+            for t in (up, down)
+        ]
+        fd[i] = (losses[0] - losses[1]) / (2 * h)
+    return fd
+
+
+OVERLAP = nw.ModelConfig(
+    n_filters=3, filter_width=5, pool_window=10, pool_stride=4, seq_length=60
+)
+
+
+class TestBaseCodePath:
+    """A batch with base codes takes the gather convolution and the
+    winners-only backward; the dense kernels are the oracle."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("activation", ["relu", "linear"])
+    @pytest.mark.parametrize(
+        "cfg,n",
+        [
+            (nw.ModelConfig(), 6),  # the default model, L = 1500
+            (TINY, 5),
+            (nw.ModelConfig(n_filters=4, filter_width=7, pool_window=9,
+                            pool_stride=12, seq_length=120), 9),
+        ],
+    )
+    def test_bit_identical_to_dense_path(self, dtype, activation, cfg, n):
+        cfg = dataclasses.replace(cfg, conv_activation=activation)
+        params = nw.init_params(cfg, seed=3, dtype=dtype)
+        params.conv_bias[:] = np.linspace(-0.2, 0.2, cfg.n_filters)
+        batch = random_batch(n, cfg.seq_length, seed=4, dtype=dtype)
+        assert batch.codes is not None
+        probs, cache = nw.forward(params, batch, cfg)
+        dense_probs, dense_cache = nw.forward(params, dense_twin(batch), cfg)
+        assert cache.codes is not None and dense_cache.codes is None
+        assert probs.dtype == dense_probs.dtype == dtype
+        assert np.array_equal(probs, dense_probs)
+        grads = nw.backward(params, cache, batch.labels, cfg)
+        dense_grads = nw.backward(params, dense_cache, batch.labels, cfg)
+        for name in ("conv_filters", "conv_bias", "dense_weights", "dense_bias"):
+            got, want = getattr(grads, name), getattr(dense_grads, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    def test_overlapping_pools_match_dense_path(self):
+        params = nw.init_params(OVERLAP, seed=5, dtype=np.float64)
+        batch = random_batch(6, 60, seed=6, dtype=np.float64)
+        probs, cache = nw.forward(params, batch, OVERLAP)
+        dense_probs, dense_cache = nw.forward(params, dense_twin(batch), OVERLAP)
+        assert np.array_equal(probs, dense_probs)
+        # the setup must make some window winners shared by two pools
+        rows = cache.argmax_rows
+        assert (rows[:, 1:] == rows[:, :-1]).any()
+        g = nw.flatten_grads(nw.backward(params, cache, batch.labels, OVERLAP))
+        want = nw.flatten_grads(
+            nw.backward(params, dense_cache, batch.labels, OVERLAP))
+        assert np.max(np.abs(g - want)) <= 1e-6 * np.max(np.abs(want))
+        _, again = nw.forward(params, batch, OVERLAP)
+        repeat = nw.flatten_grads(nw.backward(params, again, batch.labels, OVERLAP))
+        assert np.array_equal(g, repeat)
+
+    def test_overlapping_pools_gradient_check(self):
+        params = nw.init_params(OVERLAP, seed=7, dtype=np.float64)
+        batch = random_batch(4, 60, seed=8, dtype=np.float64)
+        _, cache = nw.forward(params, batch, OVERLAP)
+        # off the relu kink, so finite differences see the same winners
+        assert np.abs(cache.flat[cache.flat != 0]).min() > 1e-4
+        analytic = nw.flatten_grads(nw.backward(params, cache, batch.labels, OVERLAP))
+        fd = fd_gradient(params, batch, OVERLAP)
+        rel = np.abs(analytic - fd) / np.maximum(
+            np.maximum(np.abs(analytic), np.abs(fd)), 1e-12
+        )
+        assert rel.max() <= 1e-4
+
+    def test_adam_steps_identical_with_and_without_codes(self):
+        cfg = nw.ModelConfig(n_filters=5, filter_width=8, pool_window=12,
+                             pool_stride=12, seq_length=100)
+        batch = random_batch(8, 100, seed=9)
+        runs = []
+        for b in (batch, dense_twin(batch)):
+            params = nw.init_params(cfg, seed=10)
+            state = nw.fresh_adam_state(cfg)
+            for _ in range(3):
+                _, cache = nw.forward(params, b, cfg)
+                grads = nw.backward(params, cache, b.labels, cfg)
+                params, state = nw.adam_step(params, grads, state, cfg)
+            runs.append(nw.flatten_params(params))
+        assert runs[0].tobytes() == runs[1].tobytes()
 
 
 class TestAdam:

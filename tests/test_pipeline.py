@@ -14,6 +14,7 @@ from dcnn.pipeline import (
     Batch,
     PipelineConfig,
     SplitSpec,
+    base_codes,
     decode,
     encode_batch,
     make_batches,
@@ -259,6 +260,51 @@ class TestPipelineConfig:
             PipelineConfig(n_replicas=0)
         with pytest.raises(ValidationError, match="batch_per_replica"):
             PipelineConfig(batch_per_replica=0)
+
+
+class TestBaseCodes:
+    def test_codes_are_the_one_hot_columns(self):
+        codes = base_codes("ACGTTGCA")
+        assert codes.dtype == np.uint8
+        assert codes.tolist() == [0, 1, 2, 3, 3, 2, 1, 0]
+        assert np.array_equal(np.argmax(one_hot("ACGTTGCA"), axis=1), codes)
+
+    @pytest.mark.parametrize("bases", ["ACGNACGT", "xACGT", "ACéG", "acgt"])
+    def test_rejects_what_one_hot_rejects_with_the_same_text(self, bases):
+        with pytest.raises(ValidationError) as from_codes:
+            base_codes(bases)
+        with pytest.raises(ValidationError) as from_one_hot:
+            one_hot(bases)
+        assert str(from_codes.value) == str(from_one_hot.value)
+        with pytest.raises(ValidationError, match=str(from_codes.value)):
+            encode_batch([neg(0, "ACGT"), neg(1, bases)])
+
+    def test_encode_batch_carries_codes_and_lazy_one_hot(self):
+        recs = [neg(i, "ACGTAC"[i:] + "ACGTAC"[:i]) for i in range(4)]
+        batch = encode_batch(recs, dtype=np.float64)
+        assert batch.codes.dtype == np.uint8 and batch.codes.shape == (4, 6)
+        assert batch._inputs is None  # nothing one-hot until asked for
+        assert batch.inputs.dtype == np.float64
+        for i, rec in enumerate(recs):
+            assert decode(batch.inputs[i]) == rec.bases
+
+    def test_shards_slice_the_codes(self):
+        batch = encode_batch([neg(i, "ACGTAC") for i in range(6)])
+        shards = shard(batch, 3)
+        assert shards[2].codes.base is batch.codes
+        assert shards[2].codes.shape == (2, 6)
+
+    def test_batch_holds_inputs_or_codes(self):
+        with pytest.raises(ValidationError, match="inputs or base codes"):
+            Batch(None, np.zeros(2))
+        with pytest.raises(ValidationError, match="inputs or base codes"):
+            Batch(np.zeros((2, 5, 4)), np.zeros(2), np.zeros((2, 5), dtype=np.uint8))
+        with pytest.raises(ValidationError, match="uint8"):
+            Batch(None, np.zeros(2), np.zeros((2, 5)))
+        with pytest.raises(ValidationError, match="labels shape"):
+            Batch(None, np.zeros(3), np.zeros((2, 5), dtype=np.uint8))
+        with pytest.raises(ValidationError, match="0-3"):
+            Batch(None, np.zeros(1), np.full((1, 5), 4, dtype=np.uint8)).validate()
 
 
 class TestBatchType:

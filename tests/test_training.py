@@ -2,6 +2,7 @@
 stopping, divergence reporting, evaluation, and report serialization."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -369,16 +370,43 @@ def test_train_rejects_empty_validation(dataset):
 
 
 def test_report_fields_are_consistent(dataset):
+    t0 = time.perf_counter()
     _vec, report = run(dataset, n_replicas=1, batch_per_replica=32)
+    caller_wall = time.perf_counter() - t0
     steps = len(dataset.train) // 32
     for row in report.epochs:
         assert row.wall_seconds > 0
         expected_rate = steps * 32 / row.wall_seconds
         assert np.isclose(row.sequences_per_second, expected_rate, rtol=1e-6)
-    assert report.total_wall_seconds == pytest.approx(
-        sum(r.wall_seconds for r in report.epochs)
-    )
+    epoch_walls = sum(r.wall_seconds for r in report.epochs)
+    assert epoch_walls <= report.total_wall_seconds <= caller_wall
     assert report.stop_reason == "max_epochs"
+
+
+@pytest.mark.parametrize(
+    "strategy,backend", [("ps", "processes"), ("allreduce", "threads")]
+)
+def test_total_wall_times_the_whole_train_call(dataset, strategy, backend):
+    # fork, per-epoch validation and the final aggregation count too
+    t0 = time.perf_counter()
+    _vec, report = run(dataset, n_replicas=2, strategy=strategy, backend=backend,
+                       batch_per_replica=16, epochs_max=2)
+    caller_wall = time.perf_counter() - t0
+    epoch_walls = sum(r.wall_seconds for r in report.epochs)
+    assert epoch_walls < report.total_wall_seconds <= caller_wall
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_partial_report_times_the_whole_train_call(dataset):
+    t0 = time.perf_counter()
+    with pytest.raises(TrainingDivergedError) as excinfo:
+        train(
+            TrainConfig(n_replicas=2, strategy="ps", epochs_max=5,
+                        batch_per_replica=16, learning_rate=1e25),
+            MODEL, dataset,
+        )
+    caller_wall = time.perf_counter() - t0
+    assert 0 < excinfo.value.partial_report.total_wall_seconds <= caller_wall
 
 
 def test_report_serialization_roundtrip(tmp_path, dataset):
