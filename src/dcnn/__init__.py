@@ -19,7 +19,7 @@ from .errors import (
 )
 from .genome import Pwm, SequenceRecord, SimConfig, default_tal1_pwm, generate_dataset
 from .network import ModelConfig, ModelParams, init_params, load_checkpoint, save_checkpoint
-from .pipeline import Batch, PipelineConfig, SplitSpec, one_hot, split
+from .pipeline import Batch, SplitSpec, one_hot, split
 from .training import (
     Dataset,
     EarlyStopConfig,
@@ -44,7 +44,6 @@ __all__ = [
     "ModelConfig",
     "ModelParams",
     "ParseError",
-    "PipelineConfig",
     "PlacementError",
     "ProtocolError",
     "Pwm",

@@ -83,7 +83,6 @@ DEFAULTS = {
     "min_delta": 1e-4,
     "early_stopping": True,
     "gossip_period": 1,
-    "aggregate_per_epoch": False,
     "backend": "processes",
     # benchmark
     "workers_list": (1, 2, 4),
@@ -365,7 +364,6 @@ def cmd_train(settings) -> int:
         ),
         early_stopping=settings["early_stopping"],
         gossip_period=settings["gossip_period"],
-        aggregate_per_epoch=settings["aggregate_per_epoch"],
         backend=settings["backend"],
     )
     out = _out_dir(settings)

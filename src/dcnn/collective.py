@@ -4,7 +4,8 @@ parameter server, and gossip averaging.
 Each strategy exists in two forms.  The transport-driven form runs
 concurrently on every worker endpoint and is what training uses.  The
 pure form operates on a list of vectors in one call; it is the reference
-the transport form is tested against, and doubles as the N=1 path.
+the transport form is tested against.  No training path calls a pure
+form: an N=1 run of ``allreduce`` or ``gossip`` exchanges nothing.
 
 Determinism contract: every reduction folds its operands in a fixed
 order (ascending rank, or ring order for the chunked all-reduce), so
@@ -132,12 +133,25 @@ def ps_worker_round(endpoint, server_rank: int, grad: np.ndarray) -> np.ndarray:
     return endpoint.recv(server_rank)
 
 
+def ps_halt(endpoint, server_rank: int, dtype) -> None:
+    """Rank 0's last message to the server: one element, which no
+    gradient report is, in place of its next report."""
+    endpoint.send(server_rank, np.ones(1, dtype=dtype))
+
+
 def ps_server_round(endpoint, params, optimizer_step):
     """Server side of one round; the server sits at the highest rank and
     every lower rank is a worker.  2N messages per round: N gradient
-    reports in, N parameter broadcasts out."""
+    reports in, N parameter broadcasts out.
+
+    Returns None, reading nothing further, when rank 0 sends the
+    one-element halt of :func:`ps_halt` in place of its report.
+    """
     worker_ranks = [r for r in range(endpoint.size) if r != endpoint.rank]
-    grads = [endpoint.recv(r) for r in worker_ranks]
+    first = endpoint.recv(worker_ranks[0])
+    if first.size == 1:
+        return None
+    grads = [first] + [endpoint.recv(r) for r in worker_ranks[1:]]
     new_params = parameter_server_round(params, grads, optimizer_step)
     for r in worker_ranks:
         endpoint.send(r, new_params)

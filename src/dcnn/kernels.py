@@ -306,12 +306,6 @@ def sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def sigmoid_grad(y):
-    """Derivative of sigmoid expressed in terms of its output: y * (1 - y)."""
-    y = np.asarray(y)
-    return y * (1.0 - y)
-
-
 def relu(x):
     x = np.asarray(x)
     return np.maximum(x, 0)

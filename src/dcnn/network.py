@@ -212,14 +212,6 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(per_sample.mean())
 
 
-def bce_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """d(mean BCE)/d(p_i) on the clamped probabilities."""
-    _check_labels(labels)
-    p = _clamped(np.asarray(probs))
-    y = np.asarray(labels)
-    return (p - y) / (p * (1 - p)) / p.shape[0]
-
-
 def backward(params: ModelParams, cache: ForwardCache, labels: np.ndarray,
              config: ModelConfig) -> Gradients:
     """Exact gradients of mean BCE w.r.t. every parameter tensor.

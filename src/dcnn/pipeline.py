@@ -1,8 +1,8 @@
 """From sequence records to training batches.
 
 Base codes (A, C, G, T -> 0-3) and their one-hot encoding, a seeded
-stratified split, a streaming buffer shuffle, fixed-size global batches,
-and contiguous per-replica sharding.  All randomness flows through PCG64
+stratified split, a streaming buffer shuffle, batch encoding, and
+contiguous per-replica sharding.  All randomness flows through PCG64
 generators seeded explicitly, so every stage is reproducible.
 """
 
@@ -37,23 +37,6 @@ class SplitSpec:
             raise ValidationError(f"split fractions must be non-negative, got {fracs}")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ValidationError(f"split fractions sum to {sum(fracs)!r}, expected 1")
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    buffer_size: int = 10000
-    shuffle_buffer_size: int = 100
-    batch_per_replica: int = 64
-    n_replicas: int = 1
-
-    def __post_init__(self):
-        for name in ("buffer_size", "shuffle_buffer_size", "batch_per_replica", "n_replicas"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-    @property
-    def global_batch(self) -> int:
-        return self.batch_per_replica * self.n_replicas
 
 
 class Batch:
@@ -225,19 +208,6 @@ def encode_batch(records, dtype=np.float32) -> Batch:
     codes = np.stack([base_codes(rec.bases) for rec in records])
     labels = np.asarray([rec.label for rec in records], dtype=dtype)
     return Batch(None, labels, codes)
-
-
-def make_batches(stream, global_batch: int, dtype=np.float32):
-    """Fixed-size batches off a record stream; a trailing group smaller
-    than ``global_batch`` is dropped so every batch has static shape."""
-    if global_batch < 1:
-        raise ValidationError(f"global_batch must be >= 1, got {global_batch}")
-    group = []
-    for rec in stream:
-        group.append(rec)
-        if len(group) == global_batch:
-            yield encode_batch(group, dtype=dtype)
-            group = []
 
 
 def shard(batch: Batch, n_replicas: int):

@@ -4,7 +4,7 @@ Every replica runs the same deterministic loop: identical parameter
 init, identical per-epoch shuffle (seed derived from (seed, epoch)),
 identical global batches, of which each rank consumes its contiguous
 shard.  The strategies differ only in how per-step information crosses
-workers:
+workers, and each is one small class with the same hooks:
 
 * ``allreduce`` — ring all-reduce sums per-replica mean gradients;
   every rank divides by N and applies an identical Adam step (lockstep:
@@ -19,17 +19,17 @@ The per-step scalar train loss rides along with the gradient vector in
 the same message, so loss aggregation adds no extra messages.
 
 Rank 0 owns bookkeeping: it evaluates validation metrics each epoch,
-decides early stopping, and broadcasts a continue/halt flag.  The
-parameter server distinguishes control flags from gradient reports by
-message length (a flag is a single element), so one mechanism covers
-early stop, normal completion, and divergence aborts.  For N=1 with a
-serverless strategy the same worker loop runs inline with no endpoint
-and zero messages.
+decides early stopping, and broadcasts a continue/halt flag.  Under
+``ps`` it also halts the server when its loop ends, on early stop,
+normal completion or divergence alike; the rule that tells that halt
+from a gradient report lives in ``collective.ps_server_round``.  For
+N=1 with a serverless strategy the same worker loop runs inline with no
+endpoint and zero messages.
 """
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import json
 import multiprocessing as mp
 import time
@@ -44,6 +44,7 @@ from .collective import (
     gossip_exchange,
     gossip_finalize_exchange,
     mean_ascending,
+    ps_halt,
     ps_server_round,
     ps_worker_round,
     ring_all_reduce,
@@ -82,9 +83,7 @@ class TrainConfig:
     early_stop: EarlyStopConfig = field(default_factory=EarlyStopConfig)
     early_stopping: bool = True
     gossip_period: int = 1
-    aggregate_per_epoch: bool = False
     backend: str = "processes"  # processes | threads (threads: tests/debug)
-    track_params_hash: bool = False
 
     def __post_init__(self):
         if self.n_replicas < 1:
@@ -144,7 +143,6 @@ class TrainReport:
     total_messages: int
     total_bytes: int
     stop_reason: str  # converged | max_epochs | diverged
-    params_hashes: list = field(default_factory=list)
 
 
 def epoch_stream_seed(seed: int, epoch: int) -> int:
@@ -179,18 +177,6 @@ def evaluate(params: nw.ModelParams, records, model_config: nw.ModelConfig,
     }
 
 
-class _Diverged(Exception):
-    """Internal: carries the last finished epoch out of the loop."""
-
-    def __init__(self, last_good_epoch):
-        super().__init__("training diverged")
-        self.last_good_epoch = last_good_epoch
-
-
-def _params_digest(params: nw.ModelParams) -> str:
-    return hashlib.sha256(nw.flatten_params(params).tobytes()).hexdigest()[:16]
-
-
 def _should_stop(val_losses, early: EarlyStopConfig) -> bool:
     """True when the latest loss closes a patience window with no
     improvement greater than min_delta over the best before it."""
@@ -212,131 +198,157 @@ def config_to_dict(config: TrainConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# One replica's side of each strategy
+
+
+class _Diverged(Exception):
+    """Internal: a non-finite loss or parameter vector reached this rank."""
+
+
+class _Replica:
+    """This rank's parameters plus the hooks the worker loop calls:
+    ``step`` once per batch, ``snapshot`` once per epoch, ``stop``
+    whenever the loop ends (diverged too) and ``finish`` after a normal
+    end.  A hook that a strategy does not need does nothing."""
+
+    def __init__(self, rank, endpoint, config: TrainConfig, model_config):
+        self.rank = rank
+        self.endpoint = endpoint
+        self.n = config.n_replicas
+        self.config = config
+        self.model_config = model_config
+        self.dtype = dtype_for(config.precision)
+        self.params = nw.init_params(model_config, config.seed, dtype=self.dtype)
+
+    def _with_loss(self, vec, loss):
+        """``vec`` with the scalar loss appended, so it rides along in
+        the same message."""
+        return np.concatenate([vec, np.asarray([loss], dtype=self.dtype)])
+
+    def _unflatten(self, vec):
+        return nw.unflatten_params(vec.astype(self.dtype, copy=False), self.model_config)
+
+    def snapshot(self, epoch_loss):
+        """(params to evaluate, global train loss), read on rank 0."""
+        return self.params, epoch_loss
+
+    def stop(self):
+        pass
+
+    def finish(self):
+        pass
+
+
+class _LocalAdam(_Replica):
+    """Parameters with their own Adam state: an allreduce or gossip
+    replica, or the parameter server."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.adam = nw.fresh_adam_state(
+            self.model_config, dtype=self.dtype, alpha=self.config.learning_rate
+        )
+
+    def _adam_step(self, flat_grads):
+        grads = nw.unflatten_grads(
+            flat_grads.astype(self.dtype, copy=False), self.model_config
+        )
+        self.params, self.adam = nw.adam_step(
+            self.params, grads, self.adam, self.model_config
+        )
+
+
+class _AllReduce(_LocalAdam):
+    """Ring all-reduce of (gradient, loss); every rank divides the sum by
+    N and takes the same Adam step, so replicas stay bit-identical."""
+
+    def step(self, flat_grads, loss):
+        carried = self._with_loss(flat_grads, loss)
+        summed = carried if self.n == 1 else ring_all_reduce(carried, self.endpoint)
+        mean_vec = summed / self.n
+        step_loss = float(mean_vec[-1])
+        if not np.isfinite(step_loss):
+            raise _Diverged
+        self._adam_step(mean_vec[:-1])
+        return step_loss
+
+
+class _ParameterServer(_Replica):
+    """Reports (gradient, loss) to the server at rank N and installs the
+    (parameters, mean loss) it broadcasts; only the server runs Adam."""
+
+    def step(self, flat_grads, loss):
+        reply = ps_worker_round(self.endpoint, self.n, self._with_loss(flat_grads, loss))
+        if not np.isfinite(reply).all():
+            raise _Diverged
+        self.params = self._unflatten(reply[:-1])
+        return float(reply[-1])
+
+    def stop(self):
+        if self.rank == 0:
+            ps_halt(self.endpoint, self.n, self.dtype)
+
+
+class _Gossip(_LocalAdam):
+    """Local Adam steps, and every ``gossip_period`` steps an average with
+    this round's ring partner.  Rank 0 evaluates the mean of all
+    replicas; the final consensus installs that mean everywhere."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.steps = 0
+
+    def step(self, flat_grads, loss):
+        if not np.isfinite(loss):
+            raise _Diverged
+        self._adam_step(flat_grads)
+        self.steps += 1
+        period = self.config.gossip_period
+        if self.n > 1 and self.steps % period == 0:
+            self.params = self._unflatten(gossip_exchange(
+                self.endpoint, self.steps // period - 1, nw.flatten_params(self.params)
+            ))
+        return float(loss)
+
+    def snapshot(self, epoch_loss):
+        if self.n == 1:
+            return self.params, epoch_loss
+        carried = self._with_loss(nw.flatten_params(self.params), epoch_loss)
+        if self.rank != 0:
+            self.endpoint.send(0, carried)
+            return None, None
+        gathered = [carried] + [self.endpoint.recv(r) for r in range(1, self.n)]
+        mean_vec = mean_ascending(gathered)
+        return self._unflatten(mean_vec[:-1]), float(mean_vec[-1])
+
+    def finish(self):
+        if self.n > 1:
+            self.params = self._unflatten(
+                gossip_finalize_exchange(self.endpoint, nw.flatten_params(self.params))
+            )
+
+
+_REPLICAS = {"allreduce": _AllReduce, "ps": _ParameterServer, "gossip": _Gossip}
+
+
+# ---------------------------------------------------------------------------
 # The worker loop (runs on every rank, any backend)
 
 
 def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
-                 validation_set, server_rank=None):
+                 validation_set):
     """One replica's whole training run; returns a result dict.
 
     ``train_set`` and ``validation_set`` are the encoded Batches of the
     dataset's splits.  ``endpoint`` is None only for the inline N=1
     serverless path.
     """
-    n = config.n_replicas
-    dtype = dtype_for(config.precision)
-    params = nw.init_params(model_config, config.seed, dtype=dtype)
-    uses_local_adam = config.strategy != "ps" or config.aggregate_per_epoch
-    adam = (
-        nw.fresh_adam_state(model_config, dtype=dtype, alpha=config.learning_rate)
-        if uses_local_adam
-        else None
-    )
+    replica = _REPLICAS[config.strategy](rank, endpoint, config, model_config)
     steps_per_epoch = len(train_set) // config.global_batch
-    if steps_per_epoch < 1:
-        raise ValidationError(
-            f"training split of {len(train_set)} records is smaller than "
-            f"one global batch ({config.global_batch})"
-        )
     is_root = rank == 0
     epoch_rows = []
-    params_hashes = []
     stop_reason = "max_epochs"
-    gossip_counter = 0
     last_good_epoch = -1
-
-    def local_adam_step(grads):
-        nonlocal params, adam
-        try:
-            params, adam = nw.adam_step(params, grads, adam, model_config)
-        except TrainingDivergedError:
-            raise _Diverged(last_good_epoch) from None
-
-    def aggregated_step(flat_grads, local_loss):
-        nonlocal params, gossip_counter
-        carried = np.concatenate(
-            [flat_grads, np.asarray([local_loss], dtype=dtype)]
-        )
-        if config.strategy == "allreduce":
-            summed = carried if n == 1 else ring_all_reduce(carried, endpoint)
-            mean_vec = summed / n
-            step_loss = float(mean_vec[-1])
-            if not np.isfinite(step_loss):
-                raise _Diverged(last_good_epoch)
-            grads = nw.unflatten_grads(
-                mean_vec[:-1].astype(dtype, copy=False), model_config
-            )
-            local_adam_step(grads)
-        elif config.strategy == "ps":
-            reply = ps_worker_round(endpoint, server_rank, carried)
-            vec, step_loss = reply[:-1], float(reply[-1])
-            if not np.isfinite(vec).all() or not np.isfinite(step_loss):
-                raise _Diverged(last_good_epoch)
-            params = nw.unflatten_params(vec.astype(dtype, copy=False), model_config)
-        else:  # gossip: local step, periodic neighbor averaging
-            step_loss = float(local_loss)
-            if not np.isfinite(step_loss):
-                raise _Diverged(last_good_epoch)
-            local_adam_step(nw.unflatten_grads(flat_grads, model_config))
-            gossip_counter += 1
-            if n > 1 and gossip_counter % config.gossip_period == 0:
-                round_index = gossip_counter // config.gossip_period - 1
-                vec = gossip_exchange(
-                    endpoint, round_index, nw.flatten_params(params)
-                )
-                params = nw.unflatten_params(
-                    vec.astype(dtype, copy=False), model_config
-                )
-        return step_loss
-
-    def per_epoch_average(epoch, epoch_mean_loss):
-        """aggregate_per_epoch mode: average parameters across ranks at
-        the epoch boundary; Adam stays local everywhere."""
-        nonlocal params
-        carried = np.concatenate(
-            [nw.flatten_params(params), np.asarray([epoch_mean_loss], dtype=dtype)]
-        )
-        if n == 1 and config.strategy != "ps":
-            mean_vec = carried
-        elif config.strategy == "allreduce":
-            mean_vec = ring_all_reduce(carried, endpoint) / n
-        elif config.strategy == "ps":
-            mean_vec = ps_worker_round(endpoint, server_rank, carried)
-        else:
-            mean_vec = gossip_exchange(endpoint, epoch, carried)
-        if not np.isfinite(mean_vec).all():
-            raise _Diverged(last_good_epoch)
-        params = nw.unflatten_params(
-            mean_vec[:-1].astype(dtype, copy=False), model_config
-        )
-        return float(mean_vec[-1])
-
-    def eval_snapshot(epoch_mean_loss):
-        """Rank 0 obtains (params-for-eval, global train loss).
-
-        For allreduce/ps the replicas are already identical.  For
-        per-step gossip, rank 0 gathers every rank's (params, loss),
-        averages, and evaluates the mean without installing it.
-        """
-        if config.strategy != "gossip" or config.aggregate_per_epoch or n == 1:
-            return params, epoch_mean_loss
-        carried = np.concatenate(
-            [nw.flatten_params(params), np.asarray([epoch_mean_loss], dtype=dtype)]
-        )
-        if is_root:
-            gathered = [carried] + [endpoint.recv(r) for r in range(1, n)]
-            mean_vec = mean_ascending(gathered)
-            snapshot = nw.unflatten_params(
-                mean_vec[:-1].astype(dtype, copy=False), model_config
-            )
-            return snapshot, float(mean_vec[-1])
-        endpoint.send(0, carried)
-        return None, None
-
-    def send_server_halt():
-        if config.strategy == "ps" and is_root:
-            endpoint.send(server_rank, np.asarray([_HALT], dtype=dtype))
-
     try:
         for epoch in range(config.epochs_max):
             epoch_t0 = time.perf_counter()
@@ -354,28 +366,18 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
                 start = step * config.global_batch + rank * config.batch_per_replica
                 mine = order[start : start + config.batch_per_replica]
                 micro = Batch(None, train_set.labels[mine], train_set.codes[mine])
-                probs, cache = nw.forward(params, micro, model_config)
+                probs, cache = nw.forward(replica.params, micro, model_config)
                 local_loss = nw.bce_loss(probs, micro.labels)
-                grads = nw.backward(params, cache, micro.labels, model_config)
-                if config.aggregate_per_epoch:
-                    local_adam_step(grads)
-                    step_losses.append(local_loss)
-                else:
-                    step_losses.append(
-                        aggregated_step(nw.flatten_grads(grads), local_loss)
-                    )
-                if config.track_params_hash and is_root:
-                    params_hashes.append(_params_digest(params))
+                grads = nw.backward(replica.params, cache, micro.labels, model_config)
+                step_losses.append(replica.step(nw.flatten_grads(grads), local_loss))
             epoch_mean_loss = float(np.mean(step_losses))
-            if config.aggregate_per_epoch:
-                epoch_mean_loss = per_epoch_average(epoch, epoch_mean_loss)
             wall = time.perf_counter() - epoch_t0
 
-            eval_params, global_loss = eval_snapshot(epoch_mean_loss)
+            eval_params, global_loss = replica.snapshot(epoch_mean_loss)
             halt = _CONTINUE
             if is_root:
                 if not np.isfinite(global_loss):
-                    raise _Diverged(last_good_epoch)
+                    raise _Diverged
                 val = evaluate(
                     eval_params, validation_set, model_config,
                     precision=config.precision,
@@ -397,27 +399,27 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
                     )
                 )
                 if not np.isfinite(val["loss"]):
-                    raise _Diverged(last_good_epoch)
+                    raise _Diverged
                 last_good_epoch = epoch
                 if config.early_stopping and _should_stop(
                     [row.val_loss for row in epoch_rows], config.early_stop
                 ):
                     halt = _HALT
             # rank 0 decides; the other replicas follow its flag
-            if n > 1:
+            if config.n_replicas > 1:
                 if is_root:
-                    for peer in range(1, n):
-                        endpoint.send(peer, np.asarray([halt], dtype=dtype))
+                    for peer in range(1, config.n_replicas):
+                        endpoint.send(peer, np.asarray([halt], dtype=replica.dtype))
                 else:
                     halt = float(endpoint.recv(0)[0])
             if halt == _HALT:
                 stop_reason = "converged"
                 break
-    except _Diverged as exc:
-        send_server_halt()
+    except (_Diverged, TrainingDivergedError):
+        replica.stop()
         raise TrainingDivergedError(
             "training diverged: non-finite loss or parameters",
-            last_good_epoch=exc.last_good_epoch,
+            last_good_epoch=last_good_epoch,
             partial_report=TrainReport(
                 config=config_to_dict(config),
                 epochs=epoch_rows,
@@ -425,22 +427,17 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
                 total_messages=endpoint.stats.messages if endpoint else 0,
                 total_bytes=endpoint.stats.bytes if endpoint else 0,
                 stop_reason="diverged",
-                params_hashes=params_hashes,
             ),
         ) from None
 
-    send_server_halt()
-    if config.strategy == "gossip" and n > 1:
-        vec = gossip_finalize_exchange(endpoint, nw.flatten_params(params))
-        params = nw.unflatten_params(vec.astype(dtype, copy=False), model_config)
-
+    replica.stop()
+    replica.finish()
     return {
         "rank": rank,
-        "params_vec": nw.flatten_params(params),
+        "params_vec": nw.flatten_params(replica.params),
         "epochs": epoch_rows,
         "stop_reason": stop_reason,
         "stats": endpoint.stats if endpoint is not None else TransportStats(),
-        "params_hashes": params_hashes,
     }
 
 
@@ -449,50 +446,25 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
 
 
 def _server_loop(endpoint, config: TrainConfig, model_config):
-    """Holds canonical params; one Adam step per synchronous round.
+    """Holds the canonical params and the run's only Adam state: one Adam
+    step per synchronous round, until rank 0 halts the rounds (see
+    ``collective.ps_server_round``).
 
-    Rounds run until rank 0 sends a single-element control message
-    (reports always carry param_count + 1 elements, so length tells the
-    two apart).  On a non-finite update the server broadcasts NaN
-    parameters; the workers all observe them and abort identically.
+    On a non-finite update the server broadcasts NaN parameters; the
+    workers all observe them and abort identically.
     """
-    n = config.n_replicas
-    dtype = dtype_for(config.precision)
-    params_vec = nw.flatten_params(
-        nw.init_params(model_config, config.seed, dtype=dtype)
-    )
-    adam = nw.fresh_adam_state(model_config, dtype=dtype, alpha=config.learning_rate)
+    server = _LocalAdam(endpoint.rank, endpoint, config, model_config)
 
-    def step(current_vec, carried_mean):
-        nonlocal adam
-        if config.aggregate_per_epoch:
-            # epoch-boundary averaging: install the mean parameters as-is
-            return carried_mean
+    def step(_params, mean_report):
+        """(new params, mean loss) from the mean (gradient, loss) report."""
         try:
-            grads = nw.unflatten_grads(
-                carried_mean[:-1].astype(dtype, copy=False), model_config
-            )
-            new_params, adam = nw.adam_step(
-                nw.unflatten_params(current_vec, model_config), grads, adam,
-                model_config,
-            )
-            out = nw.flatten_params(new_params)
-            loss = carried_mean[-1:]
+            server._adam_step(mean_report[:-1])
         except TrainingDivergedError:
-            out = np.full_like(current_vec, np.nan)
-            loss = np.asarray([np.nan], dtype=dtype)
-        return np.concatenate([out, loss])
+            return np.full_like(mean_report, np.nan)
+        return server._with_loss(nw.flatten_params(server.params), mean_report[-1])
 
-    while True:
-        first = endpoint.recv(0)
-        if first.size == 1:
-            break  # control flag from rank 0: run is over
-        reports = [first] + [endpoint.recv(r) for r in range(1, n)]
-        mean = mean_ascending(reports)
-        broadcast = step(params_vec, mean)
-        params_vec = broadcast[:-1]
-        for r in range(n):
-            endpoint.send(r, broadcast)
+    while ps_server_round(endpoint, server.params, step) is not None:
+        pass
     return {"rank": endpoint.rank, "stats": endpoint.stats}
 
 
@@ -552,52 +524,42 @@ def _train(config, model_config, dataset):
     dtype = dtype_for(config.precision)
     data = (encode_batch(dataset.train, dtype=dtype),
             encode_batch(dataset.validation, dtype=dtype))
-    needs_server = config.strategy == "ps"
     n = config.n_replicas
+    needs_server = config.strategy == "ps"
     group_size = n + 1 if needs_server else n
 
     if group_size == 1:
-        result = _worker_loop(0, None, config, model_config, *data)
-        return _finish(config, model_config, [result], [])
+        return _finish(config, model_config,
+                       [_worker_loop(0, None, config, model_config, *data)])
+
+    def contexts(endpoint_of):
+        """(function, args) per rank; the parameter server is rank N."""
+        out = [(_worker_loop, (rank, endpoint_of(rank), config, model_config, *data))
+               for rank in range(n)]
+        if needs_server:
+            out.append((_server_loop, (endpoint_of(n), config, model_config)))
+        return out
 
     if config.backend == "threads":
         group = ThreadGroup(group_size, timeout=300.0)
-        fns = []
-        for rank in range(n):
-            ep = group.endpoint(rank)
-            fns.append(
-                lambda rank=rank, ep=ep: _worker_loop(
-                    rank, ep, config, model_config, *data,
-                    server_rank=n if needs_server else None,
-                )
-            )
-        if needs_server:
-            server_ep = group.endpoint(n)
-            fns.append(lambda: _server_loop(server_ep, config, model_config))
-        results = group.run(fns)
-        worker_results = results[:n]
-        extra = [results[n]["stats"]] if needs_server else []
-        return _finish(config, model_config, worker_results, extra)
+        results = group.run([functools.partial(fn, *args)
+                             for fn, args in contexts(group.endpoint)])
+    else:
+        results = _run_forked(group_size, contexts)
+    return _finish(config, model_config, results)
 
-    # process backend: fork one child per context, collect results on pipes
+
+def _run_forked(group_size, contexts):
+    """Fork one child per context and collect their results, in rank
+    order, on pipes."""
     ctx = mp.get_context("fork")
     links = ProcessLinks(group_size, timeout=600.0)
     sinks = []
     procs = []
-
-    def add_child(fn, args):
+    for fn, args in contexts(links.endpoint):
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         procs.append(ctx.Process(target=_spawn_entry, args=(fn, args, child_conn)))
         sinks.append(parent_conn)
-
-    for rank in range(n):
-        add_child(
-            _worker_loop,
-            (rank, links.endpoint(rank), config, model_config, *data,
-             n if needs_server else None),
-        )
-    if needs_server:
-        add_child(_server_loop, (links.endpoint(n), config, model_config))
     for proc in procs:
         proc.start()
 
@@ -625,32 +587,27 @@ def _train(config, model_config, dataset):
     failures = [payload for status, payload in payloads if status == "error"]
     if failures:
         raise DcnnError(f"worker failure during training: {failures[0]}")
-    results = [payload for _status, payload in payloads]
-    worker_results = sorted(
-        (r for r in results if "params_vec" in r), key=lambda r: r["rank"]
-    )
-    extra = [r["stats"] for r in results if "params_vec" not in r]
-    return _finish(config, model_config, worker_results, extra)
+    return [payload for _status, payload in payloads]
 
 
-def _finish(config, model_config, worker_results, extra_stats):
-    root = worker_results[0]
-    dtype = dtype_for(config.precision)
-    params = nw.unflatten_params(
-        root["params_vec"].astype(dtype, copy=False), model_config
-    )
-    stats = TransportStats()
-    for result in worker_results:
-        stats.merge(result["stats"])
-    for other in extra_stats:
-        stats.merge(other)
+def _finish(config, model_config, results):
+    """The report from the rank-ordered results: rank 0's parameters and
+    epochs, and the transport totals of every rank, server included."""
+    root = results[0]
     # every worker must agree exactly on the final parameters
-    for result in worker_results[1:]:
+    for result in results[1:config.n_replicas]:
         if not np.array_equal(result["params_vec"], root["params_vec"]):
             raise DcnnError(
                 f"rank {result['rank']} finished with parameters different "
                 f"from rank 0: aggregation is broken"
             )
+    stats = TransportStats()
+    for result in results:
+        stats.merge(result["stats"])
+    params = nw.unflatten_params(
+        root["params_vec"].astype(dtype_for(config.precision), copy=False),
+        model_config,
+    )
     report = TrainReport(
         config=config_to_dict(config),
         epochs=root["epochs"],
@@ -658,7 +615,6 @@ def _finish(config, model_config, worker_results, extra_stats):
         total_messages=stats.messages,
         total_bytes=stats.bytes,
         stop_reason=root["stop_reason"],
-        params_hashes=root["params_hashes"],
     )
     return params, report
 

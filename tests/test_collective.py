@@ -15,6 +15,7 @@ from dcnn.collective import (
     gossip_round,
     mean_ascending,
     parameter_server_round,
+    ps_halt,
     ps_server_round,
     ps_worker_round,
     ring_all_reduce,
@@ -188,6 +189,32 @@ class TestParameterServer:
             assert np.array_equal(got, [0.0, 0.0])
         assert np.array_equal(server_result, [0.0, 0.0])
         assert group.stats.messages == 2 * n_workers
+
+    def test_halt_from_rank_zero_ends_the_rounds(self):
+        group = ThreadGroup(3, timeout=5.0)
+        server_rank = 2
+
+        def rank0():
+            ep = group.endpoint(0)
+            reply = ps_worker_round(ep, server_rank, np.array([2.0, 2.0]))
+            ps_halt(ep, server_rank, np.float32)
+            return reply
+
+        def rank1():
+            return ps_worker_round(group.endpoint(1), server_rank, np.array([4.0, 4.0]))
+
+        def server():
+            ep = group.endpoint(server_rank)
+            first = ps_server_round(ep, np.zeros(2), lambda p, g: p - g)
+            return first, ps_server_round(ep, first, lambda p, g: p - g)
+
+        reply0, reply1, (first, halted) = group.run([rank0, rank1, server])
+        assert np.array_equal(reply0, [-3.0, -3.0]) and np.array_equal(reply1, reply0)
+        assert np.array_equal(first, reply0)
+        assert halted is None
+        # 2 reports + 2 broadcasts, then the 4-byte halt; rank 1 sends nothing more
+        assert group.stats.messages == 5
+        assert group.stats.bytes == 4 * 2 * 8 + 4
 
     def test_missing_report_times_out(self):
         group = ThreadGroup(2, timeout=0.1)

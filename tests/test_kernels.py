@@ -17,7 +17,6 @@ from dcnn.kernels import (
     relu,
     relu_grad,
     sigmoid,
-    sigmoid_grad,
 )
 from helpers import max_relative_error, naive_conv1d, naive_maxpool1d, numerical_gradient
 
@@ -305,12 +304,6 @@ class TestActivations:
             hi = sigmoid(np.array([1e4]))
         assert float(lo[0]) == pytest.approx(0.0)
         assert float(hi[0]) == pytest.approx(1.0)
-
-    def test_sigmoid_grad_matches_finite_differences(self, rng):
-        x = rng.standard_normal(20)
-        y = sigmoid(x)
-        fd = numerical_gradient(lambda: float(np.sum(sigmoid(x))), x)
-        assert max_relative_error(sigmoid_grad(y), fd) <= 1e-4
 
     def test_relu_values(self):
         assert relu(-3.0) == 0.0

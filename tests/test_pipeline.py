@@ -12,12 +12,10 @@ from dcnn.errors import ValidationError
 from dcnn.genome import SequenceRecord, SimConfig, generate_dataset
 from dcnn.pipeline import (
     Batch,
-    PipelineConfig,
     SplitSpec,
     base_codes,
     decode,
     encode_batch,
-    make_batches,
     one_hot,
     shard,
     shuffled_stream,
@@ -182,26 +180,19 @@ class TestBatching:
         return [neg(i, "ACGT"[i % 4] * length) for i in range(n)]
 
     def test_batch_shapes(self):
-        batches = list(make_batches(self.stream(10), 5))
-        assert len(batches) == 2
-        for b in batches:
-            assert b.inputs.shape == (5, 12, 4)
-            assert b.labels.shape == (5,)
-            b.validate()
-
-    def test_drop_remainder(self):
-        batches = list(make_batches(self.stream(130), 64))
-        assert len(batches) == 2
-        assert all(len(b) == 64 for b in batches)
+        batch = encode_batch(self.stream(5))
+        assert batch.inputs.shape == (5, 12, 4)
+        assert batch.labels.shape == (5,)
+        batch.validate()
 
     def test_preserves_stream_order(self):
         recs = self.stream(8)
-        (batch,) = make_batches(recs, 8)
+        batch = encode_batch(recs)
         for i, rec in enumerate(recs):
             assert decode(batch.inputs[i]) == rec.bases
 
     def test_dtype_control(self):
-        (batch,) = make_batches(self.stream(4), 4, dtype=np.float64)
+        batch = encode_batch(self.stream(4), dtype=np.float64)
         assert batch.inputs.dtype == np.float64
         assert batch.labels.dtype == np.float64
 
@@ -242,24 +233,6 @@ class TestShard:
         batch = self.batch(6)
         shards = shard(batch, 3)
         assert shards[1].inputs.base is batch.inputs
-
-
-class TestPipelineConfig:
-    def test_defaults_and_global_batch(self):
-        cfg = PipelineConfig()
-        assert (cfg.buffer_size, cfg.shuffle_buffer_size, cfg.batch_per_replica) == (
-            10000,
-            100,
-            64,
-        )
-        assert cfg.global_batch == 64
-        assert PipelineConfig(n_replicas=4).global_batch == 256
-
-    def test_validation(self):
-        with pytest.raises(ValidationError, match="n_replicas"):
-            PipelineConfig(n_replicas=0)
-        with pytest.raises(ValidationError, match="batch_per_replica"):
-            PipelineConfig(batch_per_replica=0)
 
 
 class TestBaseCodes:
@@ -331,8 +304,8 @@ class TestEndToEnd:
         records = generate_dataset(cfg)
         train, test, val = split(records, SplitSpec(seed=6))
         assert (len(train), len(test), len(val)) == (56, 8, 16)
-        stream = shuffled_stream(train, 10, seed=1)
-        batches = list(make_batches(stream, 8))
+        stream = list(shuffled_stream(train, 10, seed=1))
+        batches = [encode_batch(stream[i : i + 8]) for i in range(0, len(stream), 8)]
         assert len(batches) == 7
         for b in batches:
             b.validate()

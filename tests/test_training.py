@@ -197,20 +197,21 @@ def test_ps_two_replicas_matches_allreduce_at_f64(dataset):
     )
 
 
-def test_three_replicas_lockstep_with_uneven_shards(dataset):
-    # 3 ranks: ring chunking is uneven and the internal cross-rank
-    # equality check in train() would fail loudly on any drift
-    vec, report = run(
-        dataset, n_replicas=3, batch_per_replica=10, backend="threads",
-        track_params_hash=True,
-    )
+@pytest.mark.parametrize("strategy", ["allreduce", "ps", "gossip"])
+def test_three_replicas_lockstep_with_uneven_shards(dataset, strategy):
+    # 3 ranks: ring chunking is uneven, the server takes three reports a
+    # round and every gossip round leaves one rank unmatched; the internal
+    # cross-rank equality check in train() would fail loudly on any drift
+    (vec, report), (again, report2) = [
+        run(dataset, n_replicas=3, strategy=strategy, batch_per_replica=10,
+            backend="threads")
+        for _ in range(2)
+    ]
     assert vec.shape == (MODEL.param_count,)
-    again, report2 = run(
-        dataset, n_replicas=3, batch_per_replica=10, backend="threads",
-        track_params_hash=True,
-    )
     assert np.array_equal(vec, again)
-    assert report.params_hashes == report2.params_hashes
+    assert [(r.train_loss, r.val_loss) for r in report.epochs] == [
+        (r.train_loss, r.val_loss) for r in report2.epochs
+    ]
 
 
 @pytest.mark.parametrize("strategy", ["allreduce", "ps", "gossip"])
@@ -242,21 +243,6 @@ def test_gossip_repeat_runs_bit_identical(dataset):
     two, _ = run(dataset, n_replicas=2, strategy="gossip",
                  batch_per_replica=16, backend="processes")
     assert np.array_equal(one, two)
-
-
-def test_per_epoch_aggregation_runs_all_strategies(dataset):
-    rows = {}
-    for strategy in ("allreduce", "ps", "gossip"):
-        _vec, report = run(
-            dataset, n_replicas=2, strategy=strategy, batch_per_replica=16,
-            backend="threads", aggregate_per_epoch=True,
-        )
-        rows[strategy] = [round(r.val_loss, 12) for r in report.epochs]
-        # one aggregation per epoch instead of one per step
-        assert report.total_messages < 20
-    # a ring pair-mean of two replicas IS the global mean, so per-epoch
-    # gossip and per-epoch allreduce walk the same trajectory
-    assert rows["gossip"] == rows["allreduce"]
 
 
 def test_message_counts_match_strategy_shape(dataset):
@@ -308,7 +294,8 @@ def test_divergence_raises_with_partial_report(dataset):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "strategy,backend",
-    [("allreduce", "threads"), ("ps", "threads"), ("ps", "processes")],
+    [("allreduce", "threads"), ("allreduce", "processes"), ("ps", "threads"),
+     ("ps", "processes"), ("gossip", "threads"), ("gossip", "processes")],
 )
 def test_divergence_shuts_down_multi_replica_runs(dataset, strategy, backend):
     with pytest.raises(TrainingDivergedError) as excinfo:
