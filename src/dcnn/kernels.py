@@ -221,8 +221,13 @@ def maxpool1d_forward(
         )
     n_out = (rows - window) // stride + 1
     starts = np.arange(n_out) * stride
-    gather = starts[:, None] + np.arange(window)
-    windows = x[..., gather, :]  # [..., n_out, window, F]
+    if stride == window:  # non-overlapping: the windows are a reshape
+        windows = x[..., : n_out * window, :].reshape(
+            x.shape[:-2] + (n_out, window, x.shape[-1])
+        )
+    else:
+        windows = x[..., starts[:, None] + np.arange(window), :]
+    # windows: [..., n_out, window, F]
     arg_in_window = np.argmax(windows, axis=-2)
     pooled = np.take_along_axis(windows, arg_in_window[..., None, :], axis=-2)
     pooled = pooled[..., 0, :]

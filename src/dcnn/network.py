@@ -1,5 +1,5 @@
 """The motif-detection CNN: parameters, forward/backward, loss, Adam,
-flat gradient views for the aggregation strategies, and checkpoints.
+flat vectors for the aggregation strategies, and checkpoints.
 
 Architecture, per sample: conv1d (valid) -> activation -> maxpool ->
 flatten -> dense(1) -> sigmoid.  The loss is mean binary cross-entropy;
@@ -9,8 +9,9 @@ backward fuses sigmoid and BCE so the logit gradient is just
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,7 +199,8 @@ def _clamped(probs: np.ndarray) -> np.ndarray:
 
 
 def _check_labels(labels: np.ndarray) -> None:
-    if not np.isin(labels, (0, 1)).all():
+    labels = np.asarray(labels)
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValidationError("labels must be 0 or 1")
 
 
@@ -213,11 +215,15 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 def backward(params: ModelParams, cache: ForwardCache, labels: np.ndarray,
-             config: ModelConfig) -> Gradients:
+             config: ModelConfig, out=None) -> Gradients:
     """Exact gradients of mean BCE w.r.t. every parameter tensor.
 
     Sigmoid and BCE are composed analytically, so the logit gradient is
     the numerically stable (p - y) / B with no division by p(1-p).
+
+    With ``out`` (Gradients, typically :func:`unflatten_grads` views of
+    a flat vector) the gradients are written into its tensors and
+    ``out`` is returned; otherwise they come back as new arrays.
     """
     if cache.params is not params:
         raise InternalConsistencyError(
@@ -254,17 +260,23 @@ def backward(params: ModelParams, cache: ForwardCache, labels: np.ndarray,
         grad_filters, grad_bias = kernels.conv1d_backward(
             cache.inputs, params.conv_filters, dconv
         )
-    return Gradients(
+    grads = Gradients(
         conv_filters=grad_filters,
         conv_bias=grad_bias,
         dense_weights=grad_dense_w,
         dense_bias=np.asarray(grad_dense_b, dtype=dtype).reshape(()),
     )
+    if out is None:
+        return grads
+    for name in _TENSOR_FIELDS:
+        getattr(out, name)[...] = getattr(grads, name)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Flat views (canonical order: conv_filters, conv_bias, dense_weights,
-# dense_bias — row-major within each tensor)
+# Flat vectors (canonical order: conv_filters, conv_bias, dense_weights,
+# dense_bias — row-major within each tensor).  Flattening copies;
+# unflattening returns views, so writing to the vector updates the tensors.
 
 
 def _flatten(obj) -> np.ndarray:
@@ -288,8 +300,8 @@ def _unflatten(vec: np.ndarray, config: ModelConfig, cls):
     out = {}
     offset = 0
     for name, shape in zip(_TENSOR_FIELDS, shapes):
-        size = int(np.prod(shape)) if shape else 1
-        out[name] = vec[offset : offset + size].reshape(shape).copy()
+        size = math.prod(shape)
+        out[name] = vec[offset : offset + size].reshape(shape)
         offset += size
     return cls(**out)
 
@@ -310,32 +322,34 @@ def unflatten_params(vec: np.ndarray, config: ModelConfig) -> ModelParams:
     return _unflatten(vec, config, ModelParams)
 
 
-def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
-              config: ModelConfig):
-    """One Adam update; returns (new params, new state), both fresh values.
+def adam_step(theta: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
+    """One Adam update of the flat parameter vector ``theta`` from the
+    flat gradient ``grads``, in place: ``theta``, ``state.m`` and
+    ``state.v`` are overwritten and ``state.t`` increments first.
 
-    t increments first, then m/v update and bias-corrected step
-    theta <- theta - alpha * m_hat / (sqrt(v_hat) + eps).
+    Bias-corrected step theta <- theta - alpha * m_hat / (sqrt(v_hat) + eps),
+    each elementwise operation in the order of that formula, so the
+    result equals the out-of-place form bit for bit.
     """
-    theta = flatten_params(params)
-    g = flatten_grads(grads).astype(theta.dtype, copy=False)
+    g = np.asarray(grads).astype(theta.dtype, copy=False)
     if g.shape != theta.shape:
         raise ShapeError(
-            f"gradient length {g.shape[0]} does not match parameter "
-            f"length {theta.shape[0]}"
+            f"gradient shape {g.shape} does not match parameter shape {theta.shape}"
         )
     if not np.isfinite(g).all():
         raise TrainingDivergedError("non-finite gradient in optimizer step")
-    t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    theta = theta - state.alpha * m_hat / (np.sqrt(v_hat) + state.eps)
-    new_params = unflatten_params(theta.astype(g.dtype, copy=False), config)
-    new_state = replace(state, m=m.astype(g.dtype, copy=False),
-                        v=v.astype(g.dtype, copy=False), t=t)
-    return new_params, new_state
+    state.t += 1
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * g * g
+    denom = v / (1.0 - state.beta2**state.t)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    update = state.alpha * (m / (1.0 - state.beta1**state.t))
+    update /= denom
+    theta -= update
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,12 @@ workers, and each is one small class with the same hooks:
   consistency is established exactly once by the final averaging.
 
 The per-step scalar train loss rides along with the gradient vector in
-the same message, so loss aggregation adds no extra messages.
+the same message, so loss aggregation adds no extra messages.  Each
+rank keeps its parameters, gradient and Adam moments as flat vectors of
+the run's dtype (the tensors are views of them) and updates them in
+place.  Over the processes backend a message is the raw bytes of such
+a vector, and a received vector is read-only; the parent process waits
+on every child at once and aborts the group on the first failure.
 
 Rank 0 owns bookkeeping: it evaluates validation metrics each epoch,
 decides early stopping, and broadcasts a continue/halt flag.  Under
@@ -34,6 +39,7 @@ import json
 import multiprocessing as mp
 import time
 from dataclasses import asdict, dataclass, field
+from multiprocessing import connection as mp_connection
 
 import numpy as np
 
@@ -209,7 +215,14 @@ class _Replica:
     """This rank's parameters plus the hooks the worker loop calls:
     ``step`` once per batch, ``snapshot`` once per epoch, ``stop``
     whenever the loop ends (diverged too) and ``finish`` after a normal
-    end.  A hook that a strategy does not need does nothing."""
+    end.  A hook that a strategy does not need does nothing.
+
+    Each rank works on two flat vectors of the run's dtype, each with a
+    trailing loss slot, so the loss rides along in the same message:
+    ``vec`` holds the parameters ``theta`` (``params`` are views of it)
+    and ``carried`` the gradient that ``backward`` writes through the
+    views ``grads``.
+    """
 
     def __init__(self, rank, endpoint, config: TrainConfig, model_config):
         self.rank = rank
@@ -218,15 +231,15 @@ class _Replica:
         self.config = config
         self.model_config = model_config
         self.dtype = dtype_for(config.precision)
-        self.params = nw.init_params(model_config, config.seed, dtype=self.dtype)
-
-    def _with_loss(self, vec, loss):
-        """``vec`` with the scalar loss appended, so it rides along in
-        the same message."""
-        return np.concatenate([vec, np.asarray([loss], dtype=self.dtype)])
-
-    def _unflatten(self, vec):
-        return nw.unflatten_params(vec.astype(self.dtype, copy=False), self.model_config)
+        size = model_config.param_count + 1
+        self.vec = np.empty(size, dtype=self.dtype)
+        self.theta = self.vec[:-1]
+        self.theta[:] = nw.flatten_params(
+            nw.init_params(model_config, config.seed, dtype=self.dtype)
+        )
+        self.params = nw.unflatten_params(self.theta, model_config)
+        self.carried = np.empty(size, dtype=self.dtype)
+        self.grads = nw.unflatten_grads(self.carried[:-1], model_config)
 
     def snapshot(self, epoch_loss):
         """(params to evaluate, global train loss), read on rank 0."""
@@ -249,27 +262,19 @@ class _LocalAdam(_Replica):
             self.model_config, dtype=self.dtype, alpha=self.config.learning_rate
         )
 
-    def _adam_step(self, flat_grads):
-        grads = nw.unflatten_grads(
-            flat_grads.astype(self.dtype, copy=False), self.model_config
-        )
-        self.params, self.adam = nw.adam_step(
-            self.params, grads, self.adam, self.model_config
-        )
-
 
 class _AllReduce(_LocalAdam):
     """Ring all-reduce of (gradient, loss); every rank divides the sum by
     N and takes the same Adam step, so replicas stay bit-identical."""
 
-    def step(self, flat_grads, loss):
-        carried = self._with_loss(flat_grads, loss)
-        summed = carried if self.n == 1 else ring_all_reduce(carried, self.endpoint)
-        mean_vec = summed / self.n
-        step_loss = float(mean_vec[-1])
+    def step(self, loss):
+        self.carried[-1] = loss
+        summed = self.carried if self.n == 1 else ring_all_reduce(self.carried, self.endpoint)
+        summed /= self.n
+        step_loss = float(summed[-1])
         if not np.isfinite(step_loss):
             raise _Diverged
-        self._adam_step(mean_vec[:-1])
+        nw.adam_step(self.theta, summed[:-1], self.adam)
         return step_loss
 
 
@@ -277,11 +282,12 @@ class _ParameterServer(_Replica):
     """Reports (gradient, loss) to the server at rank N and installs the
     (parameters, mean loss) it broadcasts; only the server runs Adam."""
 
-    def step(self, flat_grads, loss):
-        reply = ps_worker_round(self.endpoint, self.n, self._with_loss(flat_grads, loss))
+    def step(self, loss):
+        self.carried[-1] = loss
+        reply = ps_worker_round(self.endpoint, self.n, self.carried)
         if not np.isfinite(reply).all():
             raise _Diverged
-        self.params = self._unflatten(reply[:-1])
+        self.vec[:] = reply
         return float(reply[-1])
 
     def stop(self):
@@ -298,34 +304,32 @@ class _Gossip(_LocalAdam):
         super().__init__(*args)
         self.steps = 0
 
-    def step(self, flat_grads, loss):
+    def step(self, loss):
         if not np.isfinite(loss):
             raise _Diverged
-        self._adam_step(flat_grads)
+        nw.adam_step(self.theta, self.carried[:-1], self.adam)
         self.steps += 1
         period = self.config.gossip_period
         if self.n > 1 and self.steps % period == 0:
-            self.params = self._unflatten(gossip_exchange(
-                self.endpoint, self.steps // period - 1, nw.flatten_params(self.params)
-            ))
+            self.theta[:] = gossip_exchange(
+                self.endpoint, self.steps // period - 1, self.theta
+            )
         return float(loss)
 
     def snapshot(self, epoch_loss):
         if self.n == 1:
             return self.params, epoch_loss
-        carried = self._with_loss(nw.flatten_params(self.params), epoch_loss)
+        self.vec[-1] = epoch_loss
         if self.rank != 0:
-            self.endpoint.send(0, carried)
+            self.endpoint.send(0, self.vec)
             return None, None
-        gathered = [carried] + [self.endpoint.recv(r) for r in range(1, self.n)]
+        gathered = [self.vec] + [self.endpoint.recv(r) for r in range(1, self.n)]
         mean_vec = mean_ascending(gathered)
-        return self._unflatten(mean_vec[:-1]), float(mean_vec[-1])
+        return nw.unflatten_params(mean_vec[:-1], self.model_config), float(mean_vec[-1])
 
     def finish(self):
         if self.n > 1:
-            self.params = self._unflatten(
-                gossip_finalize_exchange(self.endpoint, nw.flatten_params(self.params))
-            )
+            self.theta[:] = gossip_finalize_exchange(self.endpoint, self.theta)
 
 
 _REPLICAS = {"allreduce": _AllReduce, "ps": _ParameterServer, "gossip": _Gossip}
@@ -368,8 +372,9 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
                 micro = Batch(None, train_set.labels[mine], train_set.codes[mine])
                 probs, cache = nw.forward(replica.params, micro, model_config)
                 local_loss = nw.bce_loss(probs, micro.labels)
-                grads = nw.backward(replica.params, cache, micro.labels, model_config)
-                step_losses.append(replica.step(nw.flatten_grads(grads), local_loss))
+                nw.backward(replica.params, cache, micro.labels, model_config,
+                            out=replica.grads)
+                step_losses.append(replica.step(local_loss))
             epoch_mean_loss = float(np.mean(step_losses))
             wall = time.perf_counter() - epoch_t0
 
@@ -434,7 +439,7 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
     replica.finish()
     return {
         "rank": rank,
-        "params_vec": nw.flatten_params(replica.params),
+        "params_vec": replica.theta,
         "epochs": epoch_rows,
         "stop_reason": stop_reason,
         "stats": endpoint.stats if endpoint is not None else TransportStats(),
@@ -458,10 +463,11 @@ def _server_loop(endpoint, config: TrainConfig, model_config):
     def step(_params, mean_report):
         """(new params, mean loss) from the mean (gradient, loss) report."""
         try:
-            server._adam_step(mean_report[:-1])
+            nw.adam_step(server.theta, mean_report[:-1], server.adam)
         except TrainingDivergedError:
             return np.full_like(mean_report, np.nan)
-        return server._with_loss(nw.flatten_params(server.params), mean_report[-1])
+        server.vec[-1] = mean_report[-1]
+        return server.vec
 
     while ps_server_round(endpoint, server.params, step) is not None:
         pass
@@ -545,15 +551,20 @@ def _train(config, model_config, dataset):
         results = group.run([functools.partial(fn, *args)
                              for fn, args in contexts(group.endpoint)])
     else:
-        results = _run_forked(group_size, contexts)
+        results = _run_forked(group_size, contexts, dtype)
     return _finish(config, model_config, results)
 
 
-def _run_forked(group_size, contexts):
-    """Fork one child per context and collect their results, in rank
-    order, on pipes."""
+def _run_forked(group_size, contexts, dtype):
+    """Fork one child per context, linked by pipes that carry ``dtype``
+    vectors, and collect their results in rank order.
+
+    The parent waits on every result pipe and every child's exit at
+    once.  The first child to fail, or to exit without a result, ends
+    the others at once and raises a DcnnError naming its rank.
+    """
     ctx = mp.get_context("fork")
-    links = ProcessLinks(group_size, timeout=600.0)
+    links = ProcessLinks(group_size, dtype, timeout=600.0)
     sinks = []
     procs = []
     for fn, args in contexts(links.endpoint):
@@ -563,13 +574,41 @@ def _run_forked(group_size, contexts):
     for proc in procs:
         proc.start()
 
-    payloads = []
+    payloads = [None] * group_size
+    pending = set(range(group_size))
     try:
-        for conn in sinks:
-            if conn.poll(900.0):
-                payloads.append(conn.recv())
-            else:
-                payloads.append(("error", "worker did not report a result"))
+        while pending:
+            ready = mp_connection.wait(
+                [sinks[r] for r in pending] + [procs[r].sentinel for r in pending],
+                timeout=900.0,
+            )
+            if not ready:
+                raise DcnnError(
+                    f"worker failure during training: ranks {sorted(pending)} "
+                    f"reported no result within 900 s"
+                )
+            for rank in sorted(pending):
+                sink, proc = sinks[rank], procs[rank]
+                if sink not in ready and proc.sentinel not in ready:
+                    continue
+                # a child that exited with its result sent left it in the pipe
+                if not sink.poll():
+                    proc.join(timeout=5.0)
+                    raise DcnnError(
+                        f"worker failure during training: rank {rank} exited "
+                        f"with code {proc.exitcode} before reporting a result"
+                    )
+                payloads[rank] = sink.recv()
+                pending.discard(rank)
+                status, payload = payloads[rank]
+                if status == "error":
+                    raise DcnnError(
+                        f"worker failure during training: rank {rank} raised {payload}"
+                    )
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
     finally:
         for proc in procs:
             proc.join(timeout=60.0)
@@ -584,9 +623,6 @@ def _run_forked(group_size, contexts):
                 last_good_epoch=payload["last_good_epoch"],
                 partial_report=payload["partial_report"],
             )
-    failures = [payload for status, payload in payloads if status == "error"]
-    if failures:
-        raise DcnnError(f"worker failure during training: {failures[0]}")
     return [payload for _status, payload in payloads]
 
 

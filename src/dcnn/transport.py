@@ -7,7 +7,10 @@ Two interchangeable backends expose the same endpoint interface
   used by the collective unit tests.
 * :class:`ProcessLinks` — pipe-backed links across forked worker
   processes; used by real multi-replica training so the numpy work
-  actually runs in parallel.
+  actually runs in parallel.  A message is the raw bytes of one flat
+  vector of the group's dtype (the run's precision), with no pickling;
+  any other payload is rejected.  A received vector is a read-only view
+  of the bytes that arrived.
 
 Every endpoint counts the messages and payload bytes it sends, so
 protocol-level claims (message complexity, chunk sizes) are measurable
@@ -142,18 +145,26 @@ class ProcessEndpoint:
     """One rank's view of the pipe mesh; counts only its own sends, so a
     forked worker accumulates stats privately and reports them back."""
 
-    def __init__(self, rank: int, size: int, conns, timeout: float):
+    def __init__(self, rank: int, size: int, conns, dtype, timeout: float):
         self.rank = rank
         self.size = size
         self._conns = conns
+        self._dtype = dtype
         self._timeout = timeout
         self.stats = TransportStats()
 
     def send(self, dst: int, payload: np.ndarray) -> None:
         _check_peer(self.rank, dst, self.size)
+        if (not isinstance(payload, np.ndarray) or payload.ndim != 1
+                or payload.dtype != self._dtype):
+            raise ValidationError(
+                f"rank {self.rank} sends only flat {self._dtype} vectors, got "
+                f"{getattr(payload, 'dtype', type(payload).__name__)} of shape "
+                f"{np.shape(payload)}"
+            )
         arr = np.ascontiguousarray(payload)
         self.stats.record(arr)
-        self._conns[dst].send(arr)
+        self._conns[dst].send_bytes(arr)
 
     def recv(self, src: int) -> np.ndarray:
         _check_peer(self.rank, src, self.size)
@@ -162,17 +173,19 @@ class ProcessEndpoint:
             raise ProtocolError(
                 f"rank {self.rank} timed out waiting for a message from rank {src}"
             )
-        return conn.recv()
+        return np.frombuffer(conn.recv_bytes(), dtype=self._dtype)
 
 
 class ProcessLinks:
     """Duplex pipes for every unordered rank pair, created before fork so
-    each process can grab its endpoint afterwards."""
+    each process can grab its endpoint afterwards.  Every message is a
+    flat vector of ``dtype``."""
 
-    def __init__(self, n: int, timeout: float = 120.0):
+    def __init__(self, n: int, dtype, timeout: float = 120.0):
         if n < 1:
             raise ValidationError(f"group size must be >= 1, got {n}")
         self.n = n
+        self.dtype = np.dtype(dtype)
         self.timeout = timeout
         self._conns = {}
         for i in range(n):
@@ -187,7 +200,7 @@ class ProcessLinks:
         conns = {
             peer: self._conns[(rank, peer)] for peer in range(self.n) if peer != rank
         }
-        return ProcessEndpoint(rank, self.n, conns, self.timeout)
+        return ProcessEndpoint(rank, self.n, conns, self.dtype, self.timeout)
 
     def close(self) -> None:
         for conn in self._conns.values():

@@ -192,6 +192,19 @@ class TestMaxPoolForward:
         assert np.all(out == 7.0)
         np.testing.assert_array_equal(idx[:, 0], [0, 3, 6])
 
+    @pytest.mark.parametrize("window,stride", [(4, 4), (4, 2)])
+    def test_tied_maxima_pick_the_first_row(self, rng, window, stride):
+        # small integers tie often; 19 rows leave a remainder past the
+        # last non-overlapping window
+        x = rng.integers(0, 3, size=(5, 19, 3)).astype(np.float32)
+        x[0, :4, 0] = [1.0, 2.0, 1.0, 2.0]  # tie inside the first window
+        out, idx = maxpool1d_forward(x, window, stride)
+        assert idx[0, 0, 0] == 1
+        for b in range(x.shape[0]):
+            ref_out, ref_idx = naive_maxpool1d(x[b], window, stride)
+            np.testing.assert_array_equal(out[b], ref_out)
+            np.testing.assert_array_equal(idx[b], ref_idx)
+
     def test_window_count_for_model_shape(self, rng):
         x = rng.standard_normal((1491, 15))
         out, _ = maxpool1d_forward(x, window=35, stride=35)

@@ -315,61 +315,104 @@ class TestBaseCodePath:
         batch = random_batch(8, 100, seed=9)
         runs = []
         for b in (batch, dense_twin(batch)):
-            params = nw.init_params(cfg, seed=10)
+            theta = nw.flatten_params(nw.init_params(cfg, seed=10))
+            params = nw.unflatten_params(theta, cfg)
             state = nw.fresh_adam_state(cfg)
             for _ in range(3):
                 _, cache = nw.forward(params, b, cfg)
                 grads = nw.backward(params, cache, b.labels, cfg)
-                params, state = nw.adam_step(params, grads, state, cfg)
-            runs.append(nw.flatten_params(params))
+                nw.adam_step(theta, nw.flatten_grads(grads), state)
+            runs.append(theta)
         assert runs[0].tobytes() == runs[1].tobytes()
 
 
+def adam_out_of_place(theta, g, m, v, t, alpha=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The textbook Adam update as fresh arrays, the reference for the
+    in-place form."""
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    return theta - alpha * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+def flat_init(seed, dtype=np.float32):
+    return nw.flatten_params(nw.init_params(TINY, seed=seed, dtype=dtype))
+
+
 class TestAdam:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_matches_out_of_place_formula_bitwise(self, dtype):
+        rng = np.random.Generator(np.random.PCG64(7))
+        theta = flat_init(6, dtype)
+        ref_theta, ref_m, ref_v = theta.copy(), np.zeros_like(theta), np.zeros_like(theta)
+        state = nw.fresh_adam_state(TINY, dtype=dtype, alpha=0.01)
+        for t in range(1, 6):
+            g = rng.normal(scale=10.0 ** rng.integers(-4, 2), size=theta.shape).astype(dtype)
+            nw.adam_step(theta, g, state)
+            ref_theta, ref_m, ref_v = adam_out_of_place(ref_theta, g, ref_m, ref_v, t,
+                                                        alpha=0.01)
+            assert state.t == t
+            for got, want in ((theta, ref_theta), (state.m, ref_m), (state.v, ref_v)):
+                assert got.dtype == dtype
+                assert got.tobytes() == want.astype(dtype).tobytes()
+
+    def test_updates_through_parameter_views(self):
+        theta = flat_init(8)
+        params = nw.unflatten_params(theta, TINY)
+        before = params.conv_filters.copy()
+        nw.adam_step(theta, np.ones_like(theta), nw.fresh_adam_state(TINY))
+        assert (params.conv_filters < before).all()
+        assert np.array_equal(nw.flatten_params(params), theta)
+
     def test_zero_gradient_is_identity(self):
-        params = nw.init_params(TINY, seed=1)
-        zeros = nw.unflatten_grads(np.zeros(TINY.param_count, dtype=np.float32), TINY)
+        theta = flat_init(1)
+        before = theta.copy()
         state = nw.fresh_adam_state(TINY)
-        new_params, new_state = nw.adam_step(params, zeros, state, TINY)
-        assert np.array_equal(nw.flatten_params(new_params), nw.flatten_params(params))
-        assert new_state.t == 1
+        nw.adam_step(theta, np.zeros_like(theta), state)
+        assert np.array_equal(theta, before)
+        assert state.t == 1
 
     def test_unit_gradient_first_step(self):
-        params = nw.init_params(TINY, seed=2, dtype=np.float64)
-        ones = nw.unflatten_grads(np.ones(TINY.param_count), TINY)
-        state = nw.fresh_adam_state(TINY, dtype=np.float64)
-        new_params, _ = nw.adam_step(params, ones, state, TINY)
-        delta = nw.flatten_params(new_params) - nw.flatten_params(params)
-        assert np.allclose(delta, -0.001 / (1 + 1e-8), rtol=1e-12)
+        theta = flat_init(2, np.float64)
+        before = theta.copy()
+        nw.adam_step(theta, np.ones(TINY.param_count),
+                     nw.fresh_adam_state(TINY, dtype=np.float64))
+        assert np.allclose(theta - before, -0.001 / (1 + 1e-8), rtol=1e-12)
 
     def test_first_step_magnitude_is_alpha_regardless_of_scale(self):
-        params = nw.init_params(TINY, seed=3, dtype=np.float64)
-        big = nw.unflatten_grads(np.full(TINY.param_count, 100.0), TINY)
-        state = nw.fresh_adam_state(TINY, dtype=np.float64)
-        new_params, _ = nw.adam_step(params, big, state, TINY)
-        delta = nw.flatten_params(new_params) - nw.flatten_params(params)
-        assert np.allclose(np.abs(delta), 0.001, rtol=1e-6)
+        theta = flat_init(3, np.float64)
+        before = theta.copy()
+        nw.adam_step(theta, np.full(TINY.param_count, 100.0),
+                     nw.fresh_adam_state(TINY, dtype=np.float64))
+        assert np.allclose(np.abs(theta - before), 0.001, rtol=1e-6)
 
     def test_state_progression(self):
-        params = nw.init_params(TINY, seed=4, dtype=np.float64)
-        grads = nw.unflatten_grads(
-            np.random.Generator(np.random.PCG64(0)).normal(size=TINY.param_count),
-            TINY,
-        )
+        theta = flat_init(4, np.float64)
+        grads = np.random.Generator(np.random.PCG64(0)).normal(size=TINY.param_count)
         state = nw.fresh_adam_state(TINY, dtype=np.float64)
         for expect_t in (1, 2, 3):
-            params, state = nw.adam_step(params, grads, state, TINY)
+            nw.adam_step(theta, grads, state)
             assert state.t == expect_t
             assert np.all(state.v >= 0)
             assert np.isfinite(state.m).all()
 
     def test_non_finite_gradient_raises(self):
-        params = nw.init_params(TINY, seed=5)
+        theta = flat_init(5)
+        before = theta.copy()
         bad = np.zeros(TINY.param_count, dtype=np.float32)
         bad[10] = np.nan
         state = nw.fresh_adam_state(TINY)
         with pytest.raises(TrainingDivergedError, match="non-finite"):
-            nw.adam_step(params, nw.unflatten_grads(bad, TINY), state, TINY)
+            nw.adam_step(theta, bad, state)
+        # nothing was written before the check
+        assert np.array_equal(theta, before)
+        assert state.t == 0 and not state.m.any() and not state.v.any()
+
+    def test_gradient_length_mismatch(self):
+        with pytest.raises(ShapeError, match="gradient shape"):
+            nw.adam_step(flat_init(5), np.zeros(60, dtype=np.float32),
+                         nw.fresh_adam_state(TINY))
 
 
 class TestFlatViews:
@@ -398,6 +441,25 @@ class TestFlatViews:
         assert np.array_equal(vec[40:42], np.full(2, 2.0))
         assert np.array_equal(vec[42:60], np.full(18, 3.0))
         assert vec[60] == 4.0
+
+    def test_unflatten_returns_views(self):
+        vec = nw.flatten_params(nw.init_params(TINY, seed=12))
+        params = nw.unflatten_params(vec, TINY)
+        vec[:] = np.arange(61)
+        assert params.conv_filters[1, 4, 3] == 39
+        assert params.dense_weights[17, 0] == 59
+        assert params.dense_bias == 60
+
+    def test_backward_writes_into_out(self):
+        batch = random_batch(4, 50, seed=13)
+        params = nw.init_params(TINY, seed=14)
+        _, cache = nw.forward(params, batch, TINY)
+        fresh = nw.flatten_grads(nw.backward(params, cache, batch.labels, TINY))
+        carried = np.full(TINY.param_count + 1, -1.0, dtype=np.float32)
+        views = nw.unflatten_grads(carried[:-1], TINY)
+        assert nw.backward(params, cache, batch.labels, TINY, out=views) is views
+        assert carried[:-1].tobytes() == fresh.tobytes()
+        assert carried[-1] == -1.0  # nothing written past the gradient
 
     def test_zero_grads_flatten_to_zero_vector(self):
         zeros = nw.unflatten_grads(np.zeros(61, dtype=np.float32), TINY)
@@ -481,12 +543,13 @@ class TestLearning:
             n_filters=4, filter_width=10, pool_window=35, pool_stride=35,
             seq_length=100,
         )
-        params = nw.init_params(cfg, seed=1)
+        theta = nw.flatten_params(nw.init_params(cfg, seed=1))
+        params = nw.unflatten_params(theta, cfg)
         state = nw.fresh_adam_state(cfg)
         losses = []
         for _ in range(5):
             probs, cache = nw.forward(params, batch, cfg)
             losses.append(nw.bce_loss(probs, batch.labels))
             grads = nw.backward(params, cache, batch.labels, cfg)
-            params, state = nw.adam_step(params, grads, state, cfg)
+            nw.adam_step(theta, nw.flatten_grads(grads), state)
         assert all(b < a for a, b in zip(losses, losses[1:]))

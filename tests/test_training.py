@@ -2,6 +2,8 @@
 stopping, divergence reporting, evaluation, and report serialization."""
 
 import json
+import multiprocessing as mp
+import os
 import time
 
 import numpy as np
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcnn.errors import TrainingDivergedError, ValidationError
+from dcnn import network, training
+from dcnn.errors import DcnnError, TrainingDivergedError, ValidationError
 from dcnn.genome import SimConfig, default_tal1_pwm, generate_dataset
 from dcnn.network import ModelConfig, flatten_params, init_params
 from dcnn.pipeline import SplitSpec, split
@@ -227,6 +230,7 @@ def test_threads_and_processes_agree_bitwise(dataset, strategy):
     assert np.array_equal(vec_t, vec_p)
     assert [r.val_loss for r in rep_t.epochs] == [r.val_loss for r in rep_p.epochs]
     assert rep_t.total_messages == rep_p.total_messages
+    assert rep_t.total_bytes == rep_p.total_bytes
 
 
 def test_gossip_actually_differs_from_allreduce(dataset):
@@ -262,6 +266,65 @@ def test_message_counts_match_strategy_shape(dataset):
     # pairwise exchange: 2 per step; eval gather: 1 per epoch; halt: 1
     # per epoch; final consensus: gather + broadcast
     assert r_gossip.total_messages == steps * 2 + 3 + 3 + 2
+
+
+@pytest.mark.parametrize("precision,itemsize", [("f32", 4), ("f64", 8)])
+def test_process_byte_counts_match_the_protocol(dataset, precision, itemsize):
+    # every step message is (gradient or params, loss): param_count + 1
+    # elements, split into N ring chunks; a halt flag is one element
+    steps = (len(dataset.train) // 32) * 3
+    carried = (MODEL.param_count + 1) * itemsize
+    _, r_all = run(dataset, n_replicas=2, strategy="allreduce", batch_per_replica=16,
+                   precision=precision, backend="processes")
+    assert (r_all.total_messages, r_all.total_bytes) == (
+        steps * 4 + 3, steps * 2 * carried + 3 * itemsize)
+    _, r_ps = run(dataset, n_replicas=2, strategy="ps", batch_per_replica=16,
+                  precision=precision, backend="processes")
+    assert (r_ps.total_messages, r_ps.total_bytes) == (
+        steps * 4 + 4, steps * 4 * carried + 4 * itemsize)
+
+
+@pytest.mark.parametrize("strategy,ranks_stepping", [
+    ("allreduce", 1), ("allreduce", 2), ("ps", 1), ("gossip", 2)])
+def test_adam_runs_once_per_step_through_the_module_attribute(
+        dataset, monkeypatch, strategy, ranks_stepping):
+    # the benchmark's tracer times Adam by replacing network.adam_step
+    calls = []
+    real = network.adam_step
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(network, "adam_step", counted)
+    n = 2 if strategy == "ps" else ranks_stepping
+    run(dataset, n_replicas=n, strategy=strategy, batch_per_replica=16,
+        backend="threads", epochs_max=2)
+    steps = len(dataset.train) // (16 * n)
+    assert len(calls) == ranks_stepping * steps * 2
+
+
+@pytest.mark.parametrize("failure", ["exit", "raise"])
+def test_a_dead_or_failing_worker_aborts_the_group_fast(dataset, monkeypatch, failure):
+    real_step = training._AllReduce.step
+    steps = []
+
+    def failing_step(self, loss):
+        steps.append(loss)  # per process: each fork counts its own
+        if self.rank == 1 and len(steps) == 3:
+            if failure == "exit":
+                os._exit(7)
+            raise RuntimeError("rank 1 broke")
+        return real_step(self, loss)
+
+    monkeypatch.setattr(training._AllReduce, "step", failing_step)
+    expected = {"exit": r"rank 1 exited with code 7",
+                "raise": r"rank 1 raised RuntimeError\('rank 1 broke'\)"}[failure]
+    t0 = time.perf_counter()
+    with pytest.raises(DcnnError, match=expected):
+        run(dataset, n_replicas=2, batch_per_replica=16, backend="processes")
+    assert time.perf_counter() - t0 < 10
+    assert not mp.active_children()
 
 
 def test_gossip_period_reduces_messages(dataset):

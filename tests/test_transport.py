@@ -129,7 +129,7 @@ def _process_child(links, rank, out_queue):
 class TestProcessLinks:
     def test_cross_process_exchange(self):
         ctx = mp.get_context("fork")
-        links = ProcessLinks(2, timeout=30.0)
+        links = ProcessLinks(2, np.float64, timeout=30.0)
         out = ctx.Queue()
         procs = [
             ctx.Process(target=_process_child, args=(links, rank, out))
@@ -151,7 +151,41 @@ class TestProcessLinks:
         assert results[0][2] == results[1][2] == 4 * 8
 
     def test_endpoint_validation(self):
-        links = ProcessLinks(2)
+        links = ProcessLinks(2, np.float32)
         with pytest.raises(ValidationError, match="outside"):
             links.endpoint(2)
+        links.close()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_raw_bytes_round_trip_bitwise(self, dtype):
+        links = ProcessLinks(2, dtype)
+        a, b = links.endpoint(0), links.endpoint(1)
+        vectors = [
+            np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 1e-30, -3.5], dtype=dtype),
+            np.empty(0, dtype=dtype),  # an empty ring chunk
+            np.arange(10, dtype=dtype)[::3],  # strided: sent as its contiguous copy
+        ]
+        for vec in vectors:
+            a.send(1, vec)
+        for vec in vectors:
+            got = b.recv(0)
+            assert got.dtype == dtype and got.shape == vec.shape
+            assert got.tobytes() == np.ascontiguousarray(vec).tobytes()
+            assert not got.flags.writeable
+        assert a.stats.messages == 3
+        assert a.stats.bytes == sum(v.nbytes for v in vectors)
+        links.close()
+
+    @pytest.mark.parametrize("payload", [
+        np.zeros((2, 3), dtype=np.float32),
+        np.zeros(3, dtype=np.float64),
+        np.float32(1.0),
+        [1.0, 2.0],
+    ], ids=["2-D", "wrong-dtype", "scalar", "list"])
+    def test_rejects_anything_but_a_flat_run_dtype_vector(self, payload):
+        links = ProcessLinks(2, np.float32)
+        ep = links.endpoint(0)
+        with pytest.raises(ValidationError, match="flat float32 vectors"):
+            ep.send(1, payload)
+        assert ep.stats.messages == 0
         links.close()
