@@ -151,57 +151,36 @@ def _cell(value, fmt):
     return "" if value is None else format(value, fmt)
 
 
+def _cells(row) -> list:
+    """The row's CSV_COLUMNS as text; a missing value is an empty cell."""
+    return [
+        str(row.workers),
+        row.strategy,
+        _cell(row.wall_seconds, ".3f"),
+        _cell(row.speedup, ".3f"),
+        _cell(row.sequences_per_second, ".1f"),
+        _cell(row.final_accuracy, ".4f"),
+        _cell(row.final_auroc, ".4f"),
+        _cell(row.messages, "d"),
+        _cell(row.bytes, "d"),
+        _cell(row.error, "s"),
+    ]
+
+
 def write_benchmark_csv(rows, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.workers,
-                    row.strategy,
-                    _cell(row.wall_seconds, ".3f"),
-                    _cell(row.speedup, ".3f"),
-                    _cell(row.sequences_per_second, ".1f"),
-                    _cell(row.final_accuracy, ".4f"),
-                    _cell(row.final_auroc, ".4f"),
-                    "" if row.messages is None else row.messages,
-                    "" if row.bytes is None else row.bytes,
-                    "" if row.error is None else row.error,
-                ]
-            )
+        writer.writerows(_cells(row) for row in rows)
 
 
 def format_benchmark_table(rows) -> str:
     """Aligned text table with the same columns as the CSV."""
     header = list(CSV_COLUMNS)
-    body = []
-    for row in rows:
-        body.append(
-            [
-                str(row.workers),
-                row.strategy,
-                _cell(row.wall_seconds, ".3f"),
-                _cell(row.speedup, ".3f"),
-                _cell(row.sequences_per_second, ".1f"),
-                _cell(row.final_accuracy, ".4f"),
-                _cell(row.final_auroc, ".4f"),
-                "" if row.messages is None else str(row.messages),
-                "" if row.bytes is None else str(row.bytes),
-                "" if row.error is None else row.error,
-            ]
-        )
-    widths = [
-        max(len(header[i]), *(len(line[i]) for line in body)) if body
-        else len(header[i])
-        for i in range(len(header))
-    ]
-    lines = [
-        "  ".join(header[i].ljust(widths[i]) for i in range(len(header))).rstrip(),
-        "  ".join("-" * widths[i] for i in range(len(header))).rstrip(),
-    ]
-    for line in body:
-        lines.append(
-            "  ".join(line[i].ljust(widths[i]) for i in range(len(header))).rstrip()
-        )
-    return "\n".join(lines)
+    body = [_cells(row) for row in rows]
+    widths = [max(len(cell) for cell in column) for column in zip(header, *body)]
+    lines = [header, ["-" * width for width in widths]] + body
+    return "\n".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()
+        for line in lines
+    )

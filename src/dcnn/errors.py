@@ -39,6 +39,10 @@ class ProtocolError(DcnnError):
     """A collective was called with inconsistent arguments across workers."""
 
 
+class PeerClosed(ProtocolError):
+    """The link to a peer rank is closed: the peer, or this rank, has ended."""
+
+
 class InternalConsistencyError(DcnnError):
     """Cached state does not match the data it is replayed against."""
 

@@ -19,9 +19,9 @@ The per-step scalar train loss rides along with the gradient vector in
 the same message, so loss aggregation adds no extra messages.  Each
 rank keeps its parameters, gradient and Adam moments as flat vectors of
 the run's dtype (the tensors are views of them) and updates them in
-place.  Over the processes backend a message is the raw bytes of such
-a vector, and a received vector is read-only; the parent process waits
-on every child at once and aborts the group on the first failure.
+place.  A message is the raw bytes of such a vector, and a received
+vector is read-only.  Threads and forked processes share the endpoint
+and the rank runner; they differ in the link and in how a rank starts.
 
 Rank 0 owns bookkeeping: it evaluates validation metrics each epoch,
 decides early stopping, and broadcasts a continue/halt flag.  Under
@@ -34,12 +34,12 @@ endpoint and zero messages.
 
 from __future__ import annotations
 
-import functools
 import json
 import multiprocessing as mp
+import threading
 import time
+import traceback
 from dataclasses import asdict, dataclass, field
-from multiprocessing import connection as mp_connection
 
 import numpy as np
 
@@ -55,13 +55,15 @@ from .collective import (
     ps_worker_round,
     ring_all_reduce,
 )
-from .errors import DcnnError, TrainingDivergedError, ValidationError
+from .errors import DcnnError, PeerClosed, TrainingDivergedError, ValidationError
 from .kernels import dtype_for
 from .pipeline import Batch, encode_batch, shuffled_stream
 from .transport import ProcessLinks, ThreadGroup, TransportStats
 
 _HALT = 1.0
 _CONTINUE = 0.0
+#: How long the parent waits for each rank's outcome, in rank order.
+RESULT_WAIT_S = 900.0
 
 
 @dataclass(frozen=True)
@@ -420,7 +422,7 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
             if halt == _HALT:
                 stop_reason = "converged"
                 break
-    except (_Diverged, TrainingDivergedError):
+    except (_Diverged, TrainingDivergedError, PeerClosed):  # or a peer ended first
         replica.stop()
         raise TrainingDivergedError(
             "training diverged: non-finite loss or parameters",
@@ -478,24 +480,24 @@ def _server_loop(endpoint, config: TrainConfig, model_config):
 # Orchestration
 
 
-def _spawn_entry(fn, args, sink):
+def _rank_entry(links, rank, fn, args, sink):
+    """One rank's life: run ``fn``, close this rank's links so that no
+    peer waits on it, and send the parent ``(kind, payload)``: ``ok`` and
+    the result, ``diverged`` and the TrainingDivergedError, or ``closed``
+    (PeerClosed) or ``error`` (anything else) and the traceback."""
+    if isinstance(links, ProcessLinks):  # forked: drop the other ranks' ends
+        links.close(keep=rank)
     try:
-        sink.send(("ok", fn(*args)))
+        outcome = "ok", fn(*args)
     except TrainingDivergedError as exc:
-        sink.send(
-            (
-                "diverged",
-                {
-                    "message": str(exc),
-                    "last_good_epoch": exc.last_good_epoch,
-                    "partial_report": exc.partial_report,
-                },
-            )
-        )
-    except BaseException as exc:  # surfaced in the parent
-        sink.send(("error", repr(exc)))
+        outcome = "diverged", exc
+    except BaseException as exc:  # named in the parent
+        outcome = ("closed" if isinstance(exc, PeerClosed) else "error",
+                   f"raised {exc!r}\n{traceback.format_exc()}")
     finally:
-        sink.close()
+        links.endpoint(rank).close()
+    with sink:
+        sink.send(outcome)
 
 
 def train(config: TrainConfig, model_config: nw.ModelConfig, dataset: Dataset):
@@ -538,92 +540,67 @@ def _train(config, model_config, dataset):
         return _finish(config, model_config,
                        [_worker_loop(0, None, config, model_config, *data)])
 
-    def contexts(endpoint_of):
-        """(function, args) per rank; the parameter server is rank N."""
-        out = [(_worker_loop, (rank, endpoint_of(rank), config, model_config, *data))
-               for rank in range(n)]
-        if needs_server:
-            out.append((_server_loop, (endpoint_of(n), config, model_config)))
-        return out
-
-    if config.backend == "threads":
-        group = ThreadGroup(group_size, timeout=300.0)
-        results = group.run([functools.partial(fn, *args)
-                             for fn, args in contexts(group.endpoint)])
-    else:
-        results = _run_forked(group_size, contexts, dtype)
-    return _finish(config, model_config, results)
+    # one (function, args) per rank; the parameter server is rank N
+    links = (ThreadGroup if config.backend == "threads" else ProcessLinks)(group_size, dtype)
+    contexts = [(_worker_loop, (rank, links.endpoint(rank), config, model_config, *data))
+                for rank in range(n)]
+    if needs_server:
+        contexts.append((_server_loop, (links.endpoint(n), config, model_config)))
+    return _finish(config, model_config, _run_ranks(links, contexts))
 
 
-def _run_forked(group_size, contexts, dtype):
-    """Fork one child per context, linked by pipes that carry ``dtype``
-    vectors, and collect their results in rank order.
+def _run_ranks(links, contexts):
+    """Run each context as one rank over ``links``, on a forked child for
+    ProcessLinks and on a thread otherwise; return the results in order.
 
-    The parent waits on every result pipe and every child's exit at
-    once.  The first child to fail, or to exit without a result, ends
-    the others at once and raises a DcnnError naming its rank.
+    A rank's links close when it ends, so every rank ends by itself, and
+    the parent collects the outcomes in rank order.  The lowest rank that
+    raised, or exited without an outcome, is named in a DcnnError; else a
+    diverged run raises rank 0's partial report.  A rank that only saw
+    PeerClosed is named only when neither explains it.
     """
-    ctx = mp.get_context("fork")
-    links = ProcessLinks(group_size, dtype, timeout=600.0)
-    sinks = []
-    procs = []
-    for fn, args in contexts(links.endpoint):
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        procs.append(ctx.Process(target=_spawn_entry, args=(fn, args, child_conn)))
-        sinks.append(parent_conn)
-    for proc in procs:
-        proc.start()
-
-    payloads = [None] * group_size
-    pending = set(range(group_size))
+    forked = isinstance(links, ProcessLinks)
+    start = mp.get_context("fork").Process if forked else threading.Thread
+    ranks, sources = [], []
     try:
-        while pending:
-            ready = mp_connection.wait(
-                [sinks[r] for r in pending] + [procs[r].sentinel for r in pending],
-                timeout=900.0,
-            )
-            if not ready:
+        for rank, (fn, args) in enumerate(contexts):
+            source, sink = mp.Pipe(duplex=False)
+            worker = start(target=_rank_entry, args=(links, rank, fn, args, sink), daemon=True)
+            worker.start()
+            ranks.append(worker)
+            sources.append(source)
+            if forked:  # made after the earlier forks: only this child holds it
+                sink.close()
+        if forked:  # the children hold their own link ends; the parent keeps none
+            links.close()
+        outcomes = []
+        for rank, (source, worker) in enumerate(zip(sources, ranks)):
+            if not source.poll(RESULT_WAIT_S):
                 raise DcnnError(
-                    f"worker failure during training: ranks {sorted(pending)} "
-                    f"reported no result within 900 s"
+                    f"worker failure during training: rank {rank} reported no "
+                    f"result within {RESULT_WAIT_S:g} s"
                 )
-            for rank in sorted(pending):
-                sink, proc = sinks[rank], procs[rank]
-                if sink not in ready and proc.sentinel not in ready:
-                    continue
-                # a child that exited with its result sent left it in the pipe
-                if not sink.poll():
-                    proc.join(timeout=5.0)
-                    raise DcnnError(
-                        f"worker failure during training: rank {rank} exited "
-                        f"with code {proc.exitcode} before reporting a result"
-                    )
-                payloads[rank] = sink.recv()
-                pending.discard(rank)
-                status, payload = payloads[rank]
-                if status == "error":
-                    raise DcnnError(
-                        f"worker failure during training: rank {rank} raised {payload}"
-                    )
-    except BaseException:
-        for proc in procs:
-            proc.terminate()
-        raise
+            try:
+                outcomes.append(source.recv())
+            except EOFError:
+                worker.join(timeout=5.0)
+                outcomes.append(("error", f"exited with code "
+                                 f"{getattr(worker, 'exitcode', None)} before "
+                                 f"reporting a result"))
     finally:
-        for proc in procs:
-            proc.join(timeout=60.0)
-            if proc.is_alive():
-                proc.terminate()
-        links.close()
-
-    for status, payload in payloads:
-        if status == "diverged":
-            raise TrainingDivergedError(
-                payload["message"],
-                last_good_epoch=payload["last_good_epoch"],
-                partial_report=payload["partial_report"],
-            )
-    return [payload for _status, payload in payloads]
+        for worker, source in zip(ranks, sources):
+            worker.join(timeout=5.0)
+            if forked and worker.is_alive():
+                worker.terminate()
+            source.close()
+    for kind in ("error", "diverged", "closed"):
+        for rank, (got, payload) in enumerate(outcomes):
+            if got != kind:
+                continue
+            if kind == "diverged":
+                raise payload
+            raise DcnnError(f"worker failure during training: rank {rank} {payload}")
+    return [payload for _kind, payload in outcomes]
 
 
 def _finish(config, model_config, results):

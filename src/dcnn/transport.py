@@ -1,16 +1,17 @@
-"""In-process point-to-point message passing between worker contexts.
+"""Point-to-point message passing between the ranks of one run.
 
-Two interchangeable backends expose the same endpoint interface
-(``rank``, ``size``, ``send(dst, array)``, ``recv(src)``):
+One endpoint class, :class:`ProcessEndpoint` (``rank``, ``size``,
+``send(dst, vector)``, ``recv(src)``), works over two kinds of link:
+duplex pipes between forked processes (:class:`ProcessLinks`), which
+real multi-replica training uses so the numpy work runs in parallel,
+and queue pairs between threads (:class:`ThreadGroup`).
 
-* :class:`ThreadGroup` — queue-backed links inside one process; cheap,
-  used by the collective unit tests.
-* :class:`ProcessLinks` — pipe-backed links across forked worker
-  processes; used by real multi-replica training so the numpy work
-  actually runs in parallel.  A message is the raw bytes of one flat
-  vector of the group's dtype (the run's precision), with no pickling;
-  any other payload is rejected.  A received vector is a read-only view
-  of the bytes that arrived.
+A message is the raw bytes of one flat vector of the group's dtype (the
+run's precision), with no pickling; any other payload is rejected.  A
+received vector is a read-only view of the bytes that arrived.  A link
+closes with its rank: once either end is closed, a ``send`` or ``recv``
+on it raises :class:`PeerClosed` at once, after the messages already
+sent have been received.
 
 Every endpoint counts the messages and payload bytes it sends, so
 protocol-level claims (message complexity, chunk sizes) are measurable
@@ -26,7 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProtocolError, ValidationError
+from .errors import PeerClosed, ProtocolError, ValidationError
+
+#: How long a ``recv`` waits on a live but silent peer.
+RECV_TIMEOUT_S = 600.0
 
 
 @dataclass
@@ -56,94 +60,9 @@ def _check_peer(rank: int, dst: int, size: int) -> None:
         raise ValidationError(f"rank {rank} cannot message itself")
 
 
-class ThreadEndpoint:
-    def __init__(self, group: "ThreadGroup", rank: int):
-        self._group = group
-        self.rank = rank
-        self.size = group.n
-        self.stats = TransportStats()
-
-    def send(self, dst: int, payload: np.ndarray) -> None:
-        _check_peer(self.rank, dst, self.size)
-        arr = np.array(payload, copy=True)
-        self.stats.record(arr)
-        with self._group._lock:
-            self._group.stats.record(arr)
-        self._group._queues[(self.rank, dst)].put(arr)
-
-    def recv(self, src: int) -> np.ndarray:
-        _check_peer(self.rank, src, self.size)
-        try:
-            return self._group._queues[(src, self.rank)].get(
-                timeout=self._group.timeout
-            )
-        except queue.Empty:
-            raise ProtocolError(
-                f"rank {self.rank} timed out waiting for a message from rank {src}"
-            ) from None
-
-
-class ThreadGroup:
-    """Fully-connected FIFO links between ``n`` ranks in one process."""
-
-    def __init__(self, n: int, timeout: float = 60.0):
-        if n < 1:
-            raise ValidationError(f"group size must be >= 1, got {n}")
-        self.n = n
-        self.timeout = timeout
-        self.stats = TransportStats()
-        self._lock = threading.Lock()
-        self._queues = {
-            (src, dst): queue.Queue()
-            for src in range(n)
-            for dst in range(n)
-            if src != dst
-        }
-
-    def endpoint(self, rank: int) -> ThreadEndpoint:
-        if not (0 <= rank < self.n):
-            raise ValidationError(f"rank {rank} outside group of size {self.n}")
-        return ThreadEndpoint(self, rank)
-
-    def run(self, fns):
-        """Run one callable per rank on its own thread; return their
-        results in rank order, re-raising the first failure."""
-        if len(fns) != self.n:
-            raise ValidationError(
-                f"expected {self.n} callables, got {len(fns)}"
-            )
-        results = [None] * self.n
-        failures = [None] * self.n
-
-        def target(r):
-            try:
-                results[r] = fns[r]()
-            except BaseException as exc:  # re-raised on the caller thread
-                failures[r] = exc
-
-        threads = [
-            threading.Thread(target=target, args=(r,), daemon=True)
-            for r in range(self.n)
-        ]
-        for t in threads:
-            t.start()
-        # poll-join so a raising rank surfaces immediately; stragglers
-        # blocked in recv are daemons and die with their own timeout
-        while any(t.is_alive() for t in threads):
-            for t in threads:
-                t.join(timeout=0.05)
-            for exc in failures:
-                if exc is not None:
-                    raise exc
-        for exc in failures:
-            if exc is not None:
-                raise exc
-        return results
-
-
 class ProcessEndpoint:
-    """One rank's view of the pipe mesh; counts only its own sends, so a
-    forked worker accumulates stats privately and reports them back."""
+    """One rank's ends of its links, over pipes or queue pairs alike.
+    It counts only its own sends, so each rank's stats stay its own."""
 
     def __init__(self, rank: int, size: int, conns, dtype, timeout: float):
         self.rank = rank
@@ -164,44 +83,164 @@ class ProcessEndpoint:
             )
         arr = np.ascontiguousarray(payload)
         self.stats.record(arr)
-        self._conns[dst].send_bytes(arr)
+        try:
+            self._conns[dst].send_bytes(arr)
+        except OSError:
+            raise PeerClosed(
+                f"rank {self.rank} cannot send: its link to rank {dst} is closed"
+            ) from None
 
     def recv(self, src: int) -> np.ndarray:
         _check_peer(self.rank, src, self.size)
         conn = self._conns[src]
-        if not conn.poll(self._timeout):
-            raise ProtocolError(
-                f"rank {self.rank} timed out waiting for a message from rank {src}"
-            )
-        return np.frombuffer(conn.recv_bytes(), dtype=self._dtype)
-
-
-class ProcessLinks:
-    """Duplex pipes for every unordered rank pair, created before fork so
-    each process can grab its endpoint afterwards.  Every message is a
-    flat vector of ``dtype``."""
-
-    def __init__(self, n: int, dtype, timeout: float = 120.0):
-        if n < 1:
-            raise ValidationError(f"group size must be >= 1, got {n}")
-        self.n = n
-        self.dtype = np.dtype(dtype)
-        self.timeout = timeout
-        self._conns = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                left, right = mp.Pipe(duplex=True)
-                self._conns[(i, j)] = left
-                self._conns[(j, i)] = right
-
-    def endpoint(self, rank: int) -> ProcessEndpoint:
-        if not (0 <= rank < self.n):
-            raise ValidationError(f"rank {rank} outside group of size {self.n}")
-        conns = {
-            peer: self._conns[(rank, peer)] for peer in range(self.n) if peer != rank
-        }
-        return ProcessEndpoint(rank, self.n, conns, self.dtype, self.timeout)
+        try:
+            if not conn.poll(self._timeout):
+                raise ProtocolError(
+                    f"rank {self.rank} timed out waiting for a message from rank {src}"
+                )
+            data = conn.recv_bytes()
+        except (EOFError, OSError):
+            raise PeerClosed(
+                f"rank {self.rank} cannot receive: its link to rank {src} is closed"
+            ) from None
+        return np.frombuffer(data, dtype=self._dtype)
 
     def close(self) -> None:
         for conn in self._conns.values():
             conn.close()
+
+
+_EOF = object()
+
+
+class _QueueConn:
+    """One end of an in-process duplex link, with the calls of a pipe
+    connection that an endpoint makes.  Closing it queues an end-of-file
+    mark behind the messages already sent."""
+
+    def __init__(self, inbox, outbox):
+        self._inbox = inbox
+        self._outbox = outbox
+        self._head = None  # a message that poll took off the inbox
+        self.peer = None
+        self.closed = False
+
+    def send_bytes(self, buf) -> None:
+        if self.closed or self.peer.closed:
+            raise BrokenPipeError("link closed")
+        self._outbox.put(bytes(buf))
+
+    def poll(self, timeout) -> bool:
+        if self.closed:
+            raise OSError("handle is closed")
+        if self._head is None:
+            try:
+                self._head = self._inbox.get(timeout=timeout)
+            except queue.Empty:
+                return False
+        return True
+
+    def recv_bytes(self) -> bytes:
+        self.poll(None)
+        if self._head is _EOF:
+            raise EOFError
+        data, self._head = self._head, None
+        return data
+
+    def close(self) -> None:
+        if not self.closed:
+            self.closed = True
+            self._outbox.put(_EOF)
+
+
+def _queue_pair():
+    there, back = queue.SimpleQueue(), queue.SimpleQueue()
+    left, right = _QueueConn(back, there), _QueueConn(there, back)
+    left.peer, right.peer = right, left
+    return left, right
+
+
+class _Links:
+    """A duplex link, made by the subclass's ``_pair``, for every pair of
+    ``n`` ranks, and one endpoint per rank; every message is a flat
+    vector of ``dtype``."""
+
+    def __init__(self, n: int, dtype, timeout: float = RECV_TIMEOUT_S):
+        if n < 1:
+            raise ValidationError(f"group size must be >= 1, got {n}")
+        self.n = n
+        self.dtype = np.dtype(dtype)
+        ends = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                ends[(i, j)], ends[(j, i)] = self._pair()
+        self._endpoints = [
+            ProcessEndpoint(
+                rank, n, {peer: ends[(rank, peer)] for peer in range(n) if peer != rank},
+                self.dtype, timeout,
+            )
+            for rank in range(n)
+        ]
+
+    def endpoint(self, rank: int) -> ProcessEndpoint:
+        if not (0 <= rank < self.n):
+            raise ValidationError(f"rank {rank} outside group of size {self.n}")
+        return self._endpoints[rank]
+
+    def close(self, keep=None) -> None:
+        """Close the ends of every rank but ``keep``.  A forked child keeps
+        only its own, so that a link closes when one of its ranks ends."""
+        for endpoint in self._endpoints:
+            if endpoint.rank != keep:
+                endpoint.close()
+
+
+class ProcessLinks(_Links):
+    """Duplex pipes, made before fork so that each process can take its
+    endpoint afterwards."""
+
+    _pair = staticmethod(mp.Pipe)
+
+
+class ThreadGroup(_Links):
+    """Queue-pair links between ``n`` ranks in one process."""
+
+    _pair = staticmethod(_queue_pair)
+
+    @property
+    def stats(self) -> TransportStats:
+        """The sends of every rank, merged."""
+        total = TransportStats()
+        for endpoint in self._endpoints:
+            total.merge(endpoint.stats)
+        return total
+
+    def run(self, fns):
+        """Run ``fns[r]`` as rank r on its own thread, and close its links
+        when it ends.  Returns the results in rank order, or raises the
+        lowest rank's failure, preferring one that is not PeerClosed."""
+        if len(fns) != self.n:
+            raise ValidationError(
+                f"expected {self.n} callables, got {len(fns)}"
+            )
+        outcomes = [None] * self.n
+
+        def target(rank):
+            try:
+                outcomes[rank] = (fns[rank](), None)
+            except BaseException as exc:  # re-raised on the caller thread
+                outcomes[rank] = (None, exc)
+            finally:
+                self._endpoints[rank].close()
+
+        threads = [threading.Thread(target=target, args=(r,), daemon=True)
+                   for r in range(self.n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        failures = [exc for _result, exc in outcomes if exc is not None]
+        if failures:
+            raise next((exc for exc in failures if not isinstance(exc, PeerClosed)),
+                       failures[0])
+        return [result for result, _exc in outcomes]

@@ -171,7 +171,7 @@ def _ring_on_threads(vectors):
     n = len(vectors)
     if n == 1:
         return [vectors[0].copy()], 0
-    group = ThreadGroup(n, timeout=30.0)
+    group = ThreadGroup(n, vectors[0].dtype, timeout=30.0)
     endpoints = [group.endpoint(r) for r in range(n)]
     outs = group.run(
         [

@@ -1,5 +1,8 @@
 """Tests for ring all-reduce, parameter server, and gossip averaging."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,14 +24,14 @@ from dcnn.collective import (
     ring_all_reduce,
     ring_chunks,
 )
-from dcnn.errors import ProtocolError, ValidationError
+from dcnn.errors import PeerClosed, ProtocolError, ValidationError
 from dcnn.transport import ThreadGroup
 
 
 def run_ring(vectors, timeout=60.0):
     """Drive ring_all_reduce concurrently on thread endpoints."""
     n = len(vectors)
-    group = ThreadGroup(n, timeout=timeout)
+    group = ThreadGroup(n, vectors[0].dtype, timeout=timeout)
     endpoints = [group.endpoint(r) for r in range(n)]
     fns = [
         (lambda r=r: ring_all_reduce(vectors[r], endpoints[r])) for r in range(n)
@@ -134,7 +137,7 @@ class TestRingAllReduce:
             run_ring(vecs, timeout=1.0)
 
     def test_non_flat_input_rejected(self):
-        group = ThreadGroup(1)
+        group = ThreadGroup(1, np.float64)
         with pytest.raises(ValidationError, match="flat"):
             ring_all_reduce(np.zeros((2, 2)), group.endpoint(0))
 
@@ -169,7 +172,7 @@ class TestParameterServer:
 
     def test_transport_round_message_count_and_agreement(self):
         n_workers = 3
-        group = ThreadGroup(n_workers + 1)
+        group = ThreadGroup(n_workers + 1, np.float64)
         server_rank = n_workers
         params = np.array([1.0, 1.0])
 
@@ -191,13 +194,13 @@ class TestParameterServer:
         assert group.stats.messages == 2 * n_workers
 
     def test_halt_from_rank_zero_ends_the_rounds(self):
-        group = ThreadGroup(3, timeout=5.0)
+        group = ThreadGroup(3, np.float64, timeout=5.0)
         server_rank = 2
 
         def rank0():
             ep = group.endpoint(0)
             reply = ps_worker_round(ep, server_rank, np.array([2.0, 2.0]))
-            ps_halt(ep, server_rank, np.float32)
+            ps_halt(ep, server_rank, np.float64)
             return reply
 
         def rank1():
@@ -212,22 +215,39 @@ class TestParameterServer:
         assert np.array_equal(reply0, [-3.0, -3.0]) and np.array_equal(reply1, reply0)
         assert np.array_equal(first, reply0)
         assert halted is None
-        # 2 reports + 2 broadcasts, then the 4-byte halt; rank 1 sends nothing more
+        # 2 reports + 2 broadcasts, then the 8-byte halt; rank 1 sends nothing more
         assert group.stats.messages == 5
-        assert group.stats.bytes == 4 * 2 * 8 + 4
+        assert group.stats.bytes == 4 * 2 * 8 + 8
 
     def test_missing_report_times_out(self):
-        group = ThreadGroup(2, timeout=0.1)
+        group = ThreadGroup(2, np.float64, timeout=0.1)
+        server_done = threading.Event()
 
         def server():
-            ep = group.endpoint(1)
-            return ps_server_round(ep, np.zeros(1), lambda p, g: p)
+            try:
+                return ps_server_round(group.endpoint(1), np.zeros(1), lambda p, g: p)
+            finally:
+                server_done.set()
 
         def silent_worker():
-            return None  # never reports
+            assert server_done.wait(timeout=30)  # alive, but never reports
 
         with pytest.raises(ProtocolError, match="timed out"):
             group.run([silent_worker, server])
+
+    def test_missing_report_from_a_worker_that_ended_is_peer_closed(self):
+        group = ThreadGroup(2, np.float64)  # a live peer would be waited on for minutes
+
+        def server():
+            return ps_server_round(group.endpoint(1), np.zeros(1), lambda p, g: p)
+
+        def worker_that_ends():
+            return None  # never reports
+
+        t0 = time.perf_counter()
+        with pytest.raises(PeerClosed, match="link to rank 0 is closed"):
+            group.run([worker_that_ends, server])
+        assert time.perf_counter() - t0 < 5
 
 
 class TestGossipPairing:
@@ -303,7 +323,7 @@ class TestGossipRound:
 class TestGossipTransport:
     def run_gossip(self, vectors, round_index):
         n = len(vectors)
-        group = ThreadGroup(n)
+        group = ThreadGroup(n, vectors[0].dtype)
         eps = [group.endpoint(r) for r in range(n)]
         fns = [
             (lambda r=r: gossip_exchange(eps[r], round_index, vectors[r]))
@@ -339,7 +359,7 @@ class TestGossipFinalize:
 
     def test_transport_form_zero_pairwise_distance(self):
         vecs = random_vectors(5, 40, np.float64, seed=31)
-        group = ThreadGroup(5)
+        group = ThreadGroup(5, np.float64)
         eps = [group.endpoint(r) for r in range(5)]
         fns = [
             (lambda r=r: gossip_finalize_exchange(eps[r], vecs[r])) for r in range(5)

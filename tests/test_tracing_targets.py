@@ -45,3 +45,19 @@ def test_worker_loop_takes_the_rank_first():
     from dcnn.training import _worker_loop
 
     assert next(iter(inspect.signature(_worker_loop).parameters)) == "rank"
+
+
+def test_tracer_patches_the_class_that_links_hand_out():
+    # Tracer.install wraps send/recv on transport.ProcessEndpoint itself
+    import numpy as np
+
+    from dcnn import transport
+
+    for method in ("send", "recv"):
+        assert callable(getattr(transport.ProcessEndpoint, method, None))
+    for links_class in (transport.ProcessLinks, transport.ThreadGroup):
+        links = links_class(2, np.float32)
+        try:
+            assert type(links.endpoint(0)) is transport.ProcessEndpoint
+        finally:
+            links.close()

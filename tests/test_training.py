@@ -4,6 +4,7 @@ stopping, divergence reporting, evaluation, and report serialization."""
 import json
 import multiprocessing as mp
 import os
+import threading
 import time
 
 import numpy as np
@@ -304,14 +305,18 @@ def test_adam_runs_once_per_step_through_the_module_attribute(
     assert len(calls) == ranks_stepping * steps * 2
 
 
-@pytest.mark.parametrize("failure", ["exit", "raise"])
-def test_a_dead_or_failing_worker_aborts_the_group_fast(dataset, monkeypatch, failure):
+@pytest.mark.parametrize("failure,backend", [
+    pytest.param("exit", "processes", id="exit"),
+    pytest.param("raise", "processes", id="raise"),
+    pytest.param("raise", "threads", id="raise-threads"),
+])
+def test_a_dead_or_failing_worker_aborts_the_group_fast(dataset, monkeypatch, failure,
+                                                        backend):
     real_step = training._AllReduce.step
-    steps = []
 
     def failing_step(self, loss):
-        steps.append(loss)  # per process: each fork counts its own
-        if self.rank == 1 and len(steps) == 3:
+        self.calls = getattr(self, "calls", 0) + 1  # per rank, on either backend
+        if self.rank == 1 and self.calls == 3:
             if failure == "exit":
                 os._exit(7)
             raise RuntimeError("rank 1 broke")
@@ -320,11 +325,15 @@ def test_a_dead_or_failing_worker_aborts_the_group_fast(dataset, monkeypatch, fa
     monkeypatch.setattr(training._AllReduce, "step", failing_step)
     expected = {"exit": r"rank 1 exited with code 7",
                 "raise": r"rank 1 raised RuntimeError\('rank 1 broke'\)"}[failure]
+    threads_before = set(threading.enumerate())
     t0 = time.perf_counter()
-    with pytest.raises(DcnnError, match=expected):
-        run(dataset, n_replicas=2, batch_per_replica=16, backend="processes")
+    with pytest.raises(DcnnError, match=expected) as excinfo:
+        run(dataset, n_replicas=2, batch_per_replica=16, backend=backend)
     assert time.perf_counter() - t0 < 10
     assert not mp.active_children()
+    assert set(threading.enumerate()) <= threads_before
+    if failure == "raise":  # the worker's traceback crosses with it
+        assert "in failing_step" in str(excinfo.value)
 
 
 def test_gossip_period_reduces_messages(dataset):
@@ -369,6 +378,60 @@ def test_divergence_shuts_down_multi_replica_runs(dataset, strategy, backend):
             MODEL, dataset,
         )
     assert excinfo.value.partial_report.stop_reason == "diverged"
+
+
+def _nan_loss_at_step(monkeypatch, replica_class, step, ranks):
+    """Make the loss of ``ranks`` NaN at their ``step``-th step (from 1)."""
+    real_step = replica_class.step
+
+    def step_with_nan(self, loss):
+        self.calls = getattr(self, "calls", 0) + 1
+        if self.rank in ranks and self.calls == step:
+            loss = float("nan")
+        return real_step(self, loss)
+
+    monkeypatch.setattr(replica_class, "step", step_with_nan)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+def test_divergence_raises_rank_zeros_report_even_when_rank_zero_ends_last(
+        dataset, monkeypatch, backend):
+    _nan_loss_at_step(monkeypatch, training._AllReduce, 40, ranks=(0, 1))
+    real_stop = training._Replica.stop
+
+    def slow_stop(self):
+        if self.rank == 0:
+            time.sleep(0.2)
+        real_stop(self)
+
+    monkeypatch.setattr(training._Replica, "stop", slow_stop)
+    with pytest.raises(TrainingDivergedError) as excinfo:
+        run(dataset, n_replicas=2, batch_per_replica=16, backend=backend, epochs_max=5)
+    # 13 steps per epoch: step 40 is in epoch 3, after three good epochs
+    assert excinfo.value.last_good_epoch == 2
+    assert len(excinfo.value.partial_report.epochs) == 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gossip_rank_that_diverges_alone_ends_the_run_on_both_backends(
+        dataset, monkeypatch):
+    _nan_loss_at_step(monkeypatch, training._Gossip, 40, ranks=(1,))
+    reports = {}
+    for backend in ("threads", "processes"):
+        t0 = time.perf_counter()
+        with pytest.raises(TrainingDivergedError) as excinfo:
+            run(dataset, n_replicas=2, strategy="gossip", batch_per_replica=16,
+                backend=backend, epochs_max=5)
+        assert time.perf_counter() - t0 < 10
+        exc = excinfo.value
+        reports[backend] = (exc.last_good_epoch, [
+            {k: v for k, v in vars(row).items()
+             if k not in ("wall_seconds", "sequences_per_second")}
+            for row in exc.partial_report.epochs
+        ])
+    assert reports["threads"][0] == 2  # rank 0's report, not rank 1's empty one
+    assert reports["threads"] == reports["processes"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
-"""Tests for the in-process transport backends."""
+"""Tests for the transport: one endpoint class over two link kinds."""
 
 import multiprocessing as mp
 import random
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from dcnn.errors import ProtocolError, ValidationError
+from dcnn.errors import PeerClosed, ProtocolError, ValidationError
 from dcnn.transport import ProcessLinks, ThreadGroup, TransportStats
 
 
@@ -27,9 +28,76 @@ class TestStats:
         assert (a.messages, a.bytes, a.max_message_elements) == (5, 150, 9)
 
 
-class TestThreadGroup:
+class _LinkContract:
+    """What every link kind must do; each subclass names its kind."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_raw_bytes_round_trip_bitwise(self, dtype):
+        links = self.links_class(2, dtype)
+        a, b = links.endpoint(0), links.endpoint(1)
+        vectors = [
+            np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 1e-30, -3.5], dtype=dtype),
+            np.empty(0, dtype=dtype),  # an empty ring chunk
+            np.arange(10, dtype=dtype)[::3],  # strided: sent as its contiguous copy
+        ]
+        for vec in vectors:
+            a.send(1, vec)
+        for vec in vectors:
+            got = b.recv(0)
+            assert got.dtype == dtype and got.shape == vec.shape
+            assert got.tobytes() == np.ascontiguousarray(vec).tobytes()
+            assert not got.flags.writeable
+        assert a.stats.messages == 3
+        assert a.stats.bytes == sum(v.nbytes for v in vectors)
+        links.close()
+
+    @pytest.mark.parametrize("payload", [
+        np.zeros((2, 3), dtype=np.float32),
+        np.zeros(3, dtype=np.float64),
+        np.float32(1.0),
+        [1.0, 2.0],
+    ], ids=["2-D", "wrong-dtype", "scalar", "list"])
+    def test_rejects_anything_but_a_flat_run_dtype_vector(self, payload):
+        links = self.links_class(2, np.float32)
+        ep = links.endpoint(0)
+        with pytest.raises(ValidationError, match="flat float32 vectors"):
+            ep.send(1, payload)
+        assert ep.stats.messages == 0
+        links.close()
+
+    def test_send_copies_payload(self):
+        links = self.links_class(2, np.float64)
+        a, b = links.endpoint(0), links.endpoint(1)
+        buf = np.array([1.0, 2.0])
+        a.send(1, buf)
+        buf[:] = -1
+        assert np.array_equal(b.recv(0), [1.0, 2.0])
+        links.close()
+
+    def test_a_closed_link_raises_peer_closed_after_the_queued_messages(self):
+        links = self.links_class(2, np.float32)
+        a, b = links.endpoint(0), links.endpoint(1)
+        a.send(1, np.ones(3, dtype=np.float32))
+        a.close()
+        assert np.array_equal(b.recv(0), np.ones(3))
+        t0 = time.perf_counter()
+        with pytest.raises(PeerClosed, match="rank 1 cannot receive"):
+            b.recv(0)
+        with pytest.raises(PeerClosed, match="rank 1 cannot send"):
+            b.send(0, np.ones(3, dtype=np.float32))
+        with pytest.raises(PeerClosed, match="rank 0 cannot receive"):
+            a.recv(1)  # its own end is closed too
+        with pytest.raises(PeerClosed, match="rank 0 cannot send"):
+            a.send(1, np.ones(3, dtype=np.float32))
+        assert time.perf_counter() - t0 < 1  # at once, not after the timeout
+        links.close()
+
+
+class TestThreadGroup(_LinkContract):
+    links_class = ThreadGroup
+
     def test_basic_exchange(self):
-        group = ThreadGroup(2)
+        group = ThreadGroup(2, np.float64)
         a, b = group.endpoint(0), group.endpoint(1)
 
         def rank0():
@@ -46,17 +114,9 @@ class TestThreadGroup:
         assert np.array_equal(r1, [1.0, 2.0])
         assert group.stats.messages == 2
 
-    def test_send_copies_payload(self):
-        group = ThreadGroup(2)
-        a, b = group.endpoint(0), group.endpoint(1)
-        buf = np.array([1.0, 2.0])
-        a.send(1, buf)
-        buf[:] = -1
-        assert np.array_equal(b.recv(0), [1.0, 2.0])
-
     def test_fifo_per_link_with_randomized_scheduling(self):
         n, per_pair = 3, 30
-        group = ThreadGroup(n)
+        group = ThreadGroup(n, np.int64)
         sched = random.Random(1234)
         delays = {r: [sched.random() * 1e-4 for _ in range(per_pair * n)] for r in range(n)}
 
@@ -86,12 +146,12 @@ class TestThreadGroup:
             assert all(v == per_pair - 1 for v in seen.values())
 
     def test_recv_timeout_is_protocol_error(self):
-        group = ThreadGroup(2, timeout=0.05)
+        group = ThreadGroup(2, np.float64, timeout=0.05)
         with pytest.raises(ProtocolError, match="timed out"):
             group.endpoint(0).recv(1)
 
     def test_peer_validation(self):
-        group = ThreadGroup(2)
+        group = ThreadGroup(2, np.float64)
         ep = group.endpoint(0)
         with pytest.raises(ValidationError, match="cannot message itself"):
             ep.send(0, np.zeros(1))
@@ -101,7 +161,7 @@ class TestThreadGroup:
             group.endpoint(9)
 
     def test_run_propagates_worker_failure(self):
-        group = ThreadGroup(2)
+        group = ThreadGroup(2, np.float64)
 
         def ok():
             return 1
@@ -112,8 +172,24 @@ class TestThreadGroup:
         with pytest.raises(RuntimeError, match="exploded"):
             group.run([ok, bad])
 
+    def test_a_raising_rank_wakes_its_blocked_peer(self):
+        group = ThreadGroup(2, np.float64)  # a live peer would be waited on for minutes
+
+        def blocked():
+            return group.endpoint(0).recv(1)
+
+        def bad():
+            raise RuntimeError("worker exploded")
+
+        before = set(threading.enumerate())
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="exploded"):
+            group.run([blocked, bad])
+        assert time.perf_counter() - t0 < 5
+        assert set(threading.enumerate()) <= before  # no rank left behind
+
     def test_run_arity_check(self):
-        group = ThreadGroup(2)
+        group = ThreadGroup(2, np.float64)
         with pytest.raises(ValidationError, match="2 callables"):
             group.run([lambda: None])
 
@@ -126,7 +202,9 @@ def _process_child(links, rank, out_queue):
     out_queue.put((rank, got.tolist(), ep.stats.messages, ep.stats.bytes))
 
 
-class TestProcessLinks:
+class TestProcessLinks(_LinkContract):
+    links_class = ProcessLinks
+
     def test_cross_process_exchange(self):
         ctx = mp.get_context("fork")
         links = ProcessLinks(2, np.float64, timeout=30.0)
@@ -154,38 +232,4 @@ class TestProcessLinks:
         links = ProcessLinks(2, np.float32)
         with pytest.raises(ValidationError, match="outside"):
             links.endpoint(2)
-        links.close()
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_raw_bytes_round_trip_bitwise(self, dtype):
-        links = ProcessLinks(2, dtype)
-        a, b = links.endpoint(0), links.endpoint(1)
-        vectors = [
-            np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 1e-30, -3.5], dtype=dtype),
-            np.empty(0, dtype=dtype),  # an empty ring chunk
-            np.arange(10, dtype=dtype)[::3],  # strided: sent as its contiguous copy
-        ]
-        for vec in vectors:
-            a.send(1, vec)
-        for vec in vectors:
-            got = b.recv(0)
-            assert got.dtype == dtype and got.shape == vec.shape
-            assert got.tobytes() == np.ascontiguousarray(vec).tobytes()
-            assert not got.flags.writeable
-        assert a.stats.messages == 3
-        assert a.stats.bytes == sum(v.nbytes for v in vectors)
-        links.close()
-
-    @pytest.mark.parametrize("payload", [
-        np.zeros((2, 3), dtype=np.float32),
-        np.zeros(3, dtype=np.float64),
-        np.float32(1.0),
-        [1.0, 2.0],
-    ], ids=["2-D", "wrong-dtype", "scalar", "list"])
-    def test_rejects_anything_but_a_flat_run_dtype_vector(self, payload):
-        links = ProcessLinks(2, np.float32)
-        ep = links.endpoint(0)
-        with pytest.raises(ValidationError, match="flat float32 vectors"):
-            ep.send(1, payload)
-        assert ep.stats.messages == 0
         links.close()
