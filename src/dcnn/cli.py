@@ -39,9 +39,9 @@ from .training import (
     EarlyStopConfig,
     TrainConfig,
     evaluate,
-    report_to_dict,
     train,
     write_curves_csv,
+    write_report_json,
 )
 
 EXIT_OK = 0
@@ -370,14 +370,9 @@ def cmd_train(settings) -> int:
     report_path = os.path.join(out, "report.json")
     curves_path = os.path.join(out, "curves.csv")
 
-    def write_report(report, final_test=None):
-        payload = report_to_dict(report)
-        payload["effective_config"] = _effective_config(settings)
-        if final_test is not None:
-            payload["final_test"] = final_test
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+    def write_report(report, **extra):
+        write_report_json(report, report_path,
+                          effective_config=_effective_config(settings), **extra)
         write_curves_csv(report, curves_path)
 
     try:
@@ -404,7 +399,7 @@ def cmd_train(settings) -> int:
         "auroc": None if final["auroc"] is None else float(final["auroc"]),
         "auprc": None if final["auprc"] is None else float(final["auprc"]),
     }
-    write_report(report, final_test)
+    write_report(report, final_test=final_test)
     print(
         f"trained {len(report.epochs)} epochs ({report.stop_reason}); "
         f"test loss={final['loss']:.4f} acc={_metric_text(final['accuracy'])} "

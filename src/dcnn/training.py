@@ -20,8 +20,11 @@ the same message, so loss aggregation adds no extra messages.  Each
 rank keeps its parameters, gradient and Adam moments as flat vectors of
 the run's dtype (the tensors are views of them) and updates them in
 place.  A message is the raw bytes of such a vector, and a received
-vector is read-only.  Threads and forked processes share the endpoint
-and the rank runner; they differ in the link and in how a rank starts.
+vector is read-only.  Both backends build the same pipe links, the
+same endpoints and the same rank runner; they differ only in whether a
+rank starts as a thread or as a forked child.  Every wait inside a rank
+is bounded by the link timeout, and every rank ends by itself, so the
+parent waits for each rank's outcome with no cap of its own.
 
 Rank 0 owns bookkeeping: it evaluates validation metrics each epoch,
 decides early stopping, and broadcasts a continue/halt flag.  Under
@@ -58,12 +61,10 @@ from .collective import (
 from .errors import DcnnError, PeerClosed, TrainingDivergedError, ValidationError
 from .kernels import dtype_for
 from .pipeline import Batch, encode_batch, shuffled_stream
-from .transport import ProcessLinks, ThreadGroup, TransportStats
+from .transport import ProcessLinks, TransportStats
 
 _HALT = 1.0
 _CONTINUE = 0.0
-#: How long the parent waits for each rank's outcome, in rank order.
-RESULT_WAIT_S = 900.0
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ class TrainConfig:
     early_stop: EarlyStopConfig = field(default_factory=EarlyStopConfig)
     early_stopping: bool = True
     gossip_period: int = 1
-    backend: str = "processes"  # processes | threads (threads: tests/debug)
+    backend: str = "processes"  # or threads (tests/debug): how ranks start; same pipes
 
     def __post_init__(self):
         if self.n_replicas < 1:
@@ -480,12 +481,12 @@ def _server_loop(endpoint, config: TrainConfig, model_config):
 # Orchestration
 
 
-def _rank_entry(links, rank, fn, args, sink):
+def _rank_entry(links, rank, fn, args, sink, forked):
     """One rank's life: run ``fn``, close this rank's links so that no
     peer waits on it, and send the parent ``(kind, payload)``: ``ok`` and
     the result, ``diverged`` and the TrainingDivergedError, or ``closed``
     (PeerClosed) or ``error`` (anything else) and the traceback."""
-    if isinstance(links, ProcessLinks):  # forked: drop the other ranks' ends
+    if forked:  # drop the other ranks' ends
         links.close(keep=rank)
     try:
         outcome = "ok", fn(*args)
@@ -541,17 +542,18 @@ def _train(config, model_config, dataset):
                        [_worker_loop(0, None, config, model_config, *data)])
 
     # one (function, args) per rank; the parameter server is rank N
-    links = (ThreadGroup if config.backend == "threads" else ProcessLinks)(group_size, dtype)
+    links = ProcessLinks(group_size, dtype)
     contexts = [(_worker_loop, (rank, links.endpoint(rank), config, model_config, *data))
                 for rank in range(n)]
     if needs_server:
         contexts.append((_server_loop, (links.endpoint(n), config, model_config)))
-    return _finish(config, model_config, _run_ranks(links, contexts))
+    return _finish(config, model_config,
+                   _run_ranks(links, contexts, forked=config.backend == "processes"))
 
 
-def _run_ranks(links, contexts):
-    """Run each context as one rank over ``links``, on a forked child for
-    ProcessLinks and on a thread otherwise; return the results in order.
+def _run_ranks(links, contexts, forked):
+    """Run each context as one rank over ``links``, on a forked child or
+    on a thread; return the results in order.
 
     A rank's links close when it ends, so every rank ends by itself, and
     the parent collects the outcomes in rank order.  The lowest rank that
@@ -559,13 +561,13 @@ def _run_ranks(links, contexts):
     diverged run raises rank 0's partial report.  A rank that only saw
     PeerClosed is named only when neither explains it.
     """
-    forked = isinstance(links, ProcessLinks)
     start = mp.get_context("fork").Process if forked else threading.Thread
     ranks, sources = [], []
     try:
         for rank, (fn, args) in enumerate(contexts):
             source, sink = mp.Pipe(duplex=False)
-            worker = start(target=_rank_entry, args=(links, rank, fn, args, sink), daemon=True)
+            worker = start(target=_rank_entry, args=(links, rank, fn, args, sink, forked),
+                           daemon=True)
             worker.start()
             ranks.append(worker)
             sources.append(source)
@@ -574,12 +576,7 @@ def _run_ranks(links, contexts):
         if forked:  # the children hold their own link ends; the parent keeps none
             links.close()
         outcomes = []
-        for rank, (source, worker) in enumerate(zip(sources, ranks)):
-            if not source.poll(RESULT_WAIT_S):
-                raise DcnnError(
-                    f"worker failure during training: rank {rank} reported no "
-                    f"result within {RESULT_WAIT_S:g} s"
-                )
+        for source, worker in zip(sources, ranks):
             try:
                 outcomes.append(source.recv())
             except EOFError:
@@ -663,9 +660,10 @@ def report_to_dict(report: TrainReport) -> dict:
     }
 
 
-def write_report_json(report: TrainReport, path) -> None:
+def write_report_json(report: TrainReport, path, **extra) -> None:
+    """The report as JSON, with the ``extra`` keys after its own."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
+        json.dump({**report_to_dict(report), **extra}, fh, indent=2)
         fh.write("\n")
 
 

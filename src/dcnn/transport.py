@@ -1,10 +1,12 @@
 """Point-to-point message passing between the ranks of one run.
 
-One endpoint class, :class:`ProcessEndpoint` (``rank``, ``size``,
-``send(dst, vector)``, ``recv(src)``), works over two kinds of link:
-duplex pipes between forked processes (:class:`ProcessLinks`), which
-real multi-replica training uses so the numpy work runs in parallel,
-and queue pairs between threads (:class:`ThreadGroup`).
+Every link is a duplex ``mp.Pipe`` (a Unix socket pair), made by
+:class:`ProcessLinks` before any rank starts, and every rank talks
+through one :class:`ProcessEndpoint` (``rank``, ``size``,
+``send(dst, vector)``, ``recv(src)``).  The two backends differ only in
+how a rank starts: as a forked child, which real multi-replica training
+uses so that the numpy work runs in parallel, or as a thread
+(:class:`ThreadGroup` adds a thread runner for tests).
 
 A message is the raw bytes of one flat vector of the group's dtype (the
 run's precision), with no pickling; any other payload is rejected.  A
@@ -12,6 +14,13 @@ received vector is a read-only view of the bytes that arrived.  A link
 closes with its rank: once either end is closed, a ``send`` or ``recv``
 on it raises :class:`PeerClosed` at once, after the messages already
 sent have been received.
+
+Both directions are bounded by the link timeout: a ``recv`` gives up on
+a silent peer, and a ``send`` on a peer that does not read, each with a
+:class:`ProtocolError`.  So a message that both ranks of a pair send
+before either receives (the ring and gossip swaps) must fit one pipe's
+buffer, about 200 KiB on Linux (``SO_SNDBUF`` 212,992 B), or the swap
+times out.  The default model's largest message is 4,988 B at f32.
 
 Every endpoint counts the messages and payload bytes it sends, so
 protocol-level claims (message complexity, chunk sizes) are measurable
@@ -21,7 +30,8 @@ rather than assumed.
 from __future__ import annotations
 
 import multiprocessing as mp
-import queue
+import socket
+import struct
 import threading
 from dataclasses import dataclass
 
@@ -29,8 +39,9 @@ import numpy as np
 
 from .errors import PeerClosed, ProtocolError, ValidationError
 
-#: How long a ``recv`` waits on a live but silent peer.
-RECV_TIMEOUT_S = 600.0
+#: How long a ``recv`` waits on a live but silent peer, and a ``send``
+#: on a live peer that does not read.
+LINK_TIMEOUT_S = 600.0
 
 
 @dataclass
@@ -53,6 +64,20 @@ class TransportStats:
         )
 
 
+def _pipe(timeout: float):
+    """A duplex pipe whose ends give up on a blocked send or receive after
+    ``timeout`` (at least 1 µs): the write or read then fails with
+    BlockingIOError."""
+    ends = mp.Pipe()
+    seconds, micros = divmod(max(1, round(timeout * 1e6)), 1_000_000)
+    timeval = struct.pack("ll", seconds, micros)
+    for end in ends:
+        with socket.fromfd(end.fileno(), socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+    return ends
+
+
 def _check_peer(rank: int, dst: int, size: int) -> None:
     if not (0 <= dst < size):
         raise ValidationError(f"peer rank {dst} outside group of size {size}")
@@ -61,15 +86,18 @@ def _check_peer(rank: int, dst: int, size: int) -> None:
 
 
 class ProcessEndpoint:
-    """One rank's ends of its links, over pipes or queue pairs alike.
-    It counts only its own sends, so each rank's stats stay its own."""
+    """One rank's ends of its pipes, on a thread or a forked child alike.
+    It counts only its own sends, so each rank's stats stay its own.
 
-    def __init__(self, rank: int, size: int, conns, dtype, timeout: float):
+    A ``send`` or ``recv`` that waits longer than its pipe's timeout
+    raises ProtocolError, so a send-first swap must fit one pipe's
+    buffer; one on a closed link raises PeerClosed."""
+
+    def __init__(self, rank: int, size: int, conns, dtype):
         self.rank = rank
         self.size = size
         self._conns = conns
         self._dtype = dtype
-        self._timeout = timeout
         self.stats = TransportStats()
 
     def send(self, dst: int, payload: np.ndarray) -> None:
@@ -85,6 +113,10 @@ class ProcessEndpoint:
         self.stats.record(arr)
         try:
             self._conns[dst].send_bytes(arr)
+        except BlockingIOError:  # SO_SNDTIMEO ran out
+            raise ProtocolError(
+                f"rank {self.rank} timed out sending a message to rank {dst}"
+            ) from None
         except OSError:
             raise PeerClosed(
                 f"rank {self.rank} cannot send: its link to rank {dst} is closed"
@@ -92,13 +124,12 @@ class ProcessEndpoint:
 
     def recv(self, src: int) -> np.ndarray:
         _check_peer(self.rank, src, self.size)
-        conn = self._conns[src]
         try:
-            if not conn.poll(self._timeout):
-                raise ProtocolError(
-                    f"rank {self.rank} timed out waiting for a message from rank {src}"
-                )
-            data = conn.recv_bytes()
+            data = self._conns[src].recv_bytes()
+        except BlockingIOError:  # SO_RCVTIMEO ran out
+            raise ProtocolError(
+                f"rank {self.rank} timed out waiting for a message from rank {src}"
+            ) from None
         except (EOFError, OSError):
             raise PeerClosed(
                 f"rank {self.rank} cannot receive: its link to rank {src} is closed"
@@ -110,62 +141,13 @@ class ProcessEndpoint:
             conn.close()
 
 
-_EOF = object()
+class ProcessLinks:
+    """A duplex pipe for every pair of ``n`` ranks, and one endpoint per
+    rank; every message is a flat vector of ``dtype``.  The pipes are
+    made before any fork, so that each process can take its endpoint
+    afterwards."""
 
-
-class _QueueConn:
-    """One end of an in-process duplex link, with the calls of a pipe
-    connection that an endpoint makes.  Closing it queues an end-of-file
-    mark behind the messages already sent."""
-
-    def __init__(self, inbox, outbox):
-        self._inbox = inbox
-        self._outbox = outbox
-        self._head = None  # a message that poll took off the inbox
-        self.peer = None
-        self.closed = False
-
-    def send_bytes(self, buf) -> None:
-        if self.closed or self.peer.closed:
-            raise BrokenPipeError("link closed")
-        self._outbox.put(bytes(buf))
-
-    def poll(self, timeout) -> bool:
-        if self.closed:
-            raise OSError("handle is closed")
-        if self._head is None:
-            try:
-                self._head = self._inbox.get(timeout=timeout)
-            except queue.Empty:
-                return False
-        return True
-
-    def recv_bytes(self) -> bytes:
-        self.poll(None)
-        if self._head is _EOF:
-            raise EOFError
-        data, self._head = self._head, None
-        return data
-
-    def close(self) -> None:
-        if not self.closed:
-            self.closed = True
-            self._outbox.put(_EOF)
-
-
-def _queue_pair():
-    there, back = queue.SimpleQueue(), queue.SimpleQueue()
-    left, right = _QueueConn(back, there), _QueueConn(there, back)
-    left.peer, right.peer = right, left
-    return left, right
-
-
-class _Links:
-    """A duplex link, made by the subclass's ``_pair``, for every pair of
-    ``n`` ranks, and one endpoint per rank; every message is a flat
-    vector of ``dtype``."""
-
-    def __init__(self, n: int, dtype, timeout: float = RECV_TIMEOUT_S):
+    def __init__(self, n: int, dtype, timeout: float = LINK_TIMEOUT_S):
         if n < 1:
             raise ValidationError(f"group size must be >= 1, got {n}")
         self.n = n
@@ -173,11 +155,11 @@ class _Links:
         ends = {}
         for i in range(n):
             for j in range(i + 1, n):
-                ends[(i, j)], ends[(j, i)] = self._pair()
+                ends[(i, j)], ends[(j, i)] = _pipe(timeout)
         self._endpoints = [
             ProcessEndpoint(
                 rank, n, {peer: ends[(rank, peer)] for peer in range(n) if peer != rank},
-                self.dtype, timeout,
+                self.dtype,
             )
             for rank in range(n)
         ]
@@ -195,17 +177,8 @@ class _Links:
                 endpoint.close()
 
 
-class ProcessLinks(_Links):
-    """Duplex pipes, made before fork so that each process can take its
-    endpoint afterwards."""
-
-    _pair = staticmethod(mp.Pipe)
-
-
-class ThreadGroup(_Links):
-    """Queue-pair links between ``n`` ranks in one process."""
-
-    _pair = staticmethod(_queue_pair)
+class ThreadGroup(ProcessLinks):
+    """The same links, for ``n`` ranks that run as threads of one process."""
 
     @property
     def stats(self) -> TransportStats:

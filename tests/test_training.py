@@ -1,6 +1,7 @@
 """Trainer behavior: strategy equivalence, backend determinism, early
 stopping, divergence reporting, evaluation, and report serialization."""
 
+import gc
 import json
 import multiprocessing as mp
 import os
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcnn import network, training
+from dcnn.collective import ring_all_reduce
 from dcnn.errors import DcnnError, TrainingDivergedError, ValidationError
 from dcnn.genome import SimConfig, default_tal1_pwm, generate_dataset
 from dcnn.network import ModelConfig, flatten_params, init_params
@@ -30,6 +32,7 @@ from dcnn.training import (
     write_curves_csv,
     write_report_json,
 )
+from dcnn.transport import ProcessLinks
 
 MODEL = ModelConfig(
     seq_length=200, n_filters=6, filter_width=10, pool_window=10, pool_stride=10
@@ -334,6 +337,65 @@ def test_a_dead_or_failing_worker_aborts_the_group_fast(dataset, monkeypatch, fa
     assert set(threading.enumerate()) <= threads_before
     if failure == "raise":  # the worker's traceback crosses with it
         assert "in failing_step" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+def test_an_over_buffer_swap_fails_fast_and_leaves_no_rank_behind(backend):
+    # each rank sends a 2 MB ring chunk before it receives; a send is bounded too
+    links = ProcessLinks(2, np.float32, timeout=0.2)
+    vec = np.ones(1_000_000, dtype=np.float32)
+    contexts = [(ring_all_reduce, (vec, links.endpoint(rank))) for rank in range(2)]
+    threads_before = set(threading.enumerate())
+    t0 = time.perf_counter()
+    with pytest.raises(DcnnError, match=r"rank ([01]) raised ProtocolError\('rank \1 "
+                                        r"timed out sending a message to rank [01]'\)"):
+        training._run_ranks(links, contexts, forked=backend == "processes")
+    assert time.perf_counter() - t0 < 10
+    assert not mp.active_children()
+    assert set(threading.enumerate()) <= threads_before
+
+
+def test_the_parent_waits_for_a_long_healthy_run_without_a_cap(dataset, monkeypatch):
+    # a cap on the wait for each rank's outcome would cut this run off
+    monkeypatch.setattr(training, "RESULT_WAIT_S", 0.5, raising=False)
+    real_evaluate = training.evaluate
+
+    def slow_evaluate(*args, **kwargs):
+        time.sleep(0.25)
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(training, "evaluate", slow_evaluate)
+    _vec, report = run(dataset, n_replicas=2, batch_per_replica=16, epochs_max=5)
+    assert report.stop_reason == "max_epochs" and len(report.epochs) == 5
+    assert report.total_wall_seconds > 1.25
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_thread_runs_close_every_pipe_they_open(dataset, monkeypatch):
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    gc.collect()  # close what earlier tests left to the collector
+    before = open_fds()
+    for strategy in ("allreduce", "ps", "gossip"):
+        run(dataset, n_replicas=2, strategy=strategy, batch_per_replica=16,
+            backend="threads", epochs_max=1)
+    with pytest.raises(TrainingDivergedError) as diverged:
+        run(dataset, n_replicas=2, strategy="ps", batch_per_replica=16,
+            backend="threads", learning_rate=1e25)
+    real_step = training._AllReduce.step
+
+    def failing_step(self, loss):
+        if self.rank == 1:
+            raise RuntimeError("rank 1 broke")
+        return real_step(self, loss)
+
+    monkeypatch.setattr(training._AllReduce, "step", failing_step)
+    with pytest.raises(DcnnError, match="rank 1 raised") as failed:
+        run(dataset, n_replicas=2, batch_per_replica=16, backend="threads")
+    # diverged and failed still hold the runs' frames: only close() frees their pipes
+    assert open_fds() == before
 
 
 def test_gossip_period_reduces_messages(dataset):

@@ -1,4 +1,5 @@
-"""Tests for the transport: one endpoint class over two link kinds."""
+"""Tests for the transport: one endpoint class over one link kind, a
+pipe, whether its ranks are threads or forked processes."""
 
 import multiprocessing as mp
 import random
@@ -8,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from dcnn.collective import ring_all_reduce
 from dcnn.errors import PeerClosed, ProtocolError, ValidationError
 from dcnn.transport import ProcessLinks, ThreadGroup, TransportStats
 
@@ -29,7 +31,7 @@ class TestStats:
 
 
 class _LinkContract:
-    """What every link kind must do; each subclass names its kind."""
+    """What the links must do; each subclass names its links class."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_raw_bytes_round_trip_bitwise(self, dtype):
@@ -92,6 +94,39 @@ class _LinkContract:
         assert time.perf_counter() - t0 < 1  # at once, not after the timeout
         links.close()
 
+    def test_recv_timeout_is_protocol_error(self):
+        links = self.links_class(2, np.float64, timeout=0.05)
+        t0 = time.perf_counter()
+        with pytest.raises(ProtocolError, match="rank 0 timed out waiting for a message "
+                                                "from rank 1"):
+            links.endpoint(0).recv(1)
+        assert 0.04 < time.perf_counter() - t0 < 2
+        links.close()
+
+    def test_a_swap_larger_than_the_pipe_buffer_times_out_on_both_ranks(self):
+        # both ranks send a 2 MB ring chunk before either receives
+        links = self.links_class(2, np.float32, timeout=0.2)
+        errors = [None, None]
+
+        def rank(r):
+            try:
+                ring_all_reduce(np.ones(1_000_000, dtype=np.float32), links.endpoint(r))
+            except ProtocolError as exc:
+                errors[r] = exc
+
+        threads = [threading.Thread(target=rank, args=(r,), daemon=True) for r in range(2)]
+        t0 = time.perf_counter()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)  # a send with no timeout never returns
+        assert not any(thread.is_alive() for thread in threads), "a blocked send hung"
+        assert time.perf_counter() - t0 < 5
+        for r, exc in enumerate(errors):
+            assert isinstance(exc, ProtocolError)
+            assert f"rank {r} timed out sending a message to rank {1 - r}" in str(exc)
+        links.close()
+
 
 class TestThreadGroup(_LinkContract):
     links_class = ThreadGroup
@@ -144,11 +179,6 @@ class TestThreadGroup(_LinkContract):
         results = group.run([worker(r) for r in range(n)])
         for seen in results:
             assert all(v == per_pair - 1 for v in seen.values())
-
-    def test_recv_timeout_is_protocol_error(self):
-        group = ThreadGroup(2, np.float64, timeout=0.05)
-        with pytest.raises(ProtocolError, match="timed out"):
-            group.endpoint(0).recv(1)
 
     def test_peer_validation(self):
         group = ThreadGroup(2, np.float64)
