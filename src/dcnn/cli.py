@@ -39,6 +39,7 @@ from .training import (
     EarlyStopConfig,
     TrainConfig,
     evaluate,
+    metric_or_null,
     train,
     write_curves_csv,
     write_report_json,
@@ -94,6 +95,10 @@ DEFAULTS = {
     "split": "test",
 }
 
+# the type of each key whose default is None
+_NONE_DEFAULT_TYPES = {"batch_per_replica": int, "global_batch": int,
+                       "pwm": str, "dataset": str, "checkpoint": str}
+
 
 def _parse_workers_list(text):
     try:
@@ -105,6 +110,32 @@ def _parse_workers_list(text):
     if not values:
         raise ValidationError("workers list must not be empty")
     return values
+
+
+def _has_type(value, kind) -> bool:
+    """isinstance, except that a bool is not a number and an int may
+    stand for a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _config_value(key, value, path):
+    """A config-file value, checked against the type of the key's default;
+    ``workers_list`` takes a list of ints or the flag's comma string."""
+    if key == "workers_list":
+        if isinstance(value, str):
+            value = _parse_workers_list(value)
+        if isinstance(value, (list, tuple)) and value and all(
+                _has_type(v, int) for v in value):
+            return tuple(value)
+        expected = "a non-empty list of integers or a comma-separated string"
+    else:
+        kind = _NONE_DEFAULT_TYPES.get(key, type(DEFAULTS[key]))
+        if _has_type(value, kind) or (value is None and DEFAULTS[key] is None):
+            return value
+        expected = f"of type {kind.__name__}"
+    raise ValidationError(f"config key {key!r} in {path} must be {expected}, got {value!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,7 +238,7 @@ def _merge_settings(args) -> dict:
         for key, value in loaded.items():
             if key not in DEFAULTS:
                 raise ValidationError(f"unknown config key {key!r} in {path}")
-            merged[key] = tuple(value) if key == "workers_list" else value
+            merged[key] = _config_value(key, value, path)
             explicit.add(key)
     for key in DEFAULTS:
         value = getattr(args, key, None)
@@ -393,13 +424,8 @@ def cmd_train(settings) -> int:
         params, dataset.test or dataset.validation, model_config,
         precision=settings["precision"],
     )
-    final_test = {
-        "loss": float(final["loss"]),
-        "accuracy": float(final["accuracy"]),
-        "auroc": None if final["auroc"] is None else float(final["auroc"]),
-        "auprc": None if final["auprc"] is None else float(final["auprc"]),
-    }
-    write_report(report, final_test=final_test)
+    write_report(report, final_test={key: metric_or_null(value)
+                                     for key, value in final.items()})
     print(
         f"trained {len(report.epochs)} epochs ({report.stop_reason}); "
         f"test loss={final['loss']:.4f} acc={_metric_text(final['accuracy'])} "
@@ -475,10 +501,7 @@ def cmd_evaluate(settings) -> int:
     payload = {
         "split": which,
         "n_records": len(chosen),
-        "loss": float(out["loss"]),
-        "accuracy": float(out["accuracy"]),
-        "auroc": None if out["auroc"] is None else float(out["auroc"]),
-        "auprc": None if out["auprc"] is None else float(out["auprc"]),
+        **{key: metric_or_null(value) for key, value in out.items()},
         "effective_config": _effective_config(settings),
     }
     metrics_path = os.path.join(_out_dir(settings), "metrics.json")
@@ -506,8 +529,8 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # evaluate defaults precision handling: precision flag not offered on
-    # generate/evaluate; merged defaults still apply
+    # a subcommand without a flag for a setting (e.g. evaluate has no
+    # --precision) takes it from the config file or the defaults
     try:
         settings = _merge_settings(args)
         return COMMANDS[args.command](settings)

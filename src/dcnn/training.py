@@ -20,9 +20,10 @@ the same message, so loss aggregation adds no extra messages.  Each
 rank keeps its parameters, gradient and Adam moments as flat vectors of
 the run's dtype (the tensors are views of them) and updates them in
 place.  A message is the raw bytes of such a vector, and a received
-vector is read-only.  Both backends build the same pipe links, the
-same endpoints and the same rank runner; they differ only in whether a
-rank starts as a thread or as a forked child.  Every wait inside a rank
+vector is read-only.  Both backends build the same pipe links and the
+same endpoints, and start their ranks through ``transport.run_ranks``,
+the one rank runner, which the tests drive too; they differ only in
+whether a rank starts as a thread or as a forked child.  Every wait inside a rank
 is bounded by the link timeout, and every rank ends by itself, so the
 parent waits for each rank's outcome with no cap of its own.
 
@@ -38,11 +39,9 @@ endpoint and zero messages.
 from __future__ import annotations
 
 import json
-import multiprocessing as mp
-import threading
 import time
-import traceback
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -61,7 +60,7 @@ from .collective import (
 from .errors import DcnnError, PeerClosed, TrainingDivergedError, ValidationError
 from .kernels import dtype_for
 from .pipeline import Batch, encode_batch, shuffled_stream
-from .transport import ProcessLinks, TransportStats
+from .transport import ProcessLinks, TransportStats, run_ranks
 
 _HALT = 1.0
 _CONTINUE = 0.0
@@ -481,26 +480,6 @@ def _server_loop(endpoint, config: TrainConfig, model_config):
 # Orchestration
 
 
-def _rank_entry(links, rank, fn, args, sink, forked):
-    """One rank's life: run ``fn``, close this rank's links so that no
-    peer waits on it, and send the parent ``(kind, payload)``: ``ok`` and
-    the result, ``diverged`` and the TrainingDivergedError, or ``closed``
-    (PeerClosed) or ``error`` (anything else) and the traceback."""
-    if forked:  # drop the other ranks' ends
-        links.close(keep=rank)
-    try:
-        outcome = "ok", fn(*args)
-    except TrainingDivergedError as exc:
-        outcome = "diverged", exc
-    except BaseException as exc:  # named in the parent
-        outcome = ("closed" if isinstance(exc, PeerClosed) else "error",
-                   f"raised {exc!r}\n{traceback.format_exc()}")
-    finally:
-        links.endpoint(rank).close()
-    with sink:
-        sink.send(outcome)
-
-
 def train(config: TrainConfig, model_config: nw.ModelConfig, dataset: Dataset):
     """Run the full training loop; returns (final params, TrainReport).
 
@@ -541,63 +520,15 @@ def _train(config, model_config, dataset):
         return _finish(config, model_config,
                        [_worker_loop(0, None, config, model_config, *data)])
 
-    # one (function, args) per rank; the parameter server is rank N
+    # one callable per rank, the parameter server as rank N; the loops are
+    # looked up here, at call time, so a wrapper installed by name applies
     links = ProcessLinks(group_size, dtype)
-    contexts = [(_worker_loop, (rank, links.endpoint(rank), config, model_config, *data))
-                for rank in range(n)]
+    fns = [partial(_worker_loop, rank, links.endpoint(rank), config, model_config, *data)
+           for rank in range(n)]
     if needs_server:
-        contexts.append((_server_loop, (links.endpoint(n), config, model_config)))
+        fns.append(partial(_server_loop, links.endpoint(n), config, model_config))
     return _finish(config, model_config,
-                   _run_ranks(links, contexts, forked=config.backend == "processes"))
-
-
-def _run_ranks(links, contexts, forked):
-    """Run each context as one rank over ``links``, on a forked child or
-    on a thread; return the results in order.
-
-    A rank's links close when it ends, so every rank ends by itself, and
-    the parent collects the outcomes in rank order.  The lowest rank that
-    raised, or exited without an outcome, is named in a DcnnError; else a
-    diverged run raises rank 0's partial report.  A rank that only saw
-    PeerClosed is named only when neither explains it.
-    """
-    start = mp.get_context("fork").Process if forked else threading.Thread
-    ranks, sources = [], []
-    try:
-        for rank, (fn, args) in enumerate(contexts):
-            source, sink = mp.Pipe(duplex=False)
-            worker = start(target=_rank_entry, args=(links, rank, fn, args, sink, forked),
-                           daemon=True)
-            worker.start()
-            ranks.append(worker)
-            sources.append(source)
-            if forked:  # made after the earlier forks: only this child holds it
-                sink.close()
-        if forked:  # the children hold their own link ends; the parent keeps none
-            links.close()
-        outcomes = []
-        for source, worker in zip(sources, ranks):
-            try:
-                outcomes.append(source.recv())
-            except EOFError:
-                worker.join(timeout=5.0)
-                outcomes.append(("error", f"exited with code "
-                                 f"{getattr(worker, 'exitcode', None)} before "
-                                 f"reporting a result"))
-    finally:
-        for worker, source in zip(ranks, sources):
-            worker.join(timeout=5.0)
-            if forked and worker.is_alive():
-                worker.terminate()
-            source.close()
-    for kind in ("error", "diverged", "closed"):
-        for rank, (got, payload) in enumerate(outcomes):
-            if got != kind:
-                continue
-            if kind == "diverged":
-                raise payload
-            raise DcnnError(f"worker failure during training: rank {rank} {payload}")
-    return [payload for _kind, payload in outcomes]
+                   run_ranks(links, fns, forked=config.backend == "processes"))
 
 
 def _finish(config, model_config, results):
@@ -633,7 +564,8 @@ def _finish(config, model_config, results):
 # Serialization
 
 
-def _metric_or_null(value):
+def metric_or_null(value):
+    """A metric as JSON: a float, or None when it is undefined."""
     return None if value is None else float(value)
 
 
@@ -646,8 +578,8 @@ def report_to_dict(report: TrainReport) -> dict:
                 "train_loss": float(row.train_loss),
                 "val_loss": float(row.val_loss),
                 "val_accuracy": float(row.val_accuracy),
-                "val_auroc": _metric_or_null(row.val_auroc),
-                "val_auprc": _metric_or_null(row.val_auprc),
+                "val_auroc": metric_or_null(row.val_auroc),
+                "val_auprc": metric_or_null(row.val_auprc),
                 "wall_seconds": float(row.wall_seconds),
                 "sequences_per_second": float(row.sequences_per_second),
             }

@@ -5,8 +5,9 @@ Every link is a duplex ``mp.Pipe`` (a Unix socket pair), made by
 through one :class:`ProcessEndpoint` (``rank``, ``size``,
 ``send(dst, vector)``, ``recv(src)``).  The two backends differ only in
 how a rank starts: as a forked child, which real multi-replica training
-uses so that the numpy work runs in parallel, or as a thread
-(:class:`ThreadGroup` adds a thread runner for tests).
+uses so that the numpy work runs in parallel, or as a thread.
+:func:`run_ranks` is the one runner that starts ranks, for training and
+for the tests alike, with one rule for which failure a run raises.
 
 A message is the raw bytes of one flat vector of the group's dtype (the
 run's precision), with no pickling; any other payload is rejected.  A
@@ -33,11 +34,12 @@ import multiprocessing as mp
 import socket
 import struct
 import threading
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PeerClosed, ProtocolError, ValidationError
+from .errors import DcnnError, PeerClosed, ProtocolError, TrainingDivergedError, ValidationError
 
 #: How long a ``recv`` waits on a live but silent peer, and a ``send``
 #: on a live peer that does not read.
@@ -177,43 +179,72 @@ class ProcessLinks:
                 endpoint.close()
 
 
-class ThreadGroup(ProcessLinks):
-    """The same links, for ``n`` ranks that run as threads of one process."""
+def _rank_entry(links, rank, fn, sink, forked):
+    """One rank's life: run ``fn``, close this rank's links so that no
+    peer waits on it, and send the parent ``(kind, payload)``: ``ok`` and
+    the result, ``diverged`` and the TrainingDivergedError, or ``closed``
+    (PeerClosed) or ``error`` (anything else) and the traceback."""
+    if forked:  # drop the other ranks' ends
+        links.close(keep=rank)
+    try:
+        outcome = "ok", fn()
+    except TrainingDivergedError as exc:
+        outcome = "diverged", exc
+    except BaseException as exc:  # named in the parent
+        outcome = ("closed" if isinstance(exc, PeerClosed) else "error",
+                   f"raised {exc!r}\n{traceback.format_exc()}")
+    finally:
+        links.endpoint(rank).close()
+    with sink:
+        sink.send(outcome)
 
-    @property
-    def stats(self) -> TransportStats:
-        """The sends of every rank, merged."""
-        total = TransportStats()
-        for endpoint in self._endpoints:
-            total.merge(endpoint.stats)
-        return total
 
-    def run(self, fns):
-        """Run ``fns[r]`` as rank r on its own thread, and close its links
-        when it ends.  Returns the results in rank order, or raises the
-        lowest rank's failure, preferring one that is not PeerClosed."""
-        if len(fns) != self.n:
-            raise ValidationError(
-                f"expected {self.n} callables, got {len(fns)}"
-            )
-        outcomes = [None] * self.n
+def run_ranks(links, fns, forked):
+    """Run ``fns[r]()`` as rank r over ``links``, on a forked child or on
+    a thread; return the results in rank order.
 
-        def target(rank):
+    A rank's links close when it ends, so every rank ends by itself, and
+    the parent collects the outcomes in rank order.  The lowest rank that
+    raised, or exited without an outcome, is named in a DcnnError; else a
+    diverged run raises rank 0's partial report.  A rank that only saw
+    PeerClosed is named only when neither explains it.
+    """
+    if len(fns) != links.n:
+        raise ValidationError(f"expected {links.n} callables, got {len(fns)}")
+    start = mp.get_context("fork").Process if forked else threading.Thread
+    ranks, sources = [], []
+    try:
+        for rank, fn in enumerate(fns):
+            source, sink = mp.Pipe(duplex=False)
+            worker = start(target=_rank_entry, args=(links, rank, fn, sink, forked),
+                           daemon=True)
+            worker.start()
+            ranks.append(worker)
+            sources.append(source)
+            if forked:  # made after the earlier forks: only this child holds it
+                sink.close()
+        if forked:  # the children hold their own link ends; the parent keeps none
+            links.close()
+        outcomes = []
+        for source, worker in zip(sources, ranks):
             try:
-                outcomes[rank] = (fns[rank](), None)
-            except BaseException as exc:  # re-raised on the caller thread
-                outcomes[rank] = (None, exc)
-            finally:
-                self._endpoints[rank].close()
-
-        threads = [threading.Thread(target=target, args=(r,), daemon=True)
-                   for r in range(self.n)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        failures = [exc for _result, exc in outcomes if exc is not None]
-        if failures:
-            raise next((exc for exc in failures if not isinstance(exc, PeerClosed)),
-                       failures[0])
-        return [result for result, _exc in outcomes]
+                outcomes.append(source.recv())
+            except EOFError:
+                worker.join(timeout=5.0)
+                outcomes.append(("error", f"exited with code "
+                                 f"{getattr(worker, 'exitcode', None)} before "
+                                 f"reporting a result"))
+    finally:
+        for worker, source in zip(ranks, sources):
+            worker.join(timeout=5.0)
+            if forked and worker.is_alive():
+                worker.terminate()
+            source.close()
+    for kind in ("error", "diverged", "closed"):
+        for rank, (got, payload) in enumerate(outcomes):
+            if got != kind:
+                continue
+            if kind == "diverged":
+                raise payload
+            raise DcnnError(f"worker failure: rank {rank} {payload}")
+    return [payload for _kind, payload in outcomes]

@@ -1,12 +1,40 @@
-"""Independent reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles, and
+:func:`run_group`, which runs a group of ranks the way training does.
 
-Everything here is deliberately naive (explicit loops, ascending index
-order) and stays independent of the library code paths it checks.
+The oracles are deliberately naive (explicit loops, ascending index
+order) and stay independent of the library code paths they check.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
+
+from dcnn.transport import LINK_TIMEOUT_S, ProcessLinks, TransportStats, run_ranks
+
+
+def _with_stats(fn, endpoint):
+    return fn(endpoint), endpoint.stats
+
+
+def run_group(fns, dtype, forked=False, timeout=LINK_TIMEOUT_S):
+    """Run ``fns[r](endpoint)`` as rank r of a fresh group of ``dtype``
+    links through ``transport.run_ranks``, the runner training uses.
+
+    Returns the results in rank order and the sends of every rank,
+    merged.  Each rank returns its endpoint's stats with its result, so
+    the count holds for forked ranks too.
+    """
+    links = ProcessLinks(len(fns), dtype, timeout=timeout)
+    outcomes = run_ranks(
+        links, [partial(_with_stats, fn, links.endpoint(r)) for r, fn in enumerate(fns)],
+        forked,
+    )
+    stats = TransportStats()
+    for _result, rank_stats in outcomes:
+        stats.merge(rank_stats)
+    return [result for result, _stats in outcomes], stats
 
 
 def naive_conv1d(x: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -33,13 +33,12 @@ from dcnn.kernels import conv1d_forward
 from dcnn.metrics import auprc, auroc
 from dcnn.pipeline import Batch, SplitSpec, decode, one_hot, split
 from dcnn.training import Dataset, TrainConfig, train
-from dcnn.transport import ThreadGroup
-
 from helpers import (
     brute_force_auroc,
     exhaustive_average_precision,
     max_relative_error,
     numerical_gradient,
+    run_group,
 )
 
 
@@ -168,18 +167,9 @@ def test_criterion_2_large_batch_equivalence(equivalence_dataset):
 
 
 def _ring_on_threads(vectors):
-    n = len(vectors)
-    if n == 1:
-        return [vectors[0].copy()], 0
-    group = ThreadGroup(n, vectors[0].dtype, timeout=30.0)
-    endpoints = [group.endpoint(r) for r in range(n)]
-    outs = group.run(
-        [
-            (lambda r=r: ring_all_reduce(vectors[r], endpoints[r]))
-            for r in range(n)
-        ]
-    )
-    return outs, group.stats.messages
+    fns = [(lambda ep, vec=vec: ring_all_reduce(vec, ep)) for vec in vectors]
+    outs, stats = run_group(fns, vectors[0].dtype, timeout=30.0)
+    return outs, stats.messages
 
 
 @criterion(3, "ring all-reduce == gather-sum, 2N(N-1) messages")

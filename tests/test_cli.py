@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from dcnn.cli import DEFAULTS, _resolve_batch, main
+from dcnn.cli import DEFAULTS, _merge_settings, _resolve_batch, build_parser, main
 from dcnn.genome import read_fasta
 
 TINY_MODEL = {
@@ -311,6 +311,36 @@ def test_unknown_config_key_rejected(workspace, tmp_path, capsys):
     )
     assert code == 2
     assert "learning_rat" in capsys.readouterr().err
+    # a known key with a value of the wrong type is a config error too
+    for key, value in [("workers_list", 4),
+                       ("workers_list", [1, True]), ("epochs", "3"), ("epochs", True),
+                       ("strategy", ["ps"]), ("global_batch", 32.0),
+                       ("learning_rate", "0.1"), ("early_stopping", 1)]:
+        bad.write_text(json.dumps({key: value}))
+        code = main(
+            [
+                "benchmark", "--config", str(bad), "--dataset",
+                str(workspace["out"] / "dataset.fasta"), "--out", str(tmp_path),
+            ]
+        )
+        assert code == 2, (key, value)
+        assert f"config key '{key}'" in capsys.readouterr().err, (key, value)
+
+
+def test_config_values_of_the_default_type_are_accepted(tmp_path):
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps({
+        "workers_list": [1, 2], "epochs": 3, "learning_rate": 1, "global_batch": None,
+        "dataset": "d.fasta", "early_stopping": False,
+    }))
+    settings = _merge_settings(build_parser().parse_args(
+        ["benchmark", "--config", str(path)]))
+    assert settings["workers_list"] == (1, 2)
+    assert settings["learning_rate"] == 1 and settings["global_batch"] is None
+    path.write_text(json.dumps({"workers_list": "1,2"}))  # the flag's comma string
+    settings = _merge_settings(build_parser().parse_args(
+        ["benchmark", "--config", str(path)]))
+    assert settings["workers_list"] == (1, 2)
 
 
 def test_config_file_must_be_json(workspace, tmp_path, capsys):

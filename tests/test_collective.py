@@ -24,19 +24,15 @@ from dcnn.collective import (
     ring_all_reduce,
     ring_chunks,
 )
-from dcnn.errors import PeerClosed, ProtocolError, ValidationError
-from dcnn.transport import ThreadGroup
+from dcnn.errors import DcnnError, ValidationError
+from dcnn.transport import ProcessLinks
+from helpers import run_group
 
 
 def run_ring(vectors, timeout=60.0):
-    """Drive ring_all_reduce concurrently on thread endpoints."""
-    n = len(vectors)
-    group = ThreadGroup(n, vectors[0].dtype, timeout=timeout)
-    endpoints = [group.endpoint(r) for r in range(n)]
-    fns = [
-        (lambda r=r: ring_all_reduce(vectors[r], endpoints[r])) for r in range(n)
-    ]
-    return group.run(fns), group.stats
+    """Drive ring_all_reduce concurrently on thread ranks."""
+    fns = [(lambda ep, vec=vec: ring_all_reduce(vec, ep)) for vec in vectors]
+    return run_group(fns, vectors[0].dtype, timeout=timeout)
 
 
 def random_vectors(n, d, dtype, seed):
@@ -133,13 +129,14 @@ class TestRingAllReduce:
 
     def test_length_mismatch_is_protocol_error(self):
         vecs = [np.zeros(6), np.zeros(7)]
-        with pytest.raises(ProtocolError):
+        with pytest.raises(DcnnError, match=r"rank 1 raised ProtocolError\('rank 1 received "
+                                            r"chunk of shape \(3,\), expected \(4,\)"):
             run_ring(vecs, timeout=1.0)
 
     def test_non_flat_input_rejected(self):
-        group = ThreadGroup(1, np.float64)
+        links = ProcessLinks(1, np.float64)
         with pytest.raises(ValidationError, match="flat"):
-            ring_all_reduce(np.zeros((2, 2)), group.endpoint(0))
+            ring_all_reduce(np.zeros((2, 2)), links.endpoint(0))
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -172,81 +169,77 @@ class TestParameterServer:
 
     def test_transport_round_message_count_and_agreement(self):
         n_workers = 3
-        group = ThreadGroup(n_workers + 1, np.float64)
         server_rank = n_workers
         params = np.array([1.0, 1.0])
 
-        def worker(rank):
-            ep = group.endpoint(rank)
-            return lambda: ps_worker_round(ep, server_rank, np.full(2, float(rank)))
+        def worker(ep):
+            return ps_worker_round(ep, server_rank, np.full(2, float(ep.rank)))
 
-        def server():
-            ep = group.endpoint(server_rank)
+        def server(ep):
             return ps_server_round(ep, params, lambda p, g: p - g)
 
-        *worker_results, server_result = group.run(
-            [worker(r) for r in range(n_workers)] + [server]
+        (*worker_results, server_result), stats = run_group(
+            [worker] * n_workers + [server], np.float64
         )
         # mean grad = (0+1+2)/3 = 1 -> params [0,0]
         for got in worker_results:
             assert np.array_equal(got, [0.0, 0.0])
         assert np.array_equal(server_result, [0.0, 0.0])
-        assert group.stats.messages == 2 * n_workers
+        assert stats.messages == 2 * n_workers
 
     def test_halt_from_rank_zero_ends_the_rounds(self):
-        group = ThreadGroup(3, np.float64, timeout=5.0)
         server_rank = 2
 
-        def rank0():
-            ep = group.endpoint(0)
+        def rank0(ep):
             reply = ps_worker_round(ep, server_rank, np.array([2.0, 2.0]))
             ps_halt(ep, server_rank, np.float64)
             return reply
 
-        def rank1():
-            return ps_worker_round(group.endpoint(1), server_rank, np.array([4.0, 4.0]))
+        def rank1(ep):
+            return ps_worker_round(ep, server_rank, np.array([4.0, 4.0]))
 
-        def server():
-            ep = group.endpoint(server_rank)
+        def server(ep):
             first = ps_server_round(ep, np.zeros(2), lambda p, g: p - g)
             return first, ps_server_round(ep, first, lambda p, g: p - g)
 
-        reply0, reply1, (first, halted) = group.run([rank0, rank1, server])
+        (reply0, reply1, (first, halted)), stats = run_group(
+            [rank0, rank1, server], np.float64, timeout=5.0
+        )
         assert np.array_equal(reply0, [-3.0, -3.0]) and np.array_equal(reply1, reply0)
         assert np.array_equal(first, reply0)
         assert halted is None
         # 2 reports + 2 broadcasts, then the 8-byte halt; rank 1 sends nothing more
-        assert group.stats.messages == 5
-        assert group.stats.bytes == 4 * 2 * 8 + 8
+        assert stats.messages == 5
+        assert stats.bytes == 4 * 2 * 8 + 8
 
     def test_missing_report_times_out(self):
-        group = ThreadGroup(2, np.float64, timeout=0.1)
         server_done = threading.Event()
 
-        def server():
+        def server(ep):
             try:
-                return ps_server_round(group.endpoint(1), np.zeros(1), lambda p, g: p)
+                return ps_server_round(ep, np.zeros(1), lambda p, g: p)
             finally:
                 server_done.set()
 
-        def silent_worker():
+        def silent_worker(_ep):
             assert server_done.wait(timeout=30)  # alive, but never reports
 
-        with pytest.raises(ProtocolError, match="timed out"):
-            group.run([silent_worker, server])
+        with pytest.raises(DcnnError, match=r"rank 1 raised ProtocolError\('rank 1 timed out "
+                                            r"waiting for a message from rank 0'\)"):
+            run_group([silent_worker, server], np.float64, timeout=0.1)
 
     def test_missing_report_from_a_worker_that_ended_is_peer_closed(self):
-        group = ThreadGroup(2, np.float64)  # a live peer would be waited on for minutes
+        def server(ep):
+            return ps_server_round(ep, np.zeros(1), lambda p, g: p)
 
-        def server():
-            return ps_server_round(group.endpoint(1), np.zeros(1), lambda p, g: p)
-
-        def worker_that_ends():
+        def worker_that_ends(_ep):
             return None  # never reports
 
         t0 = time.perf_counter()
-        with pytest.raises(PeerClosed, match="link to rank 0 is closed"):
-            group.run([worker_that_ends, server])
+        # the default link timeout: a live peer would be waited on for minutes
+        with pytest.raises(DcnnError, match=r"rank 1 raised PeerClosed\('rank 1 cannot "
+                                            r"receive: its link to rank 0 is closed'\)"):
+            run_group([worker_that_ends, server], np.float64)
         assert time.perf_counter() - t0 < 5
 
 
@@ -322,14 +315,9 @@ class TestGossipRound:
 
 class TestGossipTransport:
     def run_gossip(self, vectors, round_index):
-        n = len(vectors)
-        group = ThreadGroup(n, vectors[0].dtype)
-        eps = [group.endpoint(r) for r in range(n)]
-        fns = [
-            (lambda r=r: gossip_exchange(eps[r], round_index, vectors[r]))
-            for r in range(n)
-        ]
-        return group.run(fns), group.stats
+        fns = [(lambda ep, vec=vec: gossip_exchange(ep, round_index, vec))
+               for vec in vectors]
+        return run_group(fns, vectors[0].dtype)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
     @pytest.mark.parametrize("round_index", [0, 1, 2])
@@ -359,12 +347,8 @@ class TestGossipFinalize:
 
     def test_transport_form_zero_pairwise_distance(self):
         vecs = random_vectors(5, 40, np.float64, seed=31)
-        group = ThreadGroup(5, np.float64)
-        eps = [group.endpoint(r) for r in range(5)]
-        fns = [
-            (lambda r=r: gossip_finalize_exchange(eps[r], vecs[r])) for r in range(5)
-        ]
-        results = group.run(fns)
+        fns = [(lambda ep, vec=vec: gossip_finalize_exchange(ep, vec)) for vec in vecs]
+        results, _stats = run_group(fns, np.float64)
         expected = gossip_finalize(vecs)
         for got in results:
             assert np.array_equal(got, expected)

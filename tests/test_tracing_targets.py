@@ -47,6 +47,37 @@ def test_worker_loop_takes_the_rank_first():
     assert next(iter(inspect.signature(_worker_loop).parameters)) == "rank"
 
 
+def test_train_runs_the_loops_it_finds_by_name_at_call_time(monkeypatch):
+    # the tracer replaces training._worker_loop and _server_loop by name
+    # after import; train() must start its ranks through the replacements
+    from dcnn import training
+    from dcnn.genome import SimConfig, default_tal1_pwm, generate_dataset
+    from dcnn.network import ModelConfig
+
+    roles = []
+
+    def recording(fn, role_of):
+        def wrapper(*args, **kwargs):
+            roles.append(role_of(args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(training, "_worker_loop",
+                        recording(training._worker_loop, lambda args: f"r{args[0]}"))
+    monkeypatch.setattr(training, "_server_loop",
+                        recording(training._server_loop, lambda args: "server"))
+    records = generate_dataset(SimConfig(seq_length=200, n_positive=20, n_negative=20,
+                                         seed=1), default_tal1_pwm())
+    training.train(
+        training.TrainConfig(n_replicas=2, strategy="ps", epochs_max=1,
+                             batch_per_replica=4, backend="threads"),
+        ModelConfig(seq_length=200, n_filters=2, filter_width=10, pool_window=10,
+                    pool_stride=10),
+        training.Dataset(train=records[:30], validation=records[30:]),
+    )
+    assert sorted(roles) == ["r0", "r1", "server"]
+
+
 def test_tracer_patches_the_class_that_links_hand_out():
     # Tracer.install wraps send/recv on transport.ProcessEndpoint itself
     import numpy as np
@@ -55,9 +86,8 @@ def test_tracer_patches_the_class_that_links_hand_out():
 
     for method in ("send", "recv"):
         assert callable(getattr(transport.ProcessEndpoint, method, None))
-    for links_class in (transport.ProcessLinks, transport.ThreadGroup):
-        links = links_class(2, np.float32)
-        try:
-            assert type(links.endpoint(0)) is transport.ProcessEndpoint
-        finally:
-            links.close()
+    links = transport.ProcessLinks(2, np.float32)
+    try:
+        assert type(links.endpoint(0)) is transport.ProcessEndpoint
+    finally:
+        links.close()

@@ -7,6 +7,7 @@ import multiprocessing as mp
 import os
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from dcnn.training import (
     write_curves_csv,
     write_report_json,
 )
-from dcnn.transport import ProcessLinks
+from dcnn.transport import ProcessLinks, run_ranks
 
 MODEL = ModelConfig(
     seq_length=200, n_filters=6, filter_width=10, pool_window=10, pool_stride=10
@@ -344,12 +345,12 @@ def test_an_over_buffer_swap_fails_fast_and_leaves_no_rank_behind(backend):
     # each rank sends a 2 MB ring chunk before it receives; a send is bounded too
     links = ProcessLinks(2, np.float32, timeout=0.2)
     vec = np.ones(1_000_000, dtype=np.float32)
-    contexts = [(ring_all_reduce, (vec, links.endpoint(rank))) for rank in range(2)]
+    fns = [partial(ring_all_reduce, vec, links.endpoint(rank)) for rank in range(2)]
     threads_before = set(threading.enumerate())
     t0 = time.perf_counter()
     with pytest.raises(DcnnError, match=r"rank ([01]) raised ProtocolError\('rank \1 "
                                         r"timed out sending a message to rank [01]'\)"):
-        training._run_ranks(links, contexts, forked=backend == "processes")
+        run_ranks(links, fns, forked=backend == "processes")
     assert time.perf_counter() - t0 < 10
     assert not mp.active_children()
     assert set(threading.enumerate()) <= threads_before

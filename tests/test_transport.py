@@ -1,5 +1,6 @@
 """Tests for the transport: one endpoint class over one link kind, a
-pipe, whether its ranks are threads or forked processes."""
+pipe, and one runner that starts each rank as a thread or a forked
+process."""
 
 import multiprocessing as mp
 import random
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 from dcnn.collective import ring_all_reduce
-from dcnn.errors import PeerClosed, ProtocolError, ValidationError
-from dcnn.transport import ProcessLinks, ThreadGroup, TransportStats
+from dcnn.errors import DcnnError, PeerClosed, ProtocolError, ValidationError
+from dcnn.transport import ProcessLinks, TransportStats, run_ranks
+from helpers import run_group
 
 
 class TestStats:
@@ -30,12 +32,13 @@ class TestStats:
         assert (a.messages, a.bytes, a.max_message_elements) == (5, 150, 9)
 
 
-class _LinkContract:
-    """What the links must do; each subclass names its links class."""
+class TestProcessLinks:
+    """The one link class.  Most of these tests drive both ends of a link
+    from the test itself; TestRunRanks starts ranks on both backends."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_raw_bytes_round_trip_bitwise(self, dtype):
-        links = self.links_class(2, dtype)
+        links = ProcessLinks(2, dtype)
         a, b = links.endpoint(0), links.endpoint(1)
         vectors = [
             np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 1e-30, -3.5], dtype=dtype),
@@ -60,7 +63,7 @@ class _LinkContract:
         [1.0, 2.0],
     ], ids=["2-D", "wrong-dtype", "scalar", "list"])
     def test_rejects_anything_but_a_flat_run_dtype_vector(self, payload):
-        links = self.links_class(2, np.float32)
+        links = ProcessLinks(2, np.float32)
         ep = links.endpoint(0)
         with pytest.raises(ValidationError, match="flat float32 vectors"):
             ep.send(1, payload)
@@ -68,7 +71,7 @@ class _LinkContract:
         links.close()
 
     def test_send_copies_payload(self):
-        links = self.links_class(2, np.float64)
+        links = ProcessLinks(2, np.float64)
         a, b = links.endpoint(0), links.endpoint(1)
         buf = np.array([1.0, 2.0])
         a.send(1, buf)
@@ -77,7 +80,7 @@ class _LinkContract:
         links.close()
 
     def test_a_closed_link_raises_peer_closed_after_the_queued_messages(self):
-        links = self.links_class(2, np.float32)
+        links = ProcessLinks(2, np.float32)
         a, b = links.endpoint(0), links.endpoint(1)
         a.send(1, np.ones(3, dtype=np.float32))
         a.close()
@@ -95,7 +98,7 @@ class _LinkContract:
         links.close()
 
     def test_recv_timeout_is_protocol_error(self):
-        links = self.links_class(2, np.float64, timeout=0.05)
+        links = ProcessLinks(2, np.float64, timeout=0.05)
         t0 = time.perf_counter()
         with pytest.raises(ProtocolError, match="rank 0 timed out waiting for a message "
                                                 "from rank 1"):
@@ -105,7 +108,7 @@ class _LinkContract:
 
     def test_a_swap_larger_than_the_pipe_buffer_times_out_on_both_ranks(self):
         # both ranks send a 2 MB ring chunk before either receives
-        links = self.links_class(2, np.float32, timeout=0.2)
+        links = ProcessLinks(2, np.float32, timeout=0.2)
         errors = [None, None]
 
         def rank(r):
@@ -127,131 +130,14 @@ class _LinkContract:
             assert f"rank {r} timed out sending a message to rank {1 - r}" in str(exc)
         links.close()
 
-
-class TestThreadGroup(_LinkContract):
-    links_class = ThreadGroup
-
-    def test_basic_exchange(self):
-        group = ThreadGroup(2, np.float64)
-        a, b = group.endpoint(0), group.endpoint(1)
-
-        def rank0():
-            a.send(1, np.array([1.0, 2.0]))
-            return a.recv(1)
-
-        def rank1():
-            got = b.recv(0)
-            b.send(0, got * 10)
-            return got
-
-        r0, r1 = group.run([rank0, rank1])
-        assert np.array_equal(r0, [10.0, 20.0])
-        assert np.array_equal(r1, [1.0, 2.0])
-        assert group.stats.messages == 2
-
-    def test_fifo_per_link_with_randomized_scheduling(self):
-        n, per_pair = 3, 30
-        group = ThreadGroup(n, np.int64)
-        sched = random.Random(1234)
-        delays = {r: [sched.random() * 1e-4 for _ in range(per_pair * n)] for r in range(n)}
-
-        def worker(rank):
-            ep = group.endpoint(rank)
-            def body():
-                i = 0
-                for k in range(per_pair):
-                    for dst in range(n):
-                        if dst == rank:
-                            continue
-                        time.sleep(delays[rank][i])
-                        i += 1
-                        ep.send(dst, np.array([rank, k]))
-                seen = {src: -1 for src in range(n) if src != rank}
-                for _ in range(per_pair * (n - 1)):
-                    src = min(seen, key=lambda s: seen[s])
-                    msg = ep.recv(src)
-                    assert msg[0] == src
-                    assert msg[1] == seen[src] + 1, "per-link FIFO violated"
-                    seen[src] = msg[1]
-                return seen
-            return body
-
-        results = group.run([worker(r) for r in range(n)])
-        for seen in results:
-            assert all(v == per_pair - 1 for v in seen.values())
-
-    def test_peer_validation(self):
-        group = ThreadGroup(2, np.float64)
-        ep = group.endpoint(0)
-        with pytest.raises(ValidationError, match="cannot message itself"):
-            ep.send(0, np.zeros(1))
-        with pytest.raises(ValidationError, match="outside"):
-            ep.send(5, np.zeros(1))
-        with pytest.raises(ValidationError, match="outside"):
-            group.endpoint(9)
-
-    def test_run_propagates_worker_failure(self):
-        group = ThreadGroup(2, np.float64)
-
-        def ok():
-            return 1
-
-        def bad():
-            raise RuntimeError("worker exploded")
-
-        with pytest.raises(RuntimeError, match="exploded"):
-            group.run([ok, bad])
-
-    def test_a_raising_rank_wakes_its_blocked_peer(self):
-        group = ThreadGroup(2, np.float64)  # a live peer would be waited on for minutes
-
-        def blocked():
-            return group.endpoint(0).recv(1)
-
-        def bad():
-            raise RuntimeError("worker exploded")
-
-        before = set(threading.enumerate())
-        t0 = time.perf_counter()
-        with pytest.raises(RuntimeError, match="exploded"):
-            group.run([blocked, bad])
-        assert time.perf_counter() - t0 < 5
-        assert set(threading.enumerate()) <= before  # no rank left behind
-
-    def test_run_arity_check(self):
-        group = ThreadGroup(2, np.float64)
-        with pytest.raises(ValidationError, match="2 callables"):
-            group.run([lambda: None])
-
-
-def _process_child(links, rank, out_queue):
-    ep = links.endpoint(rank)
-    peer = 1 - rank
-    ep.send(peer, np.full(4, float(rank + 1)))
-    got = ep.recv(peer)
-    out_queue.put((rank, got.tolist(), ep.stats.messages, ep.stats.bytes))
-
-
-class TestProcessLinks(_LinkContract):
-    links_class = ProcessLinks
-
     def test_cross_process_exchange(self):
-        ctx = mp.get_context("fork")
-        links = ProcessLinks(2, np.float64, timeout=30.0)
-        out = ctx.Queue()
-        procs = [
-            ctx.Process(target=_process_child, args=(links, rank, out))
-            for rank in range(2)
-        ]
-        for p in procs:
-            p.start()
-        results = {}
-        for _ in range(2):
-            rank, payload, messages, nbytes = out.get(timeout=30)
-            results[rank] = (payload, messages, nbytes)
-        for p in procs:
-            p.join(timeout=30)
-            assert p.exitcode == 0
+        def exchange(ep):
+            peer = 1 - ep.rank
+            ep.send(peer, np.full(4, float(ep.rank + 1)))
+            return ep.recv(peer).tolist(), ep.stats.messages, ep.stats.bytes
+
+        results, _stats = run_group([exchange, exchange], np.float64, forked=True,
+                                    timeout=30.0)
         assert results[0][0] == [2.0, 2.0, 2.0, 2.0]
         assert results[1][0] == [1.0, 1.0, 1.0, 1.0]
         # each endpoint counted exactly its own single send
@@ -262,4 +148,93 @@ class TestProcessLinks(_LinkContract):
         links = ProcessLinks(2, np.float32)
         with pytest.raises(ValidationError, match="outside"):
             links.endpoint(2)
+        ep = links.endpoint(0)
+        with pytest.raises(ValidationError, match="cannot message itself"):
+            ep.send(0, np.zeros(1, dtype=np.float32))
+        with pytest.raises(ValidationError, match="outside"):
+            ep.send(5, np.zeros(1, dtype=np.float32))
+        links.close()
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["threads", "processes"])
+class TestRunRanks:
+    """``transport.run_ranks``, the runner training uses, on both backends."""
+
+    def test_basic_exchange(self, forked):
+        def rank0(ep):
+            ep.send(1, np.array([1.0, 2.0]))
+            return ep.recv(1)
+
+        def rank1(ep):
+            got = ep.recv(0)
+            ep.send(0, got * 10)
+            return got
+
+        (r0, r1), stats = run_group([rank0, rank1], np.float64, forked=forked)
+        assert np.array_equal(r0, [10.0, 20.0])
+        assert np.array_equal(r1, [1.0, 2.0])
+        assert stats.messages == 2
+        assert stats.bytes == 2 * 2 * 8
+
+    def test_fifo_per_link_with_randomized_scheduling(self, forked):
+        n, per_pair = 3, 30
+        sched = random.Random(1234)
+        delays = {r: [sched.random() * 1e-4 for _ in range(per_pair * n)] for r in range(n)}
+
+        def worker(ep):
+            rank = ep.rank
+            i = 0
+            for k in range(per_pair):
+                for dst in range(n):
+                    if dst == rank:
+                        continue
+                    time.sleep(delays[rank][i])
+                    i += 1
+                    ep.send(dst, np.array([rank, k]))
+            seen = {src: -1 for src in range(n) if src != rank}
+            for _ in range(per_pair * (n - 1)):
+                src = min(seen, key=lambda s: seen[s])
+                msg = ep.recv(src)
+                assert msg[0] == src
+                assert msg[1] == seen[src] + 1, "per-link FIFO violated"
+                seen[src] = int(msg[1])
+            return seen
+
+        results, stats = run_group([worker] * n, np.int64, forked=forked)
+        for seen in results:
+            assert all(v == per_pair - 1 for v in seen.values())
+        assert stats.messages == n * (n - 1) * per_pair
+
+    def test_run_propagates_worker_failure(self, forked):
+        def ok(_ep):
+            return 1
+
+        def bad(_ep):
+            raise RuntimeError("worker exploded")
+
+        with pytest.raises(DcnnError, match=r"rank 1 raised RuntimeError\('worker "
+                                            r"exploded'\)") as excinfo:
+            run_group([ok, bad], np.float64, forked=forked)
+        assert "in bad" in str(excinfo.value)  # the rank's traceback crosses with it
+
+    def test_a_raising_rank_wakes_its_blocked_peer(self, forked):
+        def blocked(ep):
+            return ep.recv(1)  # the default link timeout: minutes on a live peer
+
+        def bad(_ep):
+            raise RuntimeError("worker exploded")
+
+        before = set(threading.enumerate())
+        t0 = time.perf_counter()
+        with pytest.raises(DcnnError, match=r"rank 1 raised RuntimeError\('worker "
+                                            r"exploded'\)"):
+            run_group([blocked, bad], np.float64, forked=forked)
+        assert time.perf_counter() - t0 < 5
+        assert set(threading.enumerate()) <= before  # no rank left behind
+        assert not mp.active_children()
+
+    def test_run_arity_check(self, forked):
+        links = ProcessLinks(2, np.float64)
+        with pytest.raises(ValidationError, match="expected 2 callables, got 1"):
+            run_ranks(links, [lambda: None], forked)
         links.close()
