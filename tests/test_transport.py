@@ -156,6 +156,150 @@ class TestProcessLinks:
         links.close()
 
 
+class TestThreadGroup:
+    """The link contract as a group of thread ranks sees it: each end of a
+    link is used by its own rank, started on a thread by ``run_ranks``
+    (through ``run_group``), and a rank's links close when it returns."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_raw_bytes_round_trip_bitwise(self, dtype):
+        vectors = [
+            np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 1e-30, -3.5], dtype=dtype),
+            np.empty(0, dtype=dtype),  # an empty ring chunk
+            np.arange(10, dtype=dtype)[::3],  # strided: sent as its contiguous copy
+        ]
+
+        def sender(ep):
+            for vec in vectors:
+                ep.send(1, vec)
+
+        def receiver(ep):
+            # the result crosses the runner's outcome pipe as a copy, so the
+            # read-only flag is taken here
+            return [(got.dtype, got.shape, got.tobytes(), got.flags.writeable)
+                    for got in (ep.recv(0) for _ in vectors)]
+
+        (_, received), stats = run_group([sender, receiver], dtype, timeout=5.0)
+        for vec, (got_dtype, shape, raw, writeable) in zip(vectors, received):
+            assert got_dtype == dtype and shape == vec.shape
+            assert raw == np.ascontiguousarray(vec).tobytes()
+            assert not writeable
+        assert stats.messages == 3
+        assert stats.bytes == sum(v.nbytes for v in vectors)
+
+    @pytest.mark.parametrize("payload", [
+        np.zeros((2, 3), dtype=np.float32),
+        np.zeros(3, dtype=np.float64),
+        np.float32(1.0),
+        [1.0, 2.0],
+    ], ids=["2-D", "wrong-dtype", "scalar", "list"])
+    def test_rejects_anything_but_a_flat_run_dtype_vector(self, payload):
+        def sender(ep):
+            with pytest.raises(ValidationError, match="flat float32 vectors"):
+                ep.send(1, payload)
+
+        _, stats = run_group([sender, lambda _ep: None], np.float32, timeout=5.0)
+        assert stats.messages == 0
+
+    def test_send_copies_payload(self):
+        def sender(ep):
+            buf = np.array([1.0, 2.0])
+            ep.send(1, buf)
+            buf[:] = -1
+
+        def receiver(ep):
+            return ep.recv(0)
+
+        (_, got), _ = run_group([sender, receiver], np.float64, timeout=5.0)
+        assert np.array_equal(got, [1.0, 2.0])
+
+    def test_a_closed_link_raises_peer_closed_after_the_queued_messages(self):
+        ones = np.ones(3, dtype=np.float32)
+
+        def closer(ep):
+            ep.send(1, ones)
+            ep.close()
+            with pytest.raises(PeerClosed, match="rank 0 cannot receive"):
+                ep.recv(1)  # its own end is closed too
+            with pytest.raises(PeerClosed, match="rank 0 cannot send"):
+                ep.send(1, ones)
+
+        def reader(ep):
+            first = ep.recv(0)
+            t0 = time.perf_counter()
+            with pytest.raises(PeerClosed, match="rank 1 cannot receive"):
+                ep.recv(0)
+            with pytest.raises(PeerClosed, match="rank 1 cannot send"):
+                ep.send(0, ones)
+            return first, time.perf_counter() - t0
+
+        (_, (first, waited)), _ = run_group([closer, reader], np.float32, timeout=5.0)
+        assert np.array_equal(first, ones)
+        assert waited < 1  # at once, not after the timeout
+
+    def test_recv_timeout_is_protocol_error(self):
+        timed_out = threading.Event()
+
+        def waiter(ep):
+            t0 = time.perf_counter()
+            with pytest.raises(ProtocolError, match="rank 0 timed out waiting for a "
+                                                    "message from rank 1"):
+                ep.recv(1)
+            timed_out.set()
+            return time.perf_counter() - t0
+
+        def silent(_ep):
+            timed_out.wait(timeout=5)  # alive, so its link stays open, but sends nothing
+
+        (waited, _), _ = run_group([waiter, silent], np.float64, timeout=0.05)
+        assert 0.04 < waited < 2
+
+    def test_a_swap_larger_than_the_pipe_buffer_times_out_on_both_ranks(self):
+        # both ranks send a 2 MB ring chunk before either receives
+        both_gave_up = threading.Barrier(2, timeout=10)
+
+        def rank(ep):
+            try:
+                ring_all_reduce(np.ones(1_000_000, dtype=np.float32), ep)
+            except ProtocolError as exc:
+                both_gave_up.wait()  # no link closes before both sends timed out
+                return str(exc)
+
+        outcome = {}
+
+        def run():
+            try:
+                outcome["messages"], _ = run_group([rank, rank], np.float32, timeout=0.2)
+            except BaseException as exc:
+                outcome["error"] = exc
+
+        runner = threading.Thread(target=run, daemon=True)
+        t0 = time.perf_counter()
+        runner.start()
+        runner.join(timeout=20)  # a send with no timeout never returns
+        assert not runner.is_alive(), "a blocked send hung"
+        assert time.perf_counter() - t0 < 5
+        if "error" in outcome:
+            raise outcome["error"]
+        for r, message in enumerate(outcome["messages"]):
+            assert f"rank {r} timed out sending a message to rank {1 - r}" in message
+
+    def test_peer_validation(self):
+        def rank0(ep):
+            with pytest.raises(ValidationError, match="cannot message itself"):
+                ep.send(0, np.zeros(1))
+            with pytest.raises(ValidationError, match="outside"):
+                ep.send(5, np.zeros(1))
+            with pytest.raises(ValidationError, match="cannot message itself"):
+                ep.recv(0)
+            with pytest.raises(ValidationError, match="outside"):
+                ep.recv(9)
+            return ep.stats.messages
+
+        (sent, _), _ = run_group([rank0, lambda _ep: None], np.float64, timeout=5.0)
+        assert sent == 0
+
+
 @pytest.mark.parametrize("forked", [False, True], ids=["threads", "processes"])
 class TestRunRanks:
     """``transport.run_ranks``, the runner training uses, on both backends."""
