@@ -446,7 +446,7 @@ def cmd_benchmark(settings) -> int:
         worker_counts=tuple(settings["workers_list"]),
         strategies=strategies,
         epochs=settings["epochs"],
-        global_batch=settings["global_batch"] or 256,
+        global_batch=256 if settings["global_batch"] is None else settings["global_batch"],
         seed=settings["seed"],
         precision=settings["precision"],
         learning_rate=settings["learning_rate"],

@@ -9,6 +9,14 @@ instead of multiplying by zeros, and the backward scatters only the
 gradients of the max-pool winners.  On one-hot input it is bit-identical
 to the dense form, which stays as its oracle and serves float inputs.
 
+The base-code forward takes its first k taps from a prefix table, as the
+"superalphabet" PWM scan does (Pizzi, Rastas & Ukkonen, IEEE/ACM TCBB
+2011).  Because the sum starts at the bias and adds taps in ascending
+order, the running sum after tap k-1 at row i depends only on the k-mer
+codes[i : i+k].  The table holds that sum for all 4**k k-mers, folded
+with the same roundings in the same order, so gathering it through the
+k-mer index is exact, not an approximation.
+
 All kernels are pure functions on numpy arrays in float32 or float64 and
 accept an optional leading batch dimension. Reductions run in a fixed
 order so identical inputs give bit-identical outputs: the convolution
@@ -111,7 +119,8 @@ def conv1d_backward(
 
 
 def _codes_out_length(codes, filters) -> int:
-    """Validate base codes and filters; returns the conv output length."""
+    """Validate base codes (integers 0-3) and filters; returns the conv
+    output length."""
     if codes.ndim < 1 or codes.dtype.kind not in "iu":
         raise ShapeError(
             f"conv1d codes must be integer [..., L], got {codes.dtype} {codes.shape}"
@@ -124,11 +133,30 @@ def _codes_out_length(codes, filters) -> int:
             f"conv1d would produce an empty output: input length {codes.shape[-1]} "
             f"< filter width {width}"
         )
+    # The kernels gather and scatter without bounds checks, so a code
+    # outside 0-3 must be caught here: it would alias another k-mer in the
+    # forward's prefix index, or another tap in the backward's flat index.
+    if codes.size and (codes.min() < 0 or codes.max() > 3):
+        raise ValidationError(
+            f"conv1d codes must be 0-3, got values {int(codes.min())} ... {int(codes.max())}"
+        )
     return codes.shape[-1] - width + 1
 
 
+def prefix_length(rows: int, width: int) -> int:
+    """Default k-mer length of conv1d_forward_codes for ``rows`` output
+    rows (B * T) and filter width ``width``: the largest k in 1 ... width
+    with 16 * 4**k <= rows, else 1.  Building the table costs about
+    F * 4**k adds, and each tap it absorbs saves B * T * F, so the table
+    stays at most 1/16 of the output."""
+    k = 1
+    while k < width and 16 * 4 ** (k + 1) <= rows:
+        k += 1
+    return k
+
+
 def conv1d_forward_codes(codes: np.ndarray, filters: np.ndarray, bias: np.ndarray,
-                         dtype=None) -> np.ndarray:
+                         dtype=None, k: int | None = None) -> np.ndarray:
     """conv1d_forward on the one-hot encoding of ``codes`` without building it.
 
     ``codes`` is [..., L] with values 0-3 (A, C, G, T); returns
@@ -136,6 +164,12 @@ def conv1d_forward_codes(codes: np.ndarray, filters: np.ndarray, bias: np.ndarra
     adds the filter column of the base at i+j, filters[:, j, codes[i+j]], in
     ascending tap order after the bias.  The dense kernel's other three
     channels add exact zeros, so the two are bit-identical.
+
+    The first ``k`` taps come from a prefix table: prefix[m] is the bias
+    plus taps 0 ... k-1 of the k-mer m, folded in that order, so one gather
+    through the k-mer index at i replaces k gathers and k-1 adds with the
+    same roundings.  Taps k ... W-1 follow one gather each.  ``k`` defaults
+    to prefix_length(B * T, W); k = 1 is the plain tap loop.
     """
     codes = np.asarray(codes)
     filters = np.asarray(filters)
@@ -144,13 +178,24 @@ def conv1d_forward_codes(codes: np.ndarray, filters: np.ndarray, bias: np.ndarra
     n_filters, width, _ = filters.shape
     if bias.shape != (n_filters,):
         raise ShapeError(f"conv1d bias must have shape ({n_filters},), got {bias.shape}")
+    if k is None:
+        k = prefix_length(codes.size // codes.shape[-1] * out_length, width)
+    elif not 1 <= k <= width:
+        raise ValidationError(f"conv1d prefix length k must be in 1 ... {width}, got {k}")
+    codes = codes.astype(np.intp)
     dtype = filters.dtype if dtype is None else np.dtype(dtype)
     table = filters.transpose(1, 2, 0).astype(dtype)  # [W, 4, F]
-    out = np.empty(codes.shape[:-1] + (out_length, n_filters), dtype=dtype)
-    out[...] = bias
+    prefix = bias.astype(dtype)[None]  # [4**j, F] after j taps
+    index = codes[..., :out_length].copy()  # k-mer index, first base most significant
+    for j in range(k):
+        prefix = (prefix[:, None] + table[j]).reshape(-1, n_filters)
+        if j:
+            index <<= 2
+            index += codes[..., j : j + out_length]
+    out = np.take(prefix, index, axis=0, mode="clip")
     tmp = np.empty_like(out)
-    for j in range(width):
-        np.take(table[j], codes[..., j : j + out_length], axis=0, out=tmp)
+    for j in range(k, width):
+        np.take(table[j], codes[..., j : j + out_length], axis=0, out=tmp, mode="clip")
         out += tmp
     return out
 

@@ -159,12 +159,20 @@ def epoch_stream_seed(seed: int, epoch: int) -> int:
     return int(state[0] >> 1)  # keep it inside a signed 64-bit range
 
 
+#: Bytes of conv output [chunk, T, F] that one scoring chunk fills, so
+#: that a chunk's activations stay in a core's L2 cache between layers.
+EVAL_CHUNK_BYTES = 512 * 1024
+
+
 def evaluate(params: nw.ModelParams, records, model_config: nw.ModelConfig,
-             precision: str = "f32", chunk_size: int = 256) -> dict:
+             precision: str = "f32", chunk_size: int | None = None) -> dict:
     """Loss/accuracy/auROC/auPRC of ``params`` on a record list, or on the
     Batch that ``encode_batch`` made of one (it keeps its own dtype).
 
-    auROC/auPRC come back as None when the labels contain one class.
+    Records are scored ``chunk_size`` at a time, by default as many as
+    keep the conv output within EVAL_CHUNK_BYTES; each record's
+    probability does not depend on the chunking.  auROC/auPRC come back
+    as None when the labels contain one class.
     """
     if not records:
         raise ValidationError("cannot evaluate on an empty record list")
@@ -172,6 +180,10 @@ def evaluate(params: nw.ModelParams, records, model_config: nw.ModelConfig,
         batch = records
     else:
         batch = encode_batch(records, dtype=dtype_for(precision))
+    if chunk_size is None:
+        record_bytes = (model_config.conv_out_length * model_config.n_filters
+                        * batch.labels.dtype.itemsize)
+        chunk_size = max(1, EVAL_CHUNK_BYTES // record_bytes)
     probs = np.concatenate([
         nw.forward(params, batch.rows(start, start + chunk_size), model_config)[0]
         for start in range(0, len(batch), chunk_size)

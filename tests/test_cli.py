@@ -343,6 +343,20 @@ def test_config_values_of_the_default_type_are_accepted(tmp_path):
     assert settings["workers_list"] == (1, 2)
 
 
+def test_benchmark_global_batch_zero_is_a_config_error(workspace, tmp_path, capsys):
+    dataset = str(workspace["out"] / "dataset.fasta")
+    code = main(["benchmark", "--dataset", dataset, "--out", str(tmp_path),
+                 "--workers-list", "1", "--global-batch", "0"])
+    assert code == 2
+    assert "global_batch must be >= 1, got 0" in capsys.readouterr().err
+    config = tmp_path / "zero.json"
+    config.write_text(json.dumps({"global_batch": 0}))
+    code = main(["benchmark", "--config", str(config), "--dataset", dataset,
+                 "--out", str(tmp_path), "--workers-list", "1"])
+    assert code == 2
+    assert "global_batch must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_config_file_must_be_json(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("epochs: 3")

@@ -14,6 +14,7 @@ from dcnn.kernels import (
     dtype_for,
     maxpool1d_backward,
     maxpool1d_forward,
+    prefix_length,
     relu,
     relu_grad,
     sigmoid,
@@ -135,19 +136,29 @@ class TestBaseCodeConv:
         bias = rng.standard_normal(n_filters).astype(dtype)
         return codes, np.eye(4, dtype=dtype)[codes], filters, bias
 
+    @staticmethod
+    def assert_bits_equal(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape", [(3, 12, 2, 5), (8, 1500, 15, 10), (1, 7, 1, 7)])
+    @pytest.mark.parametrize("shape", [(3, 12, 2, 5), (8, 1500, 15, 10), (1, 7, 1, 7),
+                                       (2, 10, 3, 10), (200, 200, 15, 10)])
     def test_forward_bit_equal_to_dense(self, rng, dtype, shape):
+        # every prefix length, and the default one, down to L = W
         codes, x, filters, bias = self.operands(rng, dtype, *shape)
-        out = conv1d_forward_codes(codes, filters, bias)
-        assert out.dtype == dtype
-        np.testing.assert_array_equal(out, conv1d_forward(x, filters, bias))
+        want = conv1d_forward(x, filters, bias)
+        assert want.dtype == dtype
+        for k in (None, *range(1, min(filters.shape[1], 7) + 1)):
+            self.assert_bits_equal(conv1d_forward_codes(codes, filters, bias, k=k), want)
 
     def test_forward_output_dtype(self, rng):
-        codes, x, filters, bias = self.operands(rng, np.float32, 2, 20, 3, 4)
-        out = conv1d_forward_codes(codes, filters, bias, dtype=np.float64)
-        np.testing.assert_array_equal(out, conv1d_forward(x.astype(np.float64),
-                                                          filters, bias))
+        # f32 filters scored in f64 at every prefix length
+        codes, x, filters, bias = self.operands(rng, np.float32, 6, 120, 5, 9)
+        want = conv1d_forward(x.astype(np.float64), filters, bias)
+        for k in (None, *range(1, 8)):
+            got = conv1d_forward_codes(codes, filters, bias, dtype=np.float64, k=k)
+            self.assert_bits_equal(got, want)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape,pool", [((4, 200, 15, 10), 35), ((8, 1500, 15, 10), 35),
@@ -164,6 +175,77 @@ class TestBaseCodeConv:
         assert gf.dtype == want_f.dtype and gb.dtype == want_b.dtype
         np.testing.assert_array_equal(gf, want_f)
         np.testing.assert_array_equal(gb, want_b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_dimensional_codes(self, rng, dtype):
+        codes, x, filters, bias = self.operands(rng, dtype, 1, 300, 4, 8)
+        want = conv1d_forward(x[0], filters, bias)
+        for k in (None, *range(1, 8)):
+            self.assert_bits_equal(conv1d_forward_codes(codes[0], filters, bias, k=k), want)
+
+    @staticmethod
+    def tap_loop(codes, filters, bias, dtype):
+        """The base-code forward as one gather per tap: bias first, then
+        taps in ascending order, each rounded into the running sum."""
+        width = filters.shape[1]
+        out_length = codes.shape[-1] - width + 1
+        out = np.empty(codes.shape[:-1] + (out_length, filters.shape[0]), dtype)
+        out[...] = bias
+        for j in range(width):
+            out += filters[:, j, :].T.astype(dtype)[codes[..., j : j + out_length]]
+        return out
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_filters_match_the_tap_loop(self, rng, dtype):
+        # The dense oracle turns 0 * inf into NaN on the channels a base
+        # does not select, so the tap loop is the reference here.
+        codes, _, filters, bias = self.operands(rng, dtype, 5, 60, 6, 8)
+        filters[0, 0, 1] = np.inf
+        filters[1, 3, 2] = -np.inf
+        filters[2, 0, 1] = -np.inf  # inf + -inf at the first taps
+        filters[2, 1, :] = np.inf
+        filters[3, 7, 0] = np.nan
+        bias[4] = np.nan
+        filters[5, 2, 3] = np.finfo(dtype).max  # overflows to inf when summed
+        filters[5, 4, 3] = np.finfo(dtype).max
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = self.tap_loop(codes, filters, bias, dtype)
+            assert np.isinf(want).any() and np.isnan(want).any()
+            for k in range(1, 9):
+                got = conv1d_forward_codes(codes, filters, bias, k=k)
+                self.assert_bits_equal(got, want)
+
+    @pytest.mark.parametrize("rows,width,k", [(0, 10, 1), (63, 10, 1), (64, 10, 1),
+                                              (255, 10, 1), (256, 10, 2), (764, 10, 2),
+                                              (38200, 10, 5), (95424, 10, 6),
+                                              (10**9, 10, 10), (10**9, 3, 3)])
+    def test_default_prefix_length(self, rows, width, k):
+        assert prefix_length(rows, width) == k
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("bad", [4, 255])
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_codes_out_of_range_are_rejected(self, rng, k, bad, where):
+        # Codes at the first and last position are read only by the first
+        # and the last tap; in a k-mer index a 4 would alias another k-mer,
+        # and in the backward's flat index the next tap's channel 0.
+        codes, _, filters, bias = self.operands(rng, np.float32, 3, 20, 2, 5)
+        codes[where, where] = bad
+        with pytest.raises(ValidationError, match=f"0-3, got values 0 ... {bad}"):
+            conv1d_forward_codes(codes, filters, bias, k=k)
+        rows = np.full((3, 1, 2), 0 if where == 0 else 15)
+        with pytest.raises(ValidationError, match=f"0-3, got values 0 ... {bad}"):
+            conv1d_backward_codes(codes, filters, rows, np.ones((3, 1, 2), np.float32))
+
+    def test_negative_codes_and_bad_prefix_lengths_are_rejected(self, rng):
+        codes, _, filters, bias = self.operands(rng, np.float32, 3, 20, 2, 5)
+        signed = codes.astype(np.int64)
+        signed[1, 4] = -1
+        with pytest.raises(ValidationError, match="0-3"):
+            conv1d_forward_codes(signed, filters, bias)
+        for k in (0, 6):
+            with pytest.raises(ValidationError, match="prefix length"):
+                conv1d_forward_codes(codes, filters, bias, k=k)
 
     def test_rejects_float_codes_and_short_input(self):
         with pytest.raises(ShapeError, match="integer"):

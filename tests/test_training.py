@@ -18,8 +18,9 @@ from dcnn import network, training
 from dcnn.collective import ring_all_reduce
 from dcnn.errors import DcnnError, TrainingDivergedError, ValidationError
 from dcnn.genome import SimConfig, default_tal1_pwm, generate_dataset
+from dcnn.kernels import dtype_for
 from dcnn.network import ModelConfig, flatten_params, init_params
-from dcnn.pipeline import SplitSpec, split
+from dcnn.pipeline import SplitSpec, encode_batch, split
 from dcnn.training import (
     Dataset,
     EarlyStopConfig,
@@ -512,13 +513,28 @@ def test_evaluate_single_class_marks_rank_metrics_undefined(dataset):
 
 
 def test_evaluate_is_chunk_size_invariant(dataset):
-    params = init_params(MODEL, seed=0)
-    a = evaluate(params, dataset.validation, MODEL, chunk_size=256)
-    b = evaluate(params, dataset.validation, MODEL, chunk_size=7)
-    assert a["loss"] == b["loss"]
-    assert a["accuracy"] == b["accuracy"]
-    assert a["auroc"] == b["auroc"]
-    assert a["auprc"] == b["auprc"]
+    records = dataset.validation
+    n = len(records)
+    for precision in ("f32", "f64"):
+        dtype = dtype_for(precision)
+        params = init_params(MODEL, seed=0, dtype=dtype)
+        batch = encode_batch(records, dtype=dtype)
+        default = training.EVAL_CHUNK_BYTES // (
+            MODEL.conv_out_length * MODEL.n_filters * dtype.itemsize)
+        assert 1 < default < n  # the derived chunk splits this batch unevenly
+        want = evaluate(params, batch, MODEL, chunk_size=n)
+        assert want["auroc"] is not None
+        assert evaluate(params, records, MODEL, precision=precision) == want
+        for chunk in (1, 7, default, n + 5):
+            assert evaluate(params, batch, MODEL, chunk_size=chunk) == want, (precision, chunk)
+        # each record's probability is the same whatever rows share its
+        # forward pass (the conv's k-mer length and dense_forward's einsum
+        # both see the chunk's shape)
+        whole = network.forward(params, batch, MODEL)[0]
+        for size in (1, 7, default):
+            parts = np.concatenate([network.forward(params, batch.rows(s, s + size), MODEL)[0]
+                                    for s in range(0, n, size)])
+            assert parts.dtype == dtype and parts.tobytes() == whole.tobytes(), (precision, size)
 
 
 def test_evaluate_rejects_empty_records():
