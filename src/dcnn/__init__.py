@@ -4,7 +4,7 @@ from-scratch convolutional network, pluggable gradient aggregation
 (ring all-reduce / parameter server / gossip), and a scaling benchmark.
 """
 
-from .benchmark import BenchmarkConfig, BenchmarkRow, run_benchmark
+from .benchmark import BenchmarkRow, run_benchmark
 from .errors import (
     CheckpointError,
     DcnnError,
@@ -32,7 +32,6 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchmarkConfig",
     "BenchmarkRow",
     "Batch",
     "CheckpointError",

@@ -1,12 +1,12 @@
 """Training-time scaling benchmark.
 
-Runs the same fixed-epoch training job (identical seed, dataset, and
-global batch) once per (worker count, strategy) pair and tabulates wall
-time, throughput, speedup over the single-worker reference, final model
-quality, and transport volume.  The global batch stays constant across
-worker counts — each worker processes ``global_batch / workers``
-sequences per step — so every row performs the same optimizer work and
-wall times are directly comparable.
+Runs one training job, a TrainConfig, once per worker count and
+tabulates wall time, throughput, speedup over the single-worker
+reference, final model quality, and transport volume.  Every row keeps
+the config's global batch (each worker processes ``global_batch /
+workers`` sequences per step) and trains for its full epoch budget, so
+every row performs the same optimizer work and wall times are directly
+comparable.  A sweep over strategies is one call per strategy.
 
 A row that fails (for example a worker count that does not divide the
 global batch) records the error and the sweep continues.
@@ -15,7 +15,7 @@ global batch) records the error and the sweep continues.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .errors import ValidationError
 from .training import Dataset, TrainConfig, evaluate, train
@@ -24,36 +24,6 @@ CSV_COLUMNS = (
     "workers", "strategy", "wall_s", "speedup", "seq_per_s",
     "final_acc", "final_auroc", "messages", "bytes", "error",
 )
-
-
-@dataclass(frozen=True)
-class BenchmarkConfig:
-    worker_counts: tuple = (1, 2, 4)
-    strategies: tuple = ("allreduce",)
-    epochs: int = 2
-    global_batch: int = 256
-    seed: int = 0
-    precision: str = "f32"
-    learning_rate: float = 1e-3
-    shuffle_buffer_size: int = 100
-    gossip_period: int = 1
-    backend: str = "processes"
-
-    def __post_init__(self):
-        if not self.worker_counts:
-            raise ValidationError("worker_counts must not be empty")
-        if any(w < 1 for w in self.worker_counts):
-            raise ValidationError(
-                f"worker counts must be >= 1, got {self.worker_counts}"
-            )
-        if not self.strategies:
-            raise ValidationError("strategies must not be empty")
-        if self.epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.global_batch < 1:
-            raise ValidationError(
-                f"global_batch must be >= 1, got {self.global_batch}"
-            )
 
 
 @dataclass
@@ -70,81 +40,60 @@ class BenchmarkRow:
     error: str = None
 
 
-def _train_config(config: BenchmarkConfig, workers: int, strategy: str):
-    if config.global_batch % workers != 0:
-        raise ValidationError(
-            f"global batch size {config.global_batch} must be divisible by "
-            f"the number of replicas ({workers})"
-        )
-    return TrainConfig(
-        n_replicas=workers,
-        strategy=strategy,
-        epochs_max=config.epochs,
-        batch_per_replica=config.global_batch // workers,
-        seed=config.seed,
-        precision=config.precision,
-        learning_rate=config.learning_rate,
-        shuffle_buffer_size=config.shuffle_buffer_size,
-        gossip_period=config.gossip_period,
-        early_stopping=False,
-        backend=config.backend,
-    )
-
-
-def run_benchmark(config: BenchmarkConfig, model_config, dataset: Dataset,
-                  progress=None) -> list:
-    """One row per (strategy, worker count); failures continue the sweep."""
+def run_benchmark(config: TrainConfig, worker_counts, model_config,
+                  dataset: Dataset, progress=None) -> list:
+    """One row per worker count, each training ``config`` at its global
+    batch without early stopping; failures continue the sweep."""
+    if not worker_counts:
+        raise ValidationError("worker_counts must not be empty")
+    if any(w < 1 for w in worker_counts):
+        raise ValidationError(f"worker counts must be >= 1, got {tuple(worker_counts)}")
+    global_batch = config.global_batch
     eval_records = dataset.test if dataset.test else dataset.validation
     rows = []
-    for strategy in config.strategies:
-        for workers in config.worker_counts:
-            row = BenchmarkRow(workers=workers, strategy=strategy)
-            try:
-                train_config = _train_config(config, workers, strategy)
-                params, report = train(train_config, model_config, dataset)
-                quality = evaluate(
-                    params, eval_records, model_config,
-                    precision=config.precision,
+    for workers in worker_counts:
+        row = BenchmarkRow(workers=workers, strategy=config.strategy)
+        try:
+            if global_batch % workers != 0:
+                raise ValidationError(
+                    f"global batch size {global_batch} must be divisible by "
+                    f"the number of replicas ({workers})"
                 )
-                steps = len(dataset.train) // config.global_batch
-                row.wall_seconds = report.total_wall_seconds
-                row.sequences_per_second = (
-                    config.epochs * steps * config.global_batch
-                    / report.total_wall_seconds
-                    if report.total_wall_seconds > 0
-                    else float("inf")
-                )
-                row.final_accuracy = quality["accuracy"]
-                row.final_auroc = quality["auroc"]
-                row.messages = report.total_messages
-                row.bytes = report.total_bytes
-            except Exception as exc:
-                row.error = f"{type(exc).__name__}: {exc}"
-            rows.append(row)
-            if progress is not None:
-                progress(row)
+            row_config = replace(config, n_replicas=workers,
+                                 batch_per_replica=global_batch // workers,
+                                 early_stopping=False)
+            params, report = train(row_config, model_config, dataset)
+            quality = evaluate(params, eval_records, model_config,
+                               precision=config.precision)
+            steps = len(dataset.train) // global_batch
+            row.wall_seconds = report.total_wall_seconds
+            row.sequences_per_second = (
+                config.epochs_max * steps * global_batch / report.total_wall_seconds
+                if report.total_wall_seconds > 0
+                else float("inf")
+            )
+            row.final_accuracy = quality["accuracy"]
+            row.final_auroc = quality["auroc"]
+            row.messages = report.total_messages
+            row.bytes = report.total_bytes
+        except Exception as exc:
+            row.error = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
+        if progress is not None:
+            progress(row)
     _fill_speedups(rows)
     return rows
 
 
 def _fill_speedups(rows) -> None:
-    """speedup = reference wall time / row wall time, per strategy; the
-    reference is the 1-worker row, or the first successful row if no
-    1-worker row succeeded."""
-    by_strategy = {}
-    for row in rows:
-        by_strategy.setdefault(row.strategy, []).append(row)
-    for group in by_strategy.values():
-        reference = next(
-            (r for r in group if r.workers == 1 and r.error is None), None
-        )
-        if reference is None:
-            reference = next((r for r in group if r.error is None), None)
-        if reference is None:
-            continue
-        for row in group:
-            if row.error is None and row.wall_seconds > 0:
-                row.speedup = reference.wall_seconds / row.wall_seconds
+    """speedup = reference wall time / row wall time; the reference is
+    the 1-worker row, or the first successful row if no 1-worker row
+    succeeded."""
+    done = [row for row in rows if row.error is None]
+    reference = next((r for r in done if r.workers == 1), done[0] if done else None)
+    for row in done:
+        if row.wall_seconds > 0:
+            row.speedup = reference.wall_seconds / row.wall_seconds
 
 
 def _cell(value, fmt):

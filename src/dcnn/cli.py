@@ -17,12 +17,7 @@ import json
 import os
 import sys
 
-from .benchmark import (
-    BenchmarkConfig,
-    format_benchmark_table,
-    run_benchmark,
-    write_benchmark_csv,
-)
+from .benchmark import format_benchmark_table, run_benchmark, write_benchmark_csv
 from .errors import DcnnError, TrainingDivergedError, ValidationError
 from .genome import (
     SimConfig,
@@ -276,12 +271,13 @@ def _out_dir(settings) -> str:
     return out
 
 
-def _resolve_batch(settings) -> int:
+def _resolve_batch(workers, global_batch, per_replica) -> int:
     """Per-replica batch from (batch_per_replica, global_batch, workers)."""
-    workers = settings["workers"]
-    global_batch = settings["global_batch"]
-    per_replica = settings["batch_per_replica"]
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     if global_batch is not None:
+        if global_batch < 1:
+            raise ValidationError(f"global_batch must be >= 1, got {global_batch}")
         if global_batch % workers != 0:
             raise ValidationError(
                 f"global batch size {global_batch} must be divisible by the "
@@ -295,6 +291,27 @@ def _resolve_batch(settings) -> int:
             )
         return derived
     return per_replica if per_replica is not None else 64
+
+
+def _train_config(settings, strategy, workers, batch_per_replica) -> TrainConfig:
+    """The TrainConfig of the settings: the one place where each settings
+    key is mapped to its field, and every value is checked."""
+    return TrainConfig(
+        n_replicas=workers,
+        strategy=strategy,
+        epochs_max=settings["epochs"],
+        batch_per_replica=batch_per_replica,
+        seed=settings["seed"],
+        precision=settings["precision"],
+        learning_rate=settings["learning_rate"],
+        shuffle_buffer_size=settings["shuffle_buffer_size"],
+        early_stop=EarlyStopConfig(
+            patience=settings["patience"], min_delta=settings["min_delta"]
+        ),
+        early_stopping=settings["early_stopping"],
+        gossip_period=settings["gossip_period"],
+        backend=settings["backend"],
+    )
 
 
 def _load_pwm(settings):
@@ -381,21 +398,10 @@ def cmd_train(settings) -> int:
     records, seq_length = _read_records(settings)
     model_config = _model_config(settings, seq_length)
     dataset = _split_dataset(settings, records)
-    config = TrainConfig(
-        n_replicas=settings["workers"],
-        strategy=settings["strategy"],
-        epochs_max=settings["epochs"],
-        batch_per_replica=_resolve_batch(settings),
-        seed=settings["seed"],
-        precision=settings["precision"],
-        learning_rate=settings["learning_rate"],
-        shuffle_buffer_size=settings["shuffle_buffer_size"],
-        early_stop=EarlyStopConfig(
-            patience=settings["patience"], min_delta=settings["min_delta"]
-        ),
-        early_stopping=settings["early_stopping"],
-        gossip_period=settings["gossip_period"],
-        backend=settings["backend"],
+    workers = settings["workers"]
+    config = _train_config(
+        settings, settings["strategy"], workers,
+        _resolve_batch(workers, settings["global_batch"], settings["batch_per_replica"]),
     )
     out = _out_dir(settings)
     report_path = os.path.join(out, "report.json")
@@ -441,25 +447,22 @@ def cmd_benchmark(settings) -> int:
     records, seq_length = _read_records(settings)
     model_config = _model_config(settings, seq_length)
     dataset = _split_dataset(settings, records)
-    strategies = tuple(settings["strategy"].split(","))
-    config = BenchmarkConfig(
-        worker_counts=tuple(settings["workers_list"]),
-        strategies=strategies,
-        epochs=settings["epochs"],
-        global_batch=256 if settings["global_batch"] is None else settings["global_batch"],
-        seed=settings["seed"],
-        precision=settings["precision"],
-        learning_rate=settings["learning_rate"],
-        shuffle_buffer_size=settings["shuffle_buffer_size"],
-        gossip_period=settings["gossip_period"],
-        backend=settings["backend"],
+    # one config per strategy, at one replica with the whole global batch;
+    # every row takes its replica count from the workers list.  Building
+    # them all first checks every shared setting before any row trains.
+    global_batch = _resolve_batch(
+        1, 256 if settings["global_batch"] is None else settings["global_batch"], None
     )
+    configs = [_train_config(settings, strategy, 1, global_batch)
+               for strategy in settings["strategy"].split(",")]
 
     def progress(row):
         status = row.error or f"{row.wall_seconds:.2f}s"
         print(f"[{row.strategy} x{row.workers}] {status}", flush=True)
 
-    rows = run_benchmark(config, model_config, dataset, progress=progress)
+    rows = [row for config in configs
+            for row in run_benchmark(config, settings["workers_list"], model_config,
+                                     dataset, progress=progress)]
     out = _out_dir(settings)
     csv_path = os.path.join(out, "benchmark.csv")
     write_benchmark_csv(rows, csv_path)

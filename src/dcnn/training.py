@@ -31,9 +31,10 @@ Rank 0 owns bookkeeping: it evaluates validation metrics each epoch,
 decides early stopping, and broadcasts a continue/halt flag.  Under
 ``ps`` it also halts the server when its loop ends, on early stop,
 normal completion or divergence alike; the rule that tells that halt
-from a gradient report lives in ``collective.ps_server_round``.  For
-N=1 with a serverless strategy the same worker loop runs inline with no
-endpoint and zero messages.
+from a gradient report lives in ``collective.ps_server_round``.  A
+group of one (N=1 with a serverless strategy) runs the same worker loop
+inline, never forked, over a one-rank endpoint that has no links and
+sends nothing.
 """
 
 from __future__ import annotations
@@ -105,6 +106,14 @@ class TrainConfig:
         if self.strategy not in STRATEGIES:
             raise ValidationError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
+            )
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValidationError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
+        if self.shuffle_buffer_size < 1:
+            raise ValidationError(
+                f"shuffle_buffer_size must be >= 1, got {self.shuffle_buffer_size}"
             )
         if self.gossip_period < 1:
             raise ValidationError(
@@ -283,7 +292,7 @@ class _AllReduce(_LocalAdam):
 
     def step(self, loss):
         self.carried[-1] = loss
-        summed = self.carried if self.n == 1 else ring_all_reduce(self.carried, self.endpoint)
+        summed = ring_all_reduce(self.carried, self.endpoint)
         summed /= self.n
         step_loss = float(summed[-1])
         if not np.isfinite(step_loss):
@@ -324,14 +333,14 @@ class _Gossip(_LocalAdam):
         nw.adam_step(self.theta, self.carried[:-1], self.adam)
         self.steps += 1
         period = self.config.gossip_period
-        if self.n > 1 and self.steps % period == 0:
+        if self.steps % period == 0:
             self.theta[:] = gossip_exchange(
                 self.endpoint, self.steps // period - 1, self.theta
             )
         return float(loss)
 
     def snapshot(self, epoch_loss):
-        if self.n == 1:
+        if self.n == 1:  # the loss slot would round the mean to the run dtype
             return self.params, epoch_loss
         self.vec[-1] = epoch_loss
         if self.rank != 0:
@@ -342,8 +351,7 @@ class _Gossip(_LocalAdam):
         return nw.unflatten_params(mean_vec[:-1], self.model_config), float(mean_vec[-1])
 
     def finish(self):
-        if self.n > 1:
-            self.theta[:] = gossip_finalize_exchange(self.endpoint, self.theta)
+        self.theta[:] = gossip_finalize_exchange(self.endpoint, self.theta)
 
 
 _REPLICAS = {"allreduce": _AllReduce, "ps": _ParameterServer, "gossip": _Gossip}
@@ -358,8 +366,7 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
     """One replica's whole training run; returns a result dict.
 
     ``train_set`` and ``validation_set`` are the encoded Batches of the
-    dataset's splits.  ``endpoint`` is None only for the inline N=1
-    serverless path.
+    dataset's splits.
     """
     replica = _REPLICAS[config.strategy](rank, endpoint, config, model_config)
     steps_per_epoch = len(train_set) // config.global_batch
@@ -425,12 +432,11 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
                 ):
                     halt = _HALT
             # rank 0 decides; the other replicas follow its flag
-            if config.n_replicas > 1:
-                if is_root:
-                    for peer in range(1, config.n_replicas):
-                        endpoint.send(peer, np.asarray([halt], dtype=replica.dtype))
-                else:
-                    halt = float(endpoint.recv(0)[0])
+            if is_root:
+                for peer in range(1, config.n_replicas):
+                    endpoint.send(peer, np.asarray([halt], dtype=replica.dtype))
+            else:
+                halt = float(endpoint.recv(0)[0])
             if halt == _HALT:
                 stop_reason = "converged"
                 break
@@ -443,8 +449,8 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
                 config=config_to_dict(config),
                 epochs=epoch_rows,
                 total_wall_seconds=0.0,  # train() times the whole call
-                total_messages=endpoint.stats.messages if endpoint else 0,
-                total_bytes=endpoint.stats.bytes if endpoint else 0,
+                total_messages=endpoint.stats.messages,
+                total_bytes=endpoint.stats.bytes,
                 stop_reason="diverged",
             ),
         ) from None
@@ -456,7 +462,7 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
         "params_vec": replica.theta,
         "epochs": epoch_rows,
         "stop_reason": stop_reason,
-        "stats": endpoint.stats if endpoint is not None else TransportStats(),
+        "stats": endpoint.stats,
     }
 
 
@@ -526,19 +532,16 @@ def _train(config, model_config, dataset):
             encode_batch(dataset.validation, dtype=dtype))
     n = config.n_replicas
     needs_server = config.strategy == "ps"
-    group_size = n + 1 if needs_server else n
-
-    if group_size == 1:
-        return _finish(config, model_config,
-                       [_worker_loop(0, None, config, model_config, *data)])
 
     # one callable per rank, the parameter server as rank N; the loops are
     # looked up here, at call time, so a wrapper installed by name applies
-    links = ProcessLinks(group_size, dtype)
+    links = ProcessLinks(n + 1 if needs_server else n, dtype)
     fns = [partial(_worker_loop, rank, links.endpoint(rank), config, model_config, *data)
            for rank in range(n)]
     if needs_server:
         fns.append(partial(_server_loop, links.endpoint(n), config, model_config))
+    if len(fns) == 1:  # a group of one runs inline: nothing to fork for
+        return _finish(config, model_config, [fns[0]()])
     return _finish(config, model_config,
                    run_ranks(links, fns, forked=config.backend == "processes"))
 

@@ -11,11 +11,7 @@ import numpy as np
 import pytest
 
 from dcnn import network as nw
-from dcnn.benchmark import (
-    BenchmarkConfig,
-    format_benchmark_table,
-    run_benchmark,
-)
+from dcnn.benchmark import format_benchmark_table, run_benchmark
 from dcnn.collective import (
     gather_sum,
     gossip_finalize,
@@ -262,11 +258,9 @@ def test_criterion_5_scaling_benchmark():
     records = generate_dataset(sim, default_tal1_pwm())
     train_recs, test_recs, val_recs = split(records, SplitSpec(seed=42))
     dataset = Dataset(train=train_recs, validation=val_recs, test=test_recs)
-    config = BenchmarkConfig(
-        worker_counts=(1, 2, 4), strategies=("allreduce",), epochs=2,
-        global_batch=256, seed=42, backend="processes",
-    )
-    rows = run_benchmark(config, nw.ModelConfig(seq_length=1500), dataset)
+    config = TrainConfig(strategy="allreduce", epochs_max=2, batch_per_replica=256,
+                         seed=42, backend="processes")
+    rows = run_benchmark(config, (1, 2, 4), nw.ModelConfig(seq_length=1500), dataset)
     table = format_benchmark_table(rows)
     print("\n" + table)
 

@@ -6,7 +6,6 @@ import pytest
 
 from dcnn.benchmark import (
     CSV_COLUMNS,
-    BenchmarkConfig,
     BenchmarkRow,
     _fill_speedups,
     format_benchmark_table,
@@ -17,11 +16,17 @@ from dcnn.errors import ValidationError
 from dcnn.genome import SimConfig, default_tal1_pwm, generate_dataset
 from dcnn.network import ModelConfig
 from dcnn.pipeline import SplitSpec, split
-from dcnn.training import Dataset
+from dcnn.training import Dataset, EarlyStopConfig, TrainConfig
 
 MODEL = ModelConfig(
     seq_length=200, n_filters=6, filter_width=10, pool_window=10, pool_stride=10
 )
+
+
+def sweep_config(**kw):
+    """One job at a global batch of 32, trained for one epoch on threads."""
+    kw = {"epochs_max": 1, "batch_per_replica": 32, "backend": "threads", **kw}
+    return TrainConfig(**kw)
 
 
 @pytest.fixture(scope="module")
@@ -32,25 +37,21 @@ def dataset():
     return Dataset(train=train_recs, validation=val_recs, test=test_recs)
 
 
-def test_config_validation():
+def test_config_validation(dataset):
     with pytest.raises(ValidationError):
-        BenchmarkConfig(worker_counts=())
+        run_benchmark(sweep_config(), (), MODEL, dataset)
     with pytest.raises(ValidationError):
-        BenchmarkConfig(worker_counts=(1, 0))
+        run_benchmark(sweep_config(), (1, 0), MODEL, dataset)
     with pytest.raises(ValidationError):
-        BenchmarkConfig(strategies=())
+        TrainConfig(strategy="")
     with pytest.raises(ValidationError):
-        BenchmarkConfig(epochs=0)
+        sweep_config(epochs_max=0)
     with pytest.raises(ValidationError):
-        BenchmarkConfig(global_batch=0)
+        sweep_config(batch_per_replica=0)
 
 
 def test_single_worker_sweep_has_unit_speedup(dataset):
-    rows = run_benchmark(
-        BenchmarkConfig(worker_counts=(1,), epochs=1, global_batch=32,
-                        backend="threads"),
-        MODEL, dataset,
-    )
+    rows = run_benchmark(sweep_config(), (1,), MODEL, dataset)
     assert len(rows) == 1
     assert rows[0].speedup == 1.0
     assert rows[0].error is None
@@ -59,11 +60,12 @@ def test_single_worker_sweep_has_unit_speedup(dataset):
 
 
 def test_sweep_rows_are_strategy_major_and_quality_matches(dataset):
-    config = BenchmarkConfig(
-        worker_counts=(1, 2), strategies=("allreduce", "ps"), epochs=1,
-        global_batch=32, backend="threads", precision="f64",
-    )
-    rows = run_benchmark(config, MODEL, dataset)
+    sweeps = [
+        run_benchmark(sweep_config(strategy=strategy, precision="f64"), (1, 2),
+                      MODEL, dataset)
+        for strategy in ("allreduce", "ps")
+    ]
+    rows = [row for sweep in sweeps for row in sweep]
     assert [(r.strategy, r.workers) for r in rows] == [
         ("allreduce", 1), ("allreduce", 2), ("ps", 1), ("ps", 2),
     ]
@@ -78,12 +80,23 @@ def test_sweep_rows_are_strategy_major_and_quality_matches(dataset):
     assert rows[2].speedup == 1.0
 
 
+def test_rows_keep_the_global_batch_and_train_every_epoch(dataset):
+    # early stopping with this patience would end the run after 2 epochs
+    config = sweep_config(batch_per_replica=16, n_replicas=2, epochs_max=3,
+                          early_stop=EarlyStopConfig(patience=1, min_delta=10.0))
+    rows = run_benchmark(config, (1, 4), MODEL, dataset)
+    assert [r.error for r in rows] == [None, None]
+    steps = len(dataset.train) // 32
+    for row in rows:
+        assert row.sequences_per_second == pytest.approx(
+            3 * steps * 32 / row.wall_seconds)
+    # four replicas of 8 for all 3 epochs: a ring all-reduce of 2*4*3
+    # messages per step, and three halt flags per epoch
+    assert rows[1].messages == 3 * (steps * 2 * 4 * 3 + 3)
+
+
 def test_non_dividing_worker_count_is_recorded_not_fatal(dataset):
-    rows = run_benchmark(
-        BenchmarkConfig(worker_counts=(1, 3), epochs=1, global_batch=32,
-                        backend="threads"),
-        MODEL, dataset,
-    )
+    rows = run_benchmark(sweep_config(), (1, 3), MODEL, dataset)
     ok, bad = rows
     assert ok.error is None and ok.speedup == 1.0
     assert "divisible by the number of replicas" in bad.error
@@ -93,11 +106,7 @@ def test_non_dividing_worker_count_is_recorded_not_fatal(dataset):
 
 def test_progress_callback_sees_every_row(dataset):
     seen = []
-    run_benchmark(
-        BenchmarkConfig(worker_counts=(1, 3), epochs=1, global_batch=32,
-                        backend="threads"),
-        MODEL, dataset, progress=seen.append,
-    )
+    run_benchmark(sweep_config(), (1, 3), MODEL, dataset, progress=seen.append)
     assert [r.workers for r in seen] == [1, 3]
 
 
@@ -114,11 +123,7 @@ def test_speedup_reference_falls_back_when_one_worker_row_failed():
 
 
 def test_csv_layout(tmp_path, dataset):
-    rows = run_benchmark(
-        BenchmarkConfig(worker_counts=(1, 3), epochs=1, global_batch=32,
-                        backend="threads"),
-        MODEL, dataset,
-    )
+    rows = run_benchmark(sweep_config(), (1, 3), MODEL, dataset)
     path = tmp_path / "bench.csv"
     write_benchmark_csv(rows, path)
     lines = path.read_text().strip().splitlines()
@@ -132,11 +137,7 @@ def test_csv_layout(tmp_path, dataset):
 
 
 def test_table_rendering(dataset):
-    rows = run_benchmark(
-        BenchmarkConfig(worker_counts=(1,), epochs=1, global_batch=32,
-                        backend="threads"),
-        MODEL, dataset,
-    )
+    rows = run_benchmark(sweep_config(), (1,), MODEL, dataset)
     table = format_benchmark_table(rows)
     lines = table.splitlines()
     assert lines[0].startswith("workers  strategy")

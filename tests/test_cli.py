@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from dcnn.cli import DEFAULTS, _merge_settings, _resolve_batch, build_parser, main
+from dcnn.cli import _merge_settings, _resolve_batch, build_parser, main
+from dcnn.errors import ValidationError
 from dcnn.genome import read_fasta
 
 TINY_MODEL = {
@@ -133,16 +134,50 @@ def test_indivisible_global_batch_is_a_config_error(workspace, capsys):
 
 
 def test_resolve_batch_rules():
-    s = dict(DEFAULTS)
-    s.update(workers=3, global_batch=192, batch_per_replica=None)
-    assert _resolve_batch(s) == 64
-    s.update(batch_per_replica=64)
-    assert _resolve_batch(s) == 64
-    s.update(batch_per_replica=32)
+    assert _resolve_batch(3, 192, None) == 64
+    assert _resolve_batch(3, 192, 64) == 64
     with pytest.raises(Exception, match="conflicts"):
-        _resolve_batch(s)
-    s.update(global_batch=None, batch_per_replica=None)
-    assert _resolve_batch(s) == 64  # default per-replica batch
+        _resolve_batch(3, 192, 32)
+    assert _resolve_batch(3, None, None) == 64  # default per-replica batch
+    with pytest.raises(ValidationError, match="workers must be >= 1, got 0"):
+        _resolve_batch(0, 8, None)
+    with pytest.raises(ValidationError, match="global_batch must be >= 1, got 0"):
+        _resolve_batch(2, 0, None)
+
+
+def test_train_workers_zero_is_a_config_error(workspace, capsys):
+    code = main(
+        [
+            "train", "--dataset", str(workspace["out"] / "dataset.fasta"),
+            "--workers", "0", "--global-batch", "8",
+        ]
+    )
+    assert code == 2
+    assert "workers must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+@pytest.mark.parametrize("key, value", [
+    ("learning_rate", -1.0), ("learning_rate", 0), ("learning_rate", float("nan")),
+    ("shuffle_buffer_size", 0),
+])
+def test_bad_optimizer_settings_are_config_errors(workspace, tmp_path, capsys,
+                                                  command, key, value):
+    config = write_config(tmp_path, **{key: value})
+    argv = [command, "--config", config, "--dataset",
+            str(workspace["out"] / "dataset.fasta"), "--out", str(tmp_path),
+            "--epochs", "1", "--global-batch", "32", "--backend", "threads"]
+    if command == "train":
+        argv += ["--workers", "2"]
+    else:
+        argv += ["--workers-list", "1,2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    # named by the config, before any rank or benchmark row starts
+    assert captured.err.startswith(f"error: {key} must be")
+    assert "[" not in captured.out
+    assert not (tmp_path / "benchmark.csv").exists()
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -199,6 +234,28 @@ def test_benchmark_exit_0_when_any_row_survives(workspace, tmp_path, capsys):
     )
     assert code == 0
     assert "divisible" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--precision", "f16", "'f16'"),
+    ("--strategy", "allreduce,pss", "'pss'"),  # not even the allreduce rows train
+])
+def test_benchmark_bad_setting_trains_no_row(workspace, tmp_path, capsys,
+                                             flag, value, named):
+    out = tmp_path / "bad"
+    code = main(
+        [
+            "benchmark", "--config", workspace["config"], "--dataset",
+            str(workspace["out"] / "dataset.fasta"), "--out", str(out),
+            "--workers-list", "1,2", "--epochs", "1", "--global-batch", "32",
+            "--backend", "threads", flag, value,
+        ]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert "[" not in captured.out  # no row was trained
+    assert not (out / "benchmark.csv").exists()
 
 
 def test_benchmark_bad_workers_list(workspace, capsys):

@@ -73,6 +73,11 @@ def test_config_validation_rejects_bad_values():
         TrainConfig(precision="f16")
     with pytest.raises(ValidationError):
         TrainConfig(epochs_max=0)
+    for rate in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
+    with pytest.raises(ValidationError, match="shuffle_buffer_size"):
+        TrainConfig(shuffle_buffer_size=0)
     with pytest.raises(ValidationError):
         EarlyStopConfig(patience=0)
     with pytest.raises(ValidationError):
@@ -161,7 +166,14 @@ def test_trainer_early_stops_and_respects_the_rule(dataset):
 # single-replica equivalence of all strategies
 
 
-def test_all_strategies_identical_at_one_replica(dataset):
+def test_all_strategies_identical_at_one_replica(dataset, monkeypatch):
+    started = []  # the group size of each run that starts ranks
+
+    def recording_run_ranks(links, fns, forked):
+        started.append(links.n)
+        return run_ranks(links, fns, forked)
+
+    monkeypatch.setattr(training, "run_ranks", recording_run_ranks)
     base, base_report = run(dataset, n_replicas=1, strategy="allreduce",
                             batch_per_replica=32)
     for strategy in ("gossip", "ps"):
@@ -175,6 +187,9 @@ def test_all_strategies_identical_at_one_replica(dataset):
         ], strategy
     assert base_report.total_messages == 0
     assert base_report.total_bytes == 0
+    # a group of one runs inline, even on the processes backend; only ps
+    # starts ranks, its worker and its server
+    assert started == [2]
 
 
 # ---------------------------------------------------------------------------
