@@ -9,7 +9,8 @@ every row performs the same optimizer work and wall times are directly
 comparable.  A sweep over strategies is one call per strategy.
 
 A row that fails (for example a worker count that does not divide the
-global batch) records the error and the sweep continues.
+global batch) records the error and the sweep continues.  A dataset that
+cannot train at the global batch fails the whole sweep before any row.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ def run_benchmark(config: TrainConfig, worker_counts, model_config,
     if any(w < 1 for w in worker_counts):
         raise ValidationError(f"worker counts must be >= 1, got {tuple(worker_counts)}")
     global_batch = config.global_batch
+    dataset.check_trainable(global_batch)  # the same for every row
     eval_records = dataset.test if dataset.test else dataset.validation
     rows = []
     for workers in worker_counts:

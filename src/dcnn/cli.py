@@ -296,6 +296,8 @@ def _resolve_batch(workers, global_batch, per_replica) -> int:
 def _train_config(settings, strategy, workers, batch_per_replica) -> TrainConfig:
     """The TrainConfig of the settings: the one place where each settings
     key is mapped to its field, and every value is checked."""
+    if settings["epochs"] < 1:  # TrainConfig would name its field, epochs_max
+        raise ValidationError(f"epochs must be >= 1, got {settings['epochs']}")
     return TrainConfig(
         n_replicas=workers,
         strategy=strategy,

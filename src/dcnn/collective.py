@@ -1,11 +1,11 @@
 """Aggregation strategies over the transport: ring all-reduce,
 parameter server, and gossip averaging.
 
-Each strategy exists in two forms.  The transport-driven form runs
-concurrently on every worker endpoint and is what training uses.  The
-pure form operates on a list of vectors in one call; it is the reference
-the transport form is tested against.  No training path calls a pure
-form: an N=1 run of ``allreduce`` or ``gossip`` exchanges nothing.
+Each strategy runs concurrently on every rank's endpoint, and that form
+is the only one: training calls exactly these functions.  The tests keep
+a single-call reference of each (a list of vectors in, a list out) in
+``tests/oracles.py`` and check the transport forms against it.  An N=1
+run of ``allreduce`` or ``gossip`` exchanges nothing.
 
 Determinism contract: every reduction folds its operands in a fixed
 order (ascending rank, or ring order for the chunked all-reduce), so
@@ -119,14 +119,6 @@ def mean_ascending(vectors) -> np.ndarray:
 # Parameter server
 
 
-def parameter_server_round(server_params, worker_grads, optimizer_step):
-    """One synchronous round at the server: average the worker gradients
-    in ascending rank order, take one optimizer step, return the params
-    every worker will receive."""
-    mean = mean_ascending(worker_grads)
-    return optimizer_step(server_params, mean)
-
-
 def ps_worker_round(endpoint, server_rank: int, grad: np.ndarray) -> np.ndarray:
     """Worker side: report the local gradient, block for fresh params."""
     endpoint.send(server_rank, grad)
@@ -139,10 +131,12 @@ def ps_halt(endpoint, server_rank: int, dtype) -> None:
     endpoint.send(server_rank, np.ones(1, dtype=dtype))
 
 
-def ps_server_round(endpoint, params, optimizer_step):
+def ps_server_round(endpoint, optimizer_step):
     """Server side of one round; the server sits at the highest rank and
     every lower rank is a worker.  2N messages per round: N gradient
-    reports in, N parameter broadcasts out.
+    reports in, N parameter broadcasts out.  The reports are averaged in
+    ascending rank order, and ``optimizer_step(mean)`` returns the
+    parameters every worker receives.
 
     Returns None, reading nothing further, when rank 0 sends the
     one-element halt of :func:`ps_halt` in place of its report.
@@ -152,7 +146,7 @@ def ps_server_round(endpoint, params, optimizer_step):
     if first.size == 1:
         return None
     grads = [first] + [endpoint.recv(r) for r in worker_ranks[1:]]
-    new_params = parameter_server_round(params, grads, optimizer_step)
+    new_params = optimizer_step(mean_ascending(grads))
     for r in worker_ranks:
         endpoint.send(r, new_params)
     return new_params
@@ -185,18 +179,6 @@ def gossip_partner(n: int, rank: int, round_index: int):
     return None
 
 
-def gossip_round(worker_params, round_index: int):
-    """Pure form: each matched pair replaces both vectors with their
-    mean (lower-rank operand first); unmatched workers keep theirs."""
-    out = [np.asarray(p).copy() for p in worker_params]
-    for a, b in gossip_pairs(len(out), round_index):
-        lo, hi = (a, b) if a < b else (b, a)
-        mean = _pair_mean(out[lo], out[hi])
-        out[a] = mean
-        out[b] = mean.copy()
-    return out
-
-
 def _pair_mean(lo_vec, hi_vec):
     total = lo_vec + hi_vec
     if np.issubdtype(total.dtype, np.integer):
@@ -205,9 +187,10 @@ def _pair_mean(lo_vec, hi_vec):
 
 
 def gossip_exchange(endpoint, round_index: int, vec: np.ndarray) -> np.ndarray:
-    """Transport form of one gossip round for one worker: swap vectors
-    with this round's partner and average.  Both sides put the
-    lower-rank vector first, so the pair ends bit-identical."""
+    """One gossip round for one worker: swap vectors with this round's
+    partner and average; a worker without a partner keeps its vector.
+    Both sides put the lower-rank vector first, so the pair ends
+    bit-identical."""
     partner = gossip_partner(endpoint.size, endpoint.rank, round_index)
     if partner is None:
         return np.asarray(vec).copy()
@@ -223,14 +206,9 @@ def gossip_exchange(endpoint, round_index: int, vec: np.ndarray) -> np.ndarray:
     return _pair_mean(other, vec)
 
 
-def gossip_finalize(worker_params) -> np.ndarray:
-    """Exact global mean, folded in ascending rank order; installing it
-    on every worker leaves zero pairwise distance."""
-    return mean_ascending(worker_params)
-
-
 def gossip_finalize_exchange(endpoint, vec: np.ndarray) -> np.ndarray:
-    """Transport form: rank 0 gathers ascending, averages, broadcasts."""
+    """Exact global mean, folded in ascending rank order: rank 0 gathers,
+    averages and broadcasts it, which leaves zero pairwise distance."""
     if endpoint.size == 1:
         return np.asarray(vec).copy()
     if endpoint.rank == 0:

@@ -7,7 +7,15 @@ also comes in a base-code form for one-hot DNA: the input is uint8 codes
 [..., L] (A/C/G/T = 0-3), the forward gathers one filter column per tap
 instead of multiplying by zeros, and the backward scatters only the
 gradients of the max-pool winners.  On one-hot input it is bit-identical
-to the dense form, which stays as its oracle and serves float inputs.
+to the dense form.
+
+The model runs the base-code form only.  The dense convolution
+(``conv1d_forward``, ``conv1d_backward``), ``maxpool1d_backward`` and
+``relu_grad`` are the oracle the tests build their dense one-hot model
+from (``tests/oracles.py``).  They stay in this module, not in the
+tests, because the traced benchmark (``perfbench/tracing.py``) looks
+each of them up by name; they move out with the benchmark change that
+drops them from its ``TIMED`` list.
 
 The base-code forward takes its first k taps from a prefix table, as the
 "superalphabet" PWM scan does (Pizzi, Rastas & Ukkonen, IEEE/ACM TCBB

@@ -5,6 +5,12 @@ Architecture, per sample: conv1d (valid) -> activation -> maxpool ->
 flatten -> dense(1) -> sigmoid.  The loss is mean binary cross-entropy;
 backward fuses sigmoid and BCE so the logit gradient is just
 (p - y) / B.
+
+The model reads a batch's base codes, never a one-hot array: the
+forward takes the base-code convolution, and the backward sends the
+gradient of each max-pool winner straight to the filter taps of its
+k-mer.  A dense one-hot model built from the dense kernels is the
+tests' oracle for both, bit for bit.
 """
 
 from __future__ import annotations
@@ -136,42 +142,27 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams
 @dataclass
 class ForwardCache:
     params: ModelParams
-    inputs: object  # one-hot [B, L, 4], or None on the base-code path
-    conv_out: object  # [B, T, F], kept on the dense path only
+    codes: np.ndarray  # [B, L] base codes
     argmax_rows: np.ndarray
     flat: np.ndarray
     probs: np.ndarray
-    codes: object = None  # [B, L] base codes on the base-code path
 
 
 def forward(params: ModelParams, batch, config: ModelConfig):
     """(probs in (0,1), cache for backward).  ``batch`` is a pipeline
-    Batch or any object with .inputs [B, L, 4] and .labels.
-
-    A batch that carries base codes (.codes, uint8 [B, L]) takes the
-    base-code convolution, computed in the labels' dtype; one with only
-    float inputs takes the dense one.  Both give bit-identical outputs
-    on one-hot inputs.
-    """
+    Batch, or any object with base codes .codes (uint8 [B, L], A/C/G/T =
+    0-3) and .labels; the model runs in the labels' dtype."""
     codes = getattr(batch, "codes", None)
-    if codes is not None:
-        if codes.ndim != 2 or codes.shape[1] != config.seq_length:
-            raise ShapeError(
-                f"batch codes {codes.shape} do not match the model's expected "
-                f"[B, {config.seq_length}] (one-hot [B, {config.seq_length}, 4])"
-            )
-        x = None
-        conv_out = kernels.conv1d_forward_codes(
-            codes, params.conv_filters, params.conv_bias, dtype=batch.labels.dtype
+    if (codes is None or codes.dtype != np.uint8 or codes.ndim != 2
+            or codes.shape[1] != config.seq_length):
+        got = "none" if codes is None else f"{codes.dtype} {codes.shape}"
+        raise ShapeError(
+            f"batch codes ({got}) do not match the model's expected "
+            f"uint8 [B, {config.seq_length}]"
         )
-    else:
-        x = batch.inputs
-        if x.ndim != 3 or x.shape[1] != config.seq_length or x.shape[2] != 4:
-            raise ShapeError(
-                f"batch inputs {x.shape} do not match the model's expected "
-                f"[B, {config.seq_length}, 4]"
-            )
-        conv_out = kernels.conv1d_forward(x, params.conv_filters, params.conv_bias)
+    conv_out = kernels.conv1d_forward_codes(
+        codes, params.conv_filters, params.conv_bias, dtype=batch.labels.dtype
+    )
     if config.conv_activation == "relu":
         act = kernels.relu(conv_out)
     else:
@@ -182,15 +173,8 @@ def forward(params: ModelParams, batch, config: ModelConfig):
     flat = pooled.reshape(pooled.shape[0], -1)
     logits = kernels.dense_forward(flat, params.dense_weights, params.dense_bias)
     probs = kernels.sigmoid(logits)
-    cache = ForwardCache(
-        params=params,
-        inputs=x,
-        conv_out=None if codes is not None else conv_out,
-        argmax_rows=argmax_rows,
-        flat=flat,
-        probs=probs,
-        codes=codes,
-    )
+    cache = ForwardCache(params=params, codes=codes, argmax_rows=argmax_rows,
+                         flat=flat, probs=probs)
     return probs, cache
 
 
@@ -241,25 +225,13 @@ def backward(params: ModelParams, cache: ForwardCache, labels: np.ndarray,
         cache.flat, params.dense_weights, dlogit
     )
     dpooled = dflat.reshape(batch_size, config.pool_out_length, config.n_filters)
-    if cache.codes is not None:
-        # only the pool winners carry gradient, and ReLU passes it where
-        # the pooled value is positive
-        if config.conv_activation == "relu":
-            dpooled = dpooled * (cache.flat.reshape(dpooled.shape) > 0)
-        grad_filters, grad_bias = kernels.conv1d_backward_codes(
-            cache.codes, params.conv_filters, cache.argmax_rows, dpooled
-        )
-    else:
-        dact = kernels.maxpool1d_backward(
-            cache.argmax_rows, dpooled, config.conv_out_length
-        )
-        if config.conv_activation == "relu":
-            dconv = dact * kernels.relu_grad(cache.conv_out)
-        else:
-            dconv = dact
-        grad_filters, grad_bias = kernels.conv1d_backward(
-            cache.inputs, params.conv_filters, dconv
-        )
+    # only the pool winners carry gradient, and ReLU passes it where the
+    # pooled value is positive
+    if config.conv_activation == "relu":
+        dpooled = dpooled * (cache.flat.reshape(dpooled.shape) > 0)
+    grad_filters, grad_bias = kernels.conv1d_backward_codes(
+        cache.codes, params.conv_filters, cache.argmax_rows, dpooled
+    )
     grads = Gradients(
         conv_filters=grad_filters,
         conv_bias=grad_bias,

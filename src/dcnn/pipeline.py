@@ -1,9 +1,11 @@
 """From sequence records to training batches.
 
-Base codes (A, C, G, T -> 0-3) and their one-hot encoding, a seeded
-stratified split, a streaming buffer shuffle, batch encoding, and
-contiguous per-replica sharding.  All randomness flows through PCG64
-generators seeded explicitly, so every stage is reproducible.
+Base codes (A, C, G, T -> 0-3), a seeded stratified split, a streaming
+buffer shuffle, batch encoding, and contiguous per-replica sharding.  A
+batch holds base codes only: the model never reads a one-hot array, and
+:func:`one_hot` stays as a small helper for callers who want one.  All
+randomness flows through PCG64 generators seeded explicitly, so every
+stage is reproducible.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-_BASE_BYTES = np.frombuffer(b"ACGT", dtype=np.uint8)
 _CODE = np.full(256, -1, dtype=np.int8)
 for _i, _b in enumerate(b"ACGT"):
     _CODE[_b] = _i
@@ -40,69 +41,27 @@ class SplitSpec:
 
 
 class Batch:
-    """Labels [B] of 0/1 with the sequences either as one-hot inputs
-    [B, L, 4] or as base codes [B, L] (uint8, A/C/G/T = 0-3).
+    """Base codes [B, L] (uint8, A/C/G/T = 0-3) with labels [B] of 0/1 in
+    the run's dtype, which is the dtype ``network.forward`` computes in."""
 
-    ``network.forward`` reads the codes whenever a batch has them.  A batch
-    of codes builds its one-hot ``inputs`` only on first access, in the
-    labels' dtype; a row slice of it (see :meth:`rows`) reads them as a
-    view of its parent's.
-    """
-
-    def __init__(self, inputs, labels, codes=None):
-        if (inputs is None) == (codes is None):
-            raise ValidationError("a batch holds either one-hot inputs or base codes")
-        if inputs is not None and (inputs.ndim != 3 or inputs.shape[2] != 4):
-            raise ValidationError(
-                f"batch inputs must be [B, L, 4], got {inputs.shape}"
-            )
-        if codes is not None and (codes.ndim != 2 or codes.dtype != np.uint8):
+    def __init__(self, codes, labels):
+        if codes.ndim != 2 or codes.dtype != np.uint8:
             raise ValidationError(
                 f"batch codes must be uint8 [B, L], got {codes.dtype} {codes.shape}"
             )
-        rows = (codes if inputs is None else inputs).shape[0]
-        if labels.shape != (rows,):
+        if labels.shape != (codes.shape[0],):
             raise ValidationError(
-                f"labels shape {labels.shape} does not match batch of {rows}"
+                f"labels shape {labels.shape} does not match batch of {codes.shape[0]}"
             )
-        self._inputs = inputs
-        self.labels = labels
         self.codes = codes
-        self._parent_rows = None  # (parent batch, row slice) for a lazy view
-
-    @property
-    def inputs(self) -> np.ndarray:
-        if self._inputs is None:
-            if self._parent_rows is not None:
-                parent, rows = self._parent_rows
-                self._inputs = parent.inputs[rows]
-            else:
-                self._inputs = np.eye(4, dtype=self.labels.dtype)[self.codes]
-        return self._inputs
+        self.labels = labels
 
     def rows(self, start: int, stop: int) -> "Batch":
         """Records ``start:stop`` as a batch of views into this one."""
-        rows = slice(start, stop)
-        if self.codes is None:
-            return Batch(self._inputs[rows], self.labels[rows])
-        part = Batch(None, self.labels[rows], self.codes[rows])
-        part._parent_rows = (self, rows)
-        return part
+        return Batch(self.codes[start:stop], self.labels[start:stop])
 
     def __len__(self) -> int:
         return self.labels.shape[0]
-
-    def validate(self) -> None:
-        """Full invariant check (every input row strictly one-hot)."""
-        if self.codes is not None:
-            if (self.codes > 3).any():
-                raise ValidationError("batch codes contain a value outside 0-3")
-        else:
-            ones = self.inputs == 1
-            if not (ones.sum(axis=2) == 1).all() or not ((self.inputs == 0) | ones).all():
-                raise ValidationError("batch inputs contain a row that is not one-hot")
-        if not np.isin(self.labels, (0, 1)).all():
-            raise ValidationError("batch labels must be 0 or 1")
 
 
 def base_codes(bases: str) -> np.ndarray:
@@ -125,17 +84,6 @@ def base_codes(bases: str) -> np.ndarray:
 def one_hot(bases: str, dtype=np.float32) -> np.ndarray:
     """[L, 4] encoding with column order A, C, G, T ('A' -> [1,0,0,0])."""
     return np.eye(4, dtype=dtype)[base_codes(bases)]
-
-
-def decode(encoded: np.ndarray) -> str:
-    """Inverse of :func:`one_hot`; rejects rows that are not one-hot."""
-    if encoded.ndim != 2 or encoded.shape[1] != 4:
-        raise ValidationError(f"expected [L, 4] input, got shape {encoded.shape}")
-    ones = encoded == 1
-    if not ((ones.sum(axis=1) == 1) & (((encoded == 0) | ones).all(axis=1))).all():
-        raise ValidationError("input contains a row that is not one-hot")
-    idx = np.argmax(ones, axis=1)
-    return _BASE_BYTES[idx].tobytes().decode("ascii")
 
 
 def split(records, spec: SplitSpec):
@@ -202,12 +150,12 @@ def shuffled_stream(records, shuffle_buffer_size: int, seed: int):
 
 def encode_batch(records, dtype=np.float32) -> Batch:
     """Stack the base codes of the given records into a Batch; its labels
-    (and one-hot inputs, if read) are in ``dtype``."""
+    are in ``dtype``."""
     if not records:
         raise ValidationError("cannot encode an empty batch")
     codes = np.stack([base_codes(rec.bases) for rec in records])
     labels = np.asarray([rec.label for rec in records], dtype=dtype)
-    return Batch(None, labels, codes)
+    return Batch(codes, labels)
 
 
 def shard(batch: Batch, n_replicas: int):

@@ -139,6 +139,16 @@ class Dataset:
     validation: list
     test: list = field(default_factory=list)
 
+    def check_trainable(self, global_batch: int) -> None:
+        """Raise unless the splits can train at ``global_batch``."""
+        if len(self.train) < global_batch:
+            raise ValidationError(
+                f"training split of {len(self.train)} records is smaller than "
+                f"one global batch ({global_batch})"
+            )
+        if not self.validation:
+            raise ValidationError("training needs a non-empty validation split")
+
 
 @dataclass
 class EpochMetrics:
@@ -390,7 +400,7 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
             for step in range(steps_per_epoch):
                 start = step * config.global_batch + rank * config.batch_per_replica
                 mine = order[start : start + config.batch_per_replica]
-                micro = Batch(None, train_set.labels[mine], train_set.codes[mine])
+                micro = Batch(train_set.codes[mine], train_set.labels[mine])
                 probs, cache = nw.forward(replica.params, micro, model_config)
                 local_loss = nw.bce_loss(probs, micro.labels)
                 nw.backward(replica.params, cache, micro.labels, model_config,
@@ -480,7 +490,7 @@ def _server_loop(endpoint, config: TrainConfig, model_config):
     """
     server = _LocalAdam(endpoint.rank, endpoint, config, model_config)
 
-    def step(_params, mean_report):
+    def step(mean_report):
         """(new params, mean loss) from the mean (gradient, loss) report."""
         try:
             nw.adam_step(server.theta, mean_report[:-1], server.adam)
@@ -489,7 +499,7 @@ def _server_loop(endpoint, config: TrainConfig, model_config):
         server.vec[-1] = mean_report[-1]
         return server.vec
 
-    while ps_server_round(endpoint, server.params, step) is not None:
+    while ps_server_round(endpoint, step) is not None:
         pass
     return {"rank": endpoint.rank, "stats": endpoint.stats}
 
@@ -518,13 +528,7 @@ def train(config: TrainConfig, model_config: nw.ModelConfig, dataset: Dataset):
 
 
 def _train(config, model_config, dataset):
-    if len(dataset.train) < config.global_batch:
-        raise ValidationError(
-            f"training split of {len(dataset.train)} records is smaller than "
-            f"one global batch ({config.global_batch})"
-        )
-    if not dataset.validation:
-        raise ValidationError("training needs a non-empty validation split")
+    dataset.check_trainable(config.global_batch)
 
     # encoded once here, before any fork, and shared by every rank
     dtype = dtype_for(config.precision)

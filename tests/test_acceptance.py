@@ -14,8 +14,8 @@ from dcnn import network as nw
 from dcnn.benchmark import format_benchmark_table, run_benchmark
 from dcnn.collective import (
     gather_sum,
-    gossip_finalize,
-    gossip_round,
+    gossip_exchange,
+    gossip_finalize_exchange,
     ring_all_reduce,
 )
 from dcnn.genome import (
@@ -27,14 +27,16 @@ from dcnn.genome import (
 )
 from dcnn.kernels import conv1d_forward
 from dcnn.metrics import auprc, auroc
-from dcnn.pipeline import Batch, SplitSpec, decode, one_hot, split
+from dcnn.pipeline import Batch, SplitSpec, one_hot, split
 from dcnn.training import Dataset, TrainConfig, train
-from helpers import (
+from helpers import max_relative_error, numerical_gradient, run_group
+from oracles import (
     brute_force_auroc,
+    decode,
+    dense_backward,
+    dense_forward,
     exhaustive_average_precision,
-    max_relative_error,
-    numerical_gradient,
-    run_group,
+    one_hot_inputs,
 )
 
 
@@ -215,37 +217,65 @@ def test_criterion_4_gradient_check():
         seq_length=50, n_filters=2, filter_width=5, pool_window=5, pool_stride=5
     )
     params = nw.init_params(config, seed=0, dtype=np.float64)
+    vec = nw.flatten_params(params)
+
+    def check(label, loss_at, analytic, z, winners_tie):
+        # the loss must be differentiable at this point: every
+        # pre-activation ``z`` away from the relu kink, and every pooling
+        # window's winner ahead of its runner-up (or tied with it for good)
+        assert np.abs(z).min() > 1e-3
+        activations = np.maximum(z, 0.0)
+        for b in range(z.shape[0]):
+            for f in range(config.n_filters):
+                for start in range(0, z.shape[1] - 5 + 1, 5):
+                    rows = start + np.argsort(-activations[b, start : start + 5, f],
+                                              kind="stable")
+                    top, second = activations[b, rows[:2], f]
+                    assert top == 0.0 or top - second > 1e-2 or winners_tie(b, *rows[:2])
+
+        numeric = numerical_gradient(loss_at, vec)
+        err = max_relative_error(analytic, numeric)
+        print(f"\n  {label}: max relative gradient error {err:.2e}")
+        assert err <= 1e-4
+        got = nw.unflatten_grads(analytic, config)
+        want = nw.unflatten_grads(numeric, config)
+        for name in ("conv_filters", "conv_bias", "dense_weights", "dense_bias"):
+            assert np.abs(getattr(got, name)).max() > 0, name
+            assert max_relative_error(getattr(got, name), getattr(want, name)) <= 1e-4, name
+
+    # the training path: a base-code batch through network.forward/backward.
+    # Two rows that read the same k-mer score the same under any
+    # parameters, so such a pair may tie for the win and stay tied.
+    rng = np.random.default_rng(1)
+    codes = rng.integers(0, 4, size=(4, 50)).astype(np.uint8)
+    labels = rng.integers(0, 2, size=4).astype(np.float64)
+    batch = Batch(codes, labels)
+    _, cache = nw.forward(params, batch, config)
+    analytic = nw.flatten_grads(nw.backward(params, cache, labels, config))
+
+    def loss_at():
+        p, _ = nw.forward(nw.unflatten_params(vec, config), batch, config)
+        return nw.bce_loss(p, labels)
+
+    def same_kmer(b, r1, r2):
+        return np.array_equal(codes[b, r1 : r1 + 5], codes[b, r2 : r2 + 5])
+
+    z = conv1d_forward(one_hot_inputs(batch), params.conv_filters, params.conv_bias)
+    check("base codes", loss_at, analytic, z, same_kmer)
+
+    # the dense oracle on dense random floats, where no two rows tie
     rng = np.random.default_rng(99)
     inputs = rng.normal(size=(4, 50, 4))
     labels = rng.integers(0, 2, size=4).astype(np.float64)
+    _, cache = dense_forward(params, inputs, config)
+    analytic = nw.flatten_grads(dense_backward(params, cache, labels, config))
 
-    # ties excluded by construction: dense random inputs keep every
-    # pre-activation away from the relu kink and every pooling window's
-    # winner strict, so the loss is differentiable at this point
-    z = conv1d_forward(inputs, params.conv_filters, params.conv_bias)
-    assert np.abs(z).min() > 1e-3
-    activations = np.maximum(z, 0.0)
-    for b in range(4):
-        for f in range(config.n_filters):
-            for start in range(0, z.shape[1] - 5 + 1, 5):
-                window = np.sort(activations[b, start : start + 5, f])[::-1]
-                assert window[0] == 0.0 or window[0] - window[1] > 1e-2
-
-    batch = Batch(inputs=inputs, labels=labels)
-    probs, cache = nw.forward(params, batch, config)
-    analytic = nw.flatten_grads(nw.backward(params, cache, labels, config))
-
-    vec = nw.flatten_params(params)
-
-    def loss_at():
-        candidate = nw.unflatten_params(vec, config)
-        p, _ = nw.forward(candidate, batch, config)
+    def dense_loss_at():
+        p, _ = dense_forward(nw.unflatten_params(vec, config), inputs, config)
         return nw.bce_loss(p, labels)
 
-    numeric = numerical_gradient(loss_at, vec)
-    err = max_relative_error(analytic, numeric)
-    print(f"\n  max relative gradient error: {err:.2e}")
-    assert err <= 1e-4
+    check("dense oracle", dense_loss_at, analytic, cache.conv_out,
+          lambda b, r1, r2: False)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +411,13 @@ def test_criterion_7_determinism_and_round_trips(tmp_path):
 # 8. gossip averaging properties
 
 
+def gossip_on_ranks(vectors, exchange):
+    """``exchange(endpoint, vector)`` concurrently on one thread rank per
+    vector, as training runs it; the results in rank order."""
+    fns = [(lambda ep, vec=vec: exchange(ep, vec)) for vec in vectors]
+    return run_group(fns, vectors[0].dtype)[0]
+
+
 @criterion(8, "gossip conserves the mean and contracts the spread")
 def test_criterion_8_gossip_properties():
     # integer fixture: pair means stay integral, so conservation is exact
@@ -393,11 +430,12 @@ def test_criterion_8_gossip_properties():
     total = gather_sum(int_params)
     state = [p.copy() for p in int_params]
     for round_index in range(5):
-        state = gossip_round(state, round_index)
+        state = gossip_on_ranks(
+            state, lambda ep, vec, r=round_index: gossip_exchange(ep, r, vec)
+        )
         assert np.array_equal(gather_sum(state), total), round_index
 
-    consensus = gossip_finalize(state)
-    finalized = [consensus.copy() for _ in state]
+    finalized = gossip_on_ranks(state, gossip_finalize_exchange)
     spread_after = max(
         np.max(np.abs(a - b)) for a in finalized for b in finalized
     )
@@ -408,7 +446,9 @@ def test_criterion_8_gossip_properties():
     scalar = [np.array([float(v)]) for v in (0.0, 4.0, 8.0, 12.0)]
     spreads = [float(np.ptp([v[0] for v in scalar]))]
     for round_index in range(5):
-        scalar = gossip_round(scalar, round_index)
+        scalar = gossip_on_ranks(
+            scalar, lambda ep, vec, r=round_index: gossip_exchange(ep, r, vec)
+        )
         spreads.append(float(np.ptp([v[0] for v in scalar])))
     print(f"\n  spread trajectory: {spreads}")
     assert spreads == [12.0, 8.0, 0.0, 0.0, 0.0, 0.0]

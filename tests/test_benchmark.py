@@ -50,6 +50,18 @@ def test_config_validation(dataset):
         sweep_config(batch_per_replica=0)
 
 
+def test_untrainable_dataset_fails_before_the_first_row(dataset):
+    rows = []
+    small = Dataset(train=dataset.train[:31], validation=dataset.validation)
+    with pytest.raises(ValidationError, match=r"31 records is smaller than one "
+                                              r"global batch \(32\)"):
+        run_benchmark(sweep_config(), (1, 2), MODEL, small, progress=rows.append)
+    no_validation = Dataset(train=dataset.train, validation=[])
+    with pytest.raises(ValidationError, match="non-empty validation split"):
+        run_benchmark(sweep_config(), (1, 2), MODEL, no_validation, progress=rows.append)
+    assert rows == []
+
+
 def test_single_worker_sweep_has_unit_speedup(dataset):
     rows = run_benchmark(sweep_config(), (1,), MODEL, dataset)
     assert len(rows) == 1

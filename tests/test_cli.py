@@ -180,6 +180,24 @@ def test_bad_optimizer_settings_are_config_errors(workspace, tmp_path, capsys,
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_epochs_zero_names_the_epochs_key(workspace, tmp_path, capsys, command, source):
+    config = write_config(tmp_path, **({"epochs": 0} if source == "config" else {}))
+    argv = [command, "--config", config, "--dataset",
+            str(workspace["out"] / "dataset.fasta"), "--out", str(tmp_path),
+            "--global-batch", "32", "--backend", "threads"]
+    if source == "flag":
+        argv += ["--epochs", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    # the key the user set, not the TrainConfig field (epochs_max)
+    assert captured.err == "error: epochs must be >= 1, got 0\n"
+    assert "[" not in captured.out
+    assert not (tmp_path / "benchmark.csv").exists()
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exits_3_with_partial_report(workspace, tmp_path, capsys):
     out = tmp_path / "div"
@@ -255,6 +273,27 @@ def test_benchmark_bad_setting_trains_no_row(workspace, tmp_path, capsys,
     captured = capsys.readouterr()
     assert named in captured.err
     assert "[" not in captured.out  # no row was trained
+    assert not (out / "benchmark.csv").exists()
+
+
+def test_benchmark_split_smaller_than_global_batch_fails_once(workspace, tmp_path,
+                                                               capsys):
+    out = tmp_path / "small"
+    code = main(
+        [
+            "benchmark", "--config", workspace["config"], "--dataset",
+            str(workspace["out"] / "dataset.fasta"), "--out", str(out),
+            "--workers-list", "1,2", "--strategy", "allreduce,ps", "--epochs", "1",
+            "--global-batch", "512", "--backend", "threads",
+        ]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    # one error line, before the first row of the first strategy
+    assert captured.err == (
+        "error: training split of 280 records is smaller than one global batch (512)\n"
+    )
+    assert captured.out == ""
     assert not (out / "benchmark.csv").exists()
 
 

@@ -11,13 +11,10 @@ from hypothesis import strategies as st
 from dcnn.collective import (
     gather_sum,
     gossip_exchange,
-    gossip_finalize,
     gossip_finalize_exchange,
     gossip_pairs,
     gossip_partner,
-    gossip_round,
     mean_ascending,
-    parameter_server_round,
     ps_halt,
     ps_server_round,
     ps_worker_round,
@@ -27,12 +24,29 @@ from dcnn.collective import (
 from dcnn.errors import DcnnError, ValidationError
 from dcnn.transport import ProcessLinks
 from helpers import run_group
+from oracles import gossip_finalize, gossip_round, parameter_server_round
 
 
 def run_ring(vectors, timeout=60.0):
     """Drive ring_all_reduce concurrently on thread ranks."""
     fns = [(lambda ep, vec=vec: ring_all_reduce(vec, ep)) for vec in vectors]
     return run_group(fns, vectors[0].dtype, timeout=timeout)
+
+
+def run_gossip(vectors, round_index):
+    """One gossip_exchange round, concurrently on thread ranks."""
+    fns = [(lambda ep, vec=vec: gossip_exchange(ep, round_index, vec)) for vec in vectors]
+    return run_group(fns, vectors[0].dtype)
+
+
+def run_ps_round(grads, step):
+    """One ps_server_round with a thread rank per gradient report and the
+    server at the highest rank: (worker replies, server result, stats)."""
+    server_rank = len(grads)
+    fns = [(lambda ep, g=g: ps_worker_round(ep, server_rank, g)) for g in grads]
+    fns.append(lambda ep: ps_server_round(ep, step))
+    (*replies, server_result), stats = run_group(fns, grads[0].dtype)
+    return replies, server_result, stats
 
 
 def random_vectors(n, d, dtype, seed):
@@ -157,29 +171,35 @@ class TestParameterServer:
     def test_round_averages_in_rank_order(self):
         seen = {}
 
-        def step(params, mean_grad):
+        def step(mean_grad):
             seen["mean"] = mean_grad
-            return params - mean_grad
+            return np.array([10.0, 10.0]) - mean_grad
 
-        out = parameter_server_round(
-            np.array([10.0]), [np.array([2.0]), np.array([4.0])], step
+        # two elements: a one-element report is rank 0's halt
+        replies, out, _stats = run_ps_round(
+            [np.array([2.0, -1.0]), np.array([4.0, 1.0])], step
         )
-        assert np.array_equal(seen["mean"], [3.0])
-        assert np.array_equal(out, [7.0])
+        assert np.array_equal(seen["mean"], [3.0, 0.0])
+        assert np.array_equal(out, [7.0, 10.0])
+        for got in replies:
+            assert np.array_equal(got, [7.0, 10.0])
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3, 5])
+    def test_transport_round_matches_pure_form_bitwise(self, n_workers):
+        grads = random_vectors(n_workers, 37, np.float32, seed=70 + n_workers)
+        params = random_vectors(1, 37, np.float32, seed=90)[0]
+        expected = parameter_server_round(params, grads, lambda p, g: p - 0.5 * g)
+        replies, out, stats = run_ps_round(grads, lambda g: params - 0.5 * g)
+        for got in replies + [out]:
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        assert stats.messages == 2 * n_workers
 
     def test_transport_round_message_count_and_agreement(self):
         n_workers = 3
-        server_rank = n_workers
         params = np.array([1.0, 1.0])
-
-        def worker(ep):
-            return ps_worker_round(ep, server_rank, np.full(2, float(ep.rank)))
-
-        def server(ep):
-            return ps_server_round(ep, params, lambda p, g: p - g)
-
-        (*worker_results, server_result), stats = run_group(
-            [worker] * n_workers + [server], np.float64
+        worker_results, server_result, stats = run_ps_round(
+            [np.full(2, float(rank)) for rank in range(n_workers)],
+            lambda g: params - g,
         )
         # mean grad = (0+1+2)/3 = 1 -> params [0,0]
         for got in worker_results:
@@ -199,8 +219,8 @@ class TestParameterServer:
             return ps_worker_round(ep, server_rank, np.array([4.0, 4.0]))
 
         def server(ep):
-            first = ps_server_round(ep, np.zeros(2), lambda p, g: p - g)
-            return first, ps_server_round(ep, first, lambda p, g: p - g)
+            first = ps_server_round(ep, lambda g: np.zeros(2) - g)
+            return first, ps_server_round(ep, lambda g: first - g)
 
         (reply0, reply1, (first, halted)), stats = run_group(
             [rank0, rank1, server], np.float64, timeout=5.0
@@ -217,7 +237,7 @@ class TestParameterServer:
 
         def server(ep):
             try:
-                return ps_server_round(ep, np.zeros(1), lambda p, g: p)
+                return ps_server_round(ep, lambda g: g)
             finally:
                 server_done.set()
 
@@ -230,7 +250,7 @@ class TestParameterServer:
 
     def test_missing_report_from_a_worker_that_ended_is_peer_closed(self):
         def server(ep):
-            return ps_server_round(ep, np.zeros(1), lambda p, g: p)
+            return ps_server_round(ep, lambda g: g)
 
         def worker_that_ends(_ep):
             return None  # never reports
@@ -275,8 +295,10 @@ class TestGossipPairing:
 
 
 class TestGossipRound:
+    """Gossip rounds as training runs them: gossip_exchange on every rank."""
+
     def test_pairwise_mean(self):
-        out = gossip_round([np.array([0.0]), np.array([8.0])], 0)
+        out, _ = run_gossip([np.array([0.0]), np.array([8.0])], 0)
         assert np.array_equal(out[0], [4.0]) and np.array_equal(out[1], [4.0])
 
     def test_mean_invariant_float(self):
@@ -284,7 +306,7 @@ class TestGossipRound:
         vecs = [rng.normal(size=20) for _ in range(6)]
         total_before = gather_sum(vecs)
         for rnd in range(6):
-            vecs = gossip_round(vecs, rnd)
+            vecs, _ = run_gossip(vecs, rnd)
         total_after = gather_sum(vecs)
         assert np.allclose(total_before, total_after, rtol=1e-12)
 
@@ -293,37 +315,32 @@ class TestGossipRound:
         vecs = [np.array([0, 100]), np.array([4, 96]), np.array([8, 104]), np.array([12, 100])]
         total = gather_sum(vecs)
         for rnd in range(5):
-            vecs = gossip_round(vecs, rnd)
+            vecs, _ = run_gossip(vecs, rnd)
             assert np.array_equal(gather_sum(vecs), total)
 
     def test_spread_trajectory_on_fixture(self):
         vecs = [np.array([0.0]), np.array([4.0]), np.array([8.0]), np.array([12.0])]
         spreads = []
         for rnd in range(5):
-            vecs = gossip_round(vecs, rnd)
+            vecs, _ = run_gossip(vecs, rnd)
             values = [float(v[0]) for v in vecs]
             spreads.append(max(values) - min(values))
         assert spreads == [8.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_unmatched_worker_keeps_vector(self):
         vecs = [np.array([1.0]), np.array([3.0]), np.array([100.0])]
-        out = gossip_round(vecs, 0)  # N=3 even round: (0,1) pair, 2 alone
+        out, _ = run_gossip(vecs, 0)  # N=3 even round: (0,1) pair, 2 alone
         assert np.array_equal(out[0], [2.0])
         assert np.array_equal(out[1], [2.0])
         assert np.array_equal(out[2], [100.0])
 
 
 class TestGossipTransport:
-    def run_gossip(self, vectors, round_index):
-        fns = [(lambda ep, vec=vec: gossip_exchange(ep, round_index, vec))
-               for vec in vectors]
-        return run_group(fns, vectors[0].dtype)
-
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
     @pytest.mark.parametrize("round_index", [0, 1, 2])
     def test_matches_pure_form_bitwise(self, n, round_index):
         vecs = random_vectors(n, 33, np.float32, seed=n * 10 + round_index)
-        results, stats = self.run_gossip(vecs, round_index)
+        results, stats = run_gossip(vecs, round_index)
         expected = gossip_round(vecs, round_index)
         for got, want in zip(results, expected):
             assert np.array_equal(got, want)
@@ -331,24 +348,30 @@ class TestGossipTransport:
 
     def test_paired_workers_end_bit_identical(self):
         vecs = random_vectors(4, 100, np.float64, seed=9)
-        results, _ = self.run_gossip(vecs, 0)
+        results, _ = run_gossip(vecs, 0)
         assert np.array_equal(results[0], results[1])
         assert np.array_equal(results[2], results[3])
 
 
+def run_finalize(vectors):
+    fns = [(lambda ep, vec=vec: gossip_finalize_exchange(ep, vec)) for vec in vectors]
+    return run_group(fns, vectors[0].dtype)
+
+
 class TestGossipFinalize:
     def test_mean_of_three(self):
-        out = gossip_finalize([np.array([1.0]), np.array([2.0]), np.array([3.0])])
-        assert np.array_equal(out, [2.0])
+        out, _ = run_finalize([np.array([1.0]), np.array([2.0]), np.array([3.0])])
+        for got in out:
+            assert np.array_equal(got, [2.0])
 
     def test_single_worker_identity(self):
-        out = gossip_finalize([np.array([5.0, 6.0])])
+        (out,), stats = run_finalize([np.array([5.0, 6.0])])
         assert np.array_equal(out, [5.0, 6.0])
+        assert stats.messages == 0
 
     def test_transport_form_zero_pairwise_distance(self):
         vecs = random_vectors(5, 40, np.float64, seed=31)
-        fns = [(lambda ep, vec=vec: gossip_finalize_exchange(ep, vec)) for vec in vecs]
-        results, _stats = run_group(fns, np.float64)
+        results, _stats = run_finalize(vecs)
         expected = gossip_finalize(vecs)
         for got in results:
             assert np.array_equal(got, expected)

@@ -19,7 +19,8 @@ from dcnn.kernels import (
     relu_grad,
     sigmoid,
 )
-from helpers import max_relative_error, naive_conv1d, naive_maxpool1d, numerical_gradient
+from helpers import max_relative_error, numerical_gradient
+from oracles import naive_conv1d, naive_maxpool1d
 
 
 @pytest.fixture

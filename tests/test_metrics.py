@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dcnn.errors import ValidationError
 from dcnn.metrics import accuracy, auprc, auroc
 
-from helpers import brute_force_auroc, exhaustive_average_precision
+from oracles import brute_force_auroc, exhaustive_average_precision
 
 
 class TestAccuracy:

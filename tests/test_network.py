@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from dcnn.errors import (
     ValidationError,
 )
 from dcnn.genome import Pwm, SequenceRecord, SimConfig, generate_dataset
-from dcnn.pipeline import encode_batch
+from dcnn.pipeline import Batch, encode_batch
+from oracles import dense_backward, dense_forward, one_hot_inputs
 
 TINY = nw.ModelConfig(
     n_filters=2, filter_width=5, pool_window=5, pool_stride=5, seq_length=50
@@ -117,8 +119,29 @@ class TestForward:
     def test_length_mismatch_rejected(self):
         params = nw.init_params(TINY, seed=0)
         batch = random_batch(2, 60, seed=0)
-        with pytest.raises(ShapeError, match=r"\[B, 50, 4\]"):
+        with pytest.raises(ShapeError, match=r"uint8 \[B, 50\]"):
             nw.forward(params, batch, TINY)
+
+    def test_batch_without_codes_rejected(self):
+        # one-hot inputs are not a model input: the error names the codes
+        params = nw.init_params(TINY, seed=0)
+        batch = random_batch(2, 50, seed=0)
+        dense = SimpleNamespace(inputs=one_hot_inputs(batch), labels=batch.labels)
+        with pytest.raises(ShapeError, match=r"batch codes \(none\) .* uint8 \[B, 50\]"):
+            nw.forward(params, dense, TINY)
+        wide = SimpleNamespace(codes=batch.codes.astype(np.int64), labels=batch.labels)
+        with pytest.raises(ShapeError, match=r"\(int64 \(2, 50\)\) .* uint8 \[B, 50\]"):
+            nw.forward(params, wide, TINY)
+        flat = SimpleNamespace(codes=batch.codes.reshape(-1), labels=batch.labels)
+        with pytest.raises(ShapeError, match=r"uint8 \[B, 50\]"):
+            nw.forward(params, flat, TINY)
+
+    def test_codes_outside_0_3_rejected(self):
+        params = nw.init_params(TINY, seed=0)
+        codes = np.zeros((1, 50), dtype=np.uint8)
+        codes[0, 7] = 4
+        with pytest.raises(ValidationError, match="0-3"):
+            nw.forward(params, Batch(codes, np.zeros(1, dtype=np.float32)), TINY)
 
     def test_linear_activation_supported(self):
         cfg = nw.ModelConfig(
@@ -189,12 +212,10 @@ class TestBackward:
         assert np.abs(nw.flatten_grads(grads)).max() < 1e-8
 
     def test_duplicating_batch_preserves_mean_gradient(self):
-        from dcnn.pipeline import Batch
-
         params = nw.init_params(TINY, seed=4, dtype=np.float64)
         batch = random_batch(4, 50, seed=5, dtype=np.float64)
         double = Batch(
-            np.concatenate([batch.inputs, batch.inputs]),
+            np.concatenate([batch.codes, batch.codes]),
             np.concatenate([batch.labels, batch.labels]),
         )
         _, cache1 = nw.forward(params, batch, TINY)
@@ -218,12 +239,12 @@ class TestBackward:
         with pytest.raises(ShapeError, match="labels"):
             nw.backward(params, cache, np.zeros(3), TINY)
 
-
-def dense_twin(batch):
-    """The same records as a batch with one-hot inputs only (dense path)."""
-    from dcnn.pipeline import Batch
-
-    return Batch(batch.inputs, batch.labels)
+    def test_labels_outside_0_1_rejected(self):
+        params = nw.init_params(TINY, seed=6)
+        batch = random_batch(2, 50, seed=8)
+        _, cache = nw.forward(params, batch, TINY)
+        with pytest.raises(ValidationError, match="0 or 1"):
+            nw.backward(params, cache, np.array([0.0, 2.0], dtype=np.float32), TINY)
 
 
 def fd_gradient(params, batch, cfg, h=1e-6):
@@ -248,8 +269,8 @@ OVERLAP = nw.ModelConfig(
 
 
 class TestBaseCodePath:
-    """A batch with base codes takes the gather convolution and the
-    winners-only backward; the dense kernels are the oracle."""
+    """The model's base-code path (gather convolution, winners-only
+    backward) against the dense one-hot model of ``oracles.py``."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("activation", ["relu", "linear"])
@@ -267,14 +288,12 @@ class TestBaseCodePath:
         params = nw.init_params(cfg, seed=3, dtype=dtype)
         params.conv_bias[:] = np.linspace(-0.2, 0.2, cfg.n_filters)
         batch = random_batch(n, cfg.seq_length, seed=4, dtype=dtype)
-        assert batch.codes is not None
         probs, cache = nw.forward(params, batch, cfg)
-        dense_probs, dense_cache = nw.forward(params, dense_twin(batch), cfg)
-        assert cache.codes is not None and dense_cache.codes is None
+        dense_probs, dense_cache = dense_forward(params, one_hot_inputs(batch), cfg)
         assert probs.dtype == dense_probs.dtype == dtype
         assert np.array_equal(probs, dense_probs)
         grads = nw.backward(params, cache, batch.labels, cfg)
-        dense_grads = nw.backward(params, dense_cache, batch.labels, cfg)
+        dense_grads = dense_backward(params, dense_cache, batch.labels, cfg)
         for name in ("conv_filters", "conv_bias", "dense_weights", "dense_bias"):
             got, want = getattr(grads, name), getattr(dense_grads, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
@@ -283,14 +302,14 @@ class TestBaseCodePath:
         params = nw.init_params(OVERLAP, seed=5, dtype=np.float64)
         batch = random_batch(6, 60, seed=6, dtype=np.float64)
         probs, cache = nw.forward(params, batch, OVERLAP)
-        dense_probs, dense_cache = nw.forward(params, dense_twin(batch), OVERLAP)
+        dense_probs, dense_cache = dense_forward(params, one_hot_inputs(batch), OVERLAP)
         assert np.array_equal(probs, dense_probs)
         # the setup must make some window winners shared by two pools
         rows = cache.argmax_rows
         assert (rows[:, 1:] == rows[:, :-1]).any()
         g = nw.flatten_grads(nw.backward(params, cache, batch.labels, OVERLAP))
         want = nw.flatten_grads(
-            nw.backward(params, dense_cache, batch.labels, OVERLAP))
+            dense_backward(params, dense_cache, batch.labels, OVERLAP))
         assert np.max(np.abs(g - want)) <= 1e-6 * np.max(np.abs(want))
         _, again = nw.forward(params, batch, OVERLAP)
         repeat = nw.flatten_grads(nw.backward(params, again, batch.labels, OVERLAP))
@@ -314,13 +333,14 @@ class TestBaseCodePath:
                              pool_stride=12, seq_length=100)
         batch = random_batch(8, 100, seed=9)
         runs = []
-        for b in (batch, dense_twin(batch)):
+        for fwd, bwd, x in ((nw.forward, nw.backward, batch),
+                            (dense_forward, dense_backward, one_hot_inputs(batch))):
             theta = nw.flatten_params(nw.init_params(cfg, seed=10))
             params = nw.unflatten_params(theta, cfg)
             state = nw.fresh_adam_state(cfg)
             for _ in range(3):
-                _, cache = nw.forward(params, b, cfg)
-                grads = nw.backward(params, cache, b.labels, cfg)
+                _, cache = fwd(params, x, cfg)
+                grads = bwd(params, cache, batch.labels, cfg)
                 nw.adam_step(theta, nw.flatten_grads(grads), state)
             runs.append(theta)
         assert runs[0].tobytes() == runs[1].tobytes()

@@ -14,13 +14,13 @@ from dcnn.pipeline import (
     Batch,
     SplitSpec,
     base_codes,
-    decode,
     encode_batch,
     one_hot,
     shard,
     shuffled_stream,
     split,
 )
+from oracles import decode, one_hot_inputs
 
 BASES = st.text(alphabet="ACGT", min_size=1, max_size=200)
 
@@ -181,19 +181,19 @@ class TestBatching:
 
     def test_batch_shapes(self):
         batch = encode_batch(self.stream(5))
-        assert batch.inputs.shape == (5, 12, 4)
+        assert batch.codes.shape == (5, 12)
         assert batch.labels.shape == (5,)
-        batch.validate()
+        assert len(batch) == 5
 
     def test_preserves_stream_order(self):
         recs = self.stream(8)
         batch = encode_batch(recs)
         for i, rec in enumerate(recs):
-            assert decode(batch.inputs[i]) == rec.bases
+            assert np.array_equal(batch.codes[i], base_codes(rec.bases))
 
     def test_dtype_control(self):
         batch = encode_batch(self.stream(4), dtype=np.float64)
-        assert batch.inputs.dtype == np.float64
+        assert batch.codes.dtype == np.uint8
         assert batch.labels.dtype == np.float64
 
     def test_encode_batch_labels(self):
@@ -220,8 +220,8 @@ class TestShard:
         batch = self.batch(256)
         shards = shard(batch, 4)
         assert [len(s) for s in shards] == [64, 64, 64, 64]
-        rebuilt = np.concatenate([s.inputs for s in shards])
-        assert np.array_equal(rebuilt, batch.inputs)
+        rebuilt = np.concatenate([s.codes for s in shards])
+        assert np.array_equal(rebuilt, batch.codes)
         rebuilt_labels = np.concatenate([s.labels for s in shards])
         assert np.array_equal(rebuilt_labels, batch.labels)
 
@@ -232,7 +232,8 @@ class TestShard:
     def test_shards_are_views_of_batch(self):
         batch = self.batch(6)
         shards = shard(batch, 3)
-        assert shards[1].inputs.base is batch.inputs
+        assert shards[1].codes.base is batch.codes
+        assert shards[1].labels.base is batch.labels
 
 
 class TestBaseCodes:
@@ -252,14 +253,17 @@ class TestBaseCodes:
         with pytest.raises(ValidationError, match=str(from_codes.value)):
             encode_batch([neg(0, "ACGT"), neg(1, bases)])
 
-    def test_encode_batch_carries_codes_and_lazy_one_hot(self):
+    def test_encode_batch_carries_codes_only(self):
         recs = [neg(i, "ACGTAC"[i:] + "ACGTAC"[:i]) for i in range(4)]
         batch = encode_batch(recs, dtype=np.float64)
         assert batch.codes.dtype == np.uint8 and batch.codes.shape == (4, 6)
-        assert batch._inputs is None  # nothing one-hot until asked for
-        assert batch.inputs.dtype == np.float64
+        assert vars(batch).keys() == {"codes", "labels"}  # nothing one-hot
+        # the codes are the one-hot columns, in the labels' dtype
+        inputs = one_hot_inputs(batch)
+        assert inputs.dtype == np.float64
         for i, rec in enumerate(recs):
-            assert decode(batch.inputs[i]) == rec.bases
+            assert decode(inputs[i]) == rec.bases
+            assert np.array_equal(inputs[i], one_hot(rec.bases, dtype=np.float64))
 
     def test_shards_slice_the_codes(self):
         batch = encode_batch([neg(i, "ACGTAC") for i in range(6)])
@@ -267,35 +271,24 @@ class TestBaseCodes:
         assert shards[2].codes.base is batch.codes
         assert shards[2].codes.shape == (2, 6)
 
-    def test_batch_holds_inputs_or_codes(self):
-        with pytest.raises(ValidationError, match="inputs or base codes"):
-            Batch(None, np.zeros(2))
-        with pytest.raises(ValidationError, match="inputs or base codes"):
-            Batch(np.zeros((2, 5, 4)), np.zeros(2), np.zeros((2, 5), dtype=np.uint8))
-        with pytest.raises(ValidationError, match="uint8"):
-            Batch(None, np.zeros(2), np.zeros((2, 5)))
-        with pytest.raises(ValidationError, match="labels shape"):
-            Batch(None, np.zeros(3), np.zeros((2, 5), dtype=np.uint8))
-        with pytest.raises(ValidationError, match="0-3"):
-            Batch(None, np.zeros(1), np.full((1, 5), 4, dtype=np.uint8)).validate()
+    def test_batch_holds_uint8_codes(self):
+        ok = np.zeros((2, 5), dtype=np.uint8)
+        assert Batch(ok, np.zeros(2)).codes is ok
+        # codes of another dtype, or one-hot inputs, are not a batch
+        for codes in (np.zeros((2, 5)), ok.astype(np.int64), np.zeros((2, 5, 4)),
+                      np.zeros((2, 5, 4), dtype=np.uint8), np.zeros(5, dtype=np.uint8)):
+            with pytest.raises(ValidationError, match=r"uint8 \[B, L\]"):
+                Batch(codes, np.zeros(2))
 
 
 class TestBatchType:
     def test_shape_validation(self):
-        with pytest.raises(ValidationError, match=r"\[B, L, 4\]"):
-            Batch(np.zeros((2, 3)), np.zeros(2))
+        with pytest.raises(ValidationError, match=r"must be uint8 \[B, L\], got uint8 \(2,\)"):
+            Batch(np.zeros(2, dtype=np.uint8), np.zeros(2))
+        with pytest.raises(ValidationError, match=r"got float64 \(2, 3, 4\)"):
+            Batch(np.zeros((2, 3, 4)), np.zeros(2))
         with pytest.raises(ValidationError, match="labels shape"):
-            Batch(np.zeros((2, 3, 4)), np.zeros(3))
-
-    def test_validate_catches_bad_rows(self):
-        batch = Batch(np.full((1, 2, 4), 0.25), np.zeros(1))
-        with pytest.raises(ValidationError, match="one-hot"):
-            batch.validate()
-
-    def test_validate_catches_bad_labels(self):
-        batch = Batch(one_hot("AC")[None], np.array([2.0]))
-        with pytest.raises(ValidationError, match="labels"):
-            batch.validate()
+            Batch(np.zeros((2, 3), dtype=np.uint8), np.zeros(3))
 
 
 class TestEndToEnd:
@@ -308,6 +301,6 @@ class TestEndToEnd:
         batches = [encode_batch(stream[i : i + 8]) for i in range(0, len(stream), 8)]
         assert len(batches) == 7
         for b in batches:
-            b.validate()
+            assert b.codes.max() <= 3 and np.isin(b.labels, (0, 1)).all()
             for s in shard(b, 2):
                 assert len(s) == 4
