@@ -19,7 +19,7 @@ import csv
 from dataclasses import dataclass, replace
 
 from .errors import ValidationError
-from .training import Dataset, TrainConfig, evaluate, train
+from .training import Dataset, TrainConfig, evaluate, per_replica_batch, train
 
 CSV_COLUMNS = (
     "workers", "strategy", "wall_s", "speedup", "seq_per_s",
@@ -56,13 +56,8 @@ def run_benchmark(config: TrainConfig, worker_counts, model_config,
     for workers in worker_counts:
         row = BenchmarkRow(workers=workers, strategy=config.strategy)
         try:
-            if global_batch % workers != 0:
-                raise ValidationError(
-                    f"global batch size {global_batch} must be divisible by "
-                    f"the number of replicas ({workers})"
-                )
             row_config = replace(config, n_replicas=workers,
-                                 batch_per_replica=global_batch // workers,
+                                 batch_per_replica=per_replica_batch(global_batch, workers),
                                  early_stopping=False)
             params, report = train(row_config, model_config, dataset)
             quality = evaluate(params, eval_records, model_config,

@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .benchmark import format_benchmark_table, run_benchmark, write_benchmark_csv
 from .errors import DcnnError, TrainingDivergedError, ValidationError
@@ -34,10 +35,9 @@ from .training import (
     EarlyStopConfig,
     TrainConfig,
     evaluate,
-    metric_or_null,
+    per_replica_batch,
     train,
     write_curves_csv,
-    write_report_json,
 )
 
 EXIT_OK = 0
@@ -102,8 +102,6 @@ def _parse_workers_list(text):
         raise ValidationError(
             f"workers list must be comma-separated integers, got {text!r}"
         ) from None
-    if not values:
-        raise ValidationError("workers list must not be empty")
     return values
 
 
@@ -278,19 +276,14 @@ def _resolve_batch(workers, global_batch, per_replica) -> int:
     if global_batch is not None:
         if global_batch < 1:
             raise ValidationError(f"global_batch must be >= 1, got {global_batch}")
-        if global_batch % workers != 0:
-            raise ValidationError(
-                f"global batch size {global_batch} must be divisible by the "
-                f"number of replicas ({workers})"
-            )
-        derived = global_batch // workers
+        derived = per_replica_batch(global_batch, workers)
         if per_replica is not None and per_replica != derived:
             raise ValidationError(
                 f"batch_per_replica {per_replica} conflicts with "
                 f"global_batch {global_batch} at {workers} workers"
             )
         return derived
-    return per_replica if per_replica is not None else 64
+    return per_replica if per_replica is not None else TrainConfig.batch_per_replica
 
 
 def _train_config(settings, strategy, workers, batch_per_replica) -> TrainConfig:
@@ -366,6 +359,20 @@ def _metric_text(value):
     return "undefined" if value is None else f"{value:.4f}"
 
 
+def _scores_text(scores) -> str:
+    """The scores of ``evaluate`` as the commands print them."""
+    return (f"loss={scores['loss']:.4f} acc={_metric_text(scores['accuracy'])} "
+            f"auroc={_metric_text(scores['auroc'])} auprc={_metric_text(scores['auprc'])}")
+
+
+def write_json(path, payload) -> None:
+    """``payload`` as indented JSON with a trailing newline: the format of
+    report.json, metrics.json and benchmark.json."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -410,8 +417,8 @@ def cmd_train(settings) -> int:
     curves_path = os.path.join(out, "curves.csv")
 
     def write_report(report, **extra):
-        write_report_json(report, report_path,
-                          effective_config=_effective_config(settings), **extra)
+        write_json(report_path, {**asdict(report),
+                                 "effective_config": _effective_config(settings), **extra})
         write_curves_csv(report, curves_path)
 
     try:
@@ -432,14 +439,9 @@ def cmd_train(settings) -> int:
         params, dataset.test or dataset.validation, model_config,
         precision=settings["precision"],
     )
-    write_report(report, final_test={key: metric_or_null(value)
-                                     for key, value in final.items()})
-    print(
-        f"trained {len(report.epochs)} epochs ({report.stop_reason}); "
-        f"test loss={final['loss']:.4f} acc={_metric_text(final['accuracy'])} "
-        f"auroc={_metric_text(final['auroc'])} "
-        f"auprc={_metric_text(final['auprc'])}"
-    )
+    write_report(report, final_test=final)
+    print(f"trained {len(report.epochs)} epochs ({report.stop_reason}); "
+          f"test {_scores_text(final)}")
     print(f"checkpoint: {checkpoint_path}")
     print(f"report: {report_path}")
     return EXIT_OK
@@ -468,9 +470,8 @@ def cmd_benchmark(settings) -> int:
     out = _out_dir(settings)
     csv_path = os.path.join(out, "benchmark.csv")
     write_benchmark_csv(rows, csv_path)
-    with open(os.path.join(out, "benchmark.json"), "w", encoding="utf-8") as fh:
-        json.dump({"effective_config": _effective_config(settings)}, fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(out, "benchmark.json"),
+               {"effective_config": _effective_config(settings)})
     print(format_benchmark_table(rows))
     print(f"benchmark table: {csv_path}")
     if all(row.error is not None for row in rows):
@@ -503,22 +504,10 @@ def cmd_evaluate(settings) -> int:
             f"the {which} split of {settings['dataset']} is empty"
         )
     out = evaluate(params, chosen, model_config, precision=settings["precision"])
-    payload = {
-        "split": which,
-        "n_records": len(chosen),
-        **{key: metric_or_null(value) for key, value in out.items()},
-        "effective_config": _effective_config(settings),
-    }
     metrics_path = os.path.join(_out_dir(settings), "metrics.json")
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    print(
-        f"{which} split ({len(chosen)} records): loss={out['loss']:.4f} "
-        f"acc={_metric_text(out['accuracy'])} "
-        f"auroc={_metric_text(out['auroc'])} "
-        f"auprc={_metric_text(out['auprc'])}"
-    )
+    write_json(metrics_path, {"split": which, "n_records": len(chosen), **out,
+                              "effective_config": _effective_config(settings)})
+    print(f"{which} split ({len(chosen)} records): {_scores_text(out)}")
     print(f"metrics: {metrics_path}")
     return EXIT_OK
 

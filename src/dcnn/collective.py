@@ -22,6 +22,17 @@ from .errors import ProtocolError, ValidationError
 STRATEGIES = ("allreduce", "ps", "gossip")
 
 
+def _recv_shaped(endpoint, peer: int, shape, what: str) -> np.ndarray:
+    """The next message from ``peer``, which must have ``shape``."""
+    received = endpoint.recv(peer)
+    if received.shape != shape:
+        raise ProtocolError(
+            f"rank {endpoint.rank} received {what} of shape {received.shape}, "
+            f"expected {shape}: peers disagree on vector length"
+        )
+    return received
+
+
 # ---------------------------------------------------------------------------
 # Ring all-reduce
 
@@ -69,25 +80,13 @@ def ring_all_reduce(vec: np.ndarray, endpoint) -> np.ndarray:
     # reduce-scatter: after N-1 steps rank r fully owns chunk (r+1) mod N
     for step in range(n - 1):
         endpoint.send(succ, chunk(rank - step))
-        incoming = endpoint.recv(pred)
         target = chunk(rank - step - 1)
-        if incoming.shape != target.shape:
-            raise ProtocolError(
-                f"rank {rank} received chunk of shape {incoming.shape}, "
-                f"expected {target.shape}: peers disagree on vector length"
-            )
-        target += incoming
+        target += _recv_shaped(endpoint, pred, target.shape, "chunk")
     # all-gather: circulate completed chunks
     for step in range(n - 1):
         endpoint.send(succ, chunk(rank - step + 1))
-        incoming = endpoint.recv(pred)
         target = chunk(rank - step)
-        if incoming.shape != target.shape:
-            raise ProtocolError(
-                f"rank {rank} received chunk of shape {incoming.shape}, "
-                f"expected {target.shape}: peers disagree on vector length"
-            )
-        target[:] = incoming
+        target[:] = _recv_shaped(endpoint, pred, target.shape, "chunk")
     return out
 
 
@@ -195,12 +194,7 @@ def gossip_exchange(endpoint, round_index: int, vec: np.ndarray) -> np.ndarray:
     if partner is None:
         return np.asarray(vec).copy()
     endpoint.send(partner, vec)
-    other = endpoint.recv(partner)
-    if other.shape != np.shape(vec):
-        raise ProtocolError(
-            f"rank {endpoint.rank} received vector of shape {other.shape}, "
-            f"expected {np.shape(vec)}"
-        )
+    other = _recv_shaped(endpoint, partner, np.shape(vec), "vector")
     if endpoint.rank < partner:
         return _pair_mean(vec, other)
     return _pair_mean(other, vec)

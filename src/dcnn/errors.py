@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one lower-bound
+check that configs make of their integer fields.
 
 The CLI maps these onto exit codes: validation/config problems exit 2,
 I/O problems exit 1, numeric divergence exits 3.
@@ -17,6 +18,14 @@ class ShapeError(DcnnError, ValueError):
 
 class ValidationError(DcnnError, ValueError):
     """A config field or input value violates its invariants."""
+
+
+def require_at_least(low, obj, *names) -> None:
+    """Raise ValidationError naming the first field of ``obj`` below ``low``."""
+    for name in names:
+        value = getattr(obj, name)
+        if value < low:
+            raise ValidationError(f"{name} must be >= {low}, got {value}")
 
 
 class ParseError(ValidationError):

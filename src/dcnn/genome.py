@@ -1,11 +1,14 @@
 """Synthetic DNA sequence generation with embedded motif clusters.
 
-Positive sequences carry a homotypic cluster of motif instances sampled
-from a position weight matrix (PWM) and placed, non-overlapping, inside
-the central region of the sequence.  Negative sequences are pure
-background, resampled until they are free of the exact motif consensus.
-Everything is driven by a single PCG64 generator so a (config, pwm, seed)
-triple maps to one byte-identical dataset.
+Every sequence starts as a uniform i.i.d. background (each of A, C, G,
+T with probability 1/4).  Positive sequences carry a homotypic cluster of
+motif instances sampled from a position weight matrix (PWM) and placed,
+non-overlapping, inside the central region of the sequence.  Negative
+sequences are pure background, resampled until they are free of the
+exact motif consensus.  Everything is driven by a single PCG64 generator
+so a (config, pwm, seed) triple maps to one byte-identical dataset.
+
+The FASTA and PWM readers take ASCII; any other byte raises ParseError.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GenerationError, ParseError, PlacementError, ValidationError
+from .errors import (GenerationError, ParseError, PlacementError, ValidationError,
+                     require_at_least)
 
 ALPHABET = "ACGT"
 _BASE_BYTES = np.frombuffer(b"ACGT", dtype=np.uint8)
@@ -24,8 +28,16 @@ _BASE_INDEX = {b: i for i, b in enumerate(ALPHABET)}
 #: Homotypic cluster motif used by default: a TAL1-like E-box core
 #: (CAGATG) with fixed flanking bases.
 TAL1_CONSENSUS = "AACAGATGGT"
+#: The default PWM's probability of the consensus base at each position.
+TAL1_CONSENSUS_PROB = 0.85
 
-_FASTA_HEADER = re.compile(r"^>(\S+) label=([01]) motifs=(none|\d+(?:,\d+)*)$")
+_UNIFORM_BACKGROUND = (0.25, 0.25, 0.25, 0.25)
+
+#: Rejection draws that ``embed_cluster`` makes before giving up.
+_PLACEMENT_ATTEMPTS = 1000
+
+# the id excludes U+FFFD, which a byte outside ASCII decodes to
+_FASTA_HEADER = re.compile(r"^>([^\s\ufffd]+) label=([01]) motifs=(none|\d+(?:,\d+)*)$")
 _NON_ACGT = re.compile(r"[^ACGT]")
 
 _ROW_TOL = 1e-6
@@ -72,13 +84,13 @@ class Pwm:
         return "".join(ALPHABET[i] for i in np.argmax(self.matrix, axis=1))
 
 
-def default_tal1_pwm(consensus_prob: float = 0.85) -> Pwm:
-    """PWM whose consensus is AACAGATGGT, with the stated probability on
-    the consensus base of each row and the remainder split evenly."""
-    off = (1.0 - consensus_prob) / 3.0
+def default_tal1_pwm() -> Pwm:
+    """PWM whose consensus is AACAGATGGT, with TAL1_CONSENSUS_PROB on the
+    consensus base of each row and the remainder split evenly."""
+    off = (1.0 - TAL1_CONSENSUS_PROB) / 3.0
     mat = np.full((len(TAL1_CONSENSUS), 4), off, dtype=np.float64)
     for r, base in enumerate(TAL1_CONSENSUS):
-        mat[r, _BASE_INDEX[base]] = consensus_prob
+        mat[r, _BASE_INDEX[base]] = TAL1_CONSENSUS_PROB
     return Pwm("TAL1_default", mat)
 
 
@@ -92,17 +104,15 @@ class SimConfig:
     cluster_min: int = 2
     cluster_max: int = 5
     cluster_region_fraction: float = 0.6
-    background_freqs: tuple = (0.25, 0.25, 0.25, 0.25)
     seed: int = 0
 
     def validate(self, pwm: Pwm) -> None:
+        require_at_least(0, self, "n_positive", "n_negative", "seed")
         if self.seq_length < pwm.rows:
             raise ValidationError(
                 f"seq_length {self.seq_length} is shorter than the motif "
                 f"({pwm.rows} bases)"
             )
-        if self.n_positive < 0 or self.n_negative < 0:
-            raise ValidationError("sequence counts must be non-negative")
         if not (1 <= self.cluster_min <= self.cluster_max):
             raise ValidationError(
                 f"need 1 <= cluster_min <= cluster_max, got "
@@ -111,13 +121,6 @@ class SimConfig:
         if not (0.0 < self.cluster_region_fraction <= 1.0):
             raise ValidationError(
                 "cluster_region_fraction must lie in (0, 1]"
-            )
-        freqs = np.asarray(self.background_freqs, dtype=np.float64)
-        if freqs.shape != (4,) or np.any(freqs < 0.0):
-            raise ValidationError("background_freqs must be 4 non-negative values")
-        if abs(float(freqs.sum()) - 1.0) > _ROW_TOL:
-            raise ValidationError(
-                f"background_freqs sum to {float(freqs.sum()):.8f}, expected 1"
             )
         lo, hi = central_region(self.seq_length, self.cluster_region_fraction)
         if self.cluster_max * pwm.rows > hi - lo:
@@ -184,7 +187,6 @@ def embed_cluster(
     count: int,
     region: tuple,
     rng: np.random.Generator,
-    max_attempts: int = 1000,
 ) -> tuple:
     """Overwrite ``count`` motif instances at uniform non-overlapping
     starts inside ``region`` = [lo, hi).
@@ -207,7 +209,7 @@ def embed_cluster(
         )
     high = hi - pwm.rows + 1
     starts = None
-    for _ in range(max_attempts):
+    for _ in range(_PLACEMENT_ATTEMPTS):
         cand = np.sort(rng.integers(lo, high, size=count))
         if count == 1 or np.all(np.diff(cand) >= pwm.rows):
             starts = [int(s) for s in cand]
@@ -215,7 +217,7 @@ def embed_cluster(
     if starts is None:
         raise PlacementError(
             f"no non-overlapping placement of {count} motif instances found "
-            f"in [{lo}, {hi}) after {max_attempts} attempts"
+            f"in [{lo}, {hi}) after {_PLACEMENT_ATTEMPTS} attempts"
         )
     seq = bytearray(background, "ascii")
     for s in starts:
@@ -239,7 +241,7 @@ def generate_dataset(config: SimConfig, pwm: Pwm = None) -> list:
 
     records = []
     for i in range(config.n_positive):
-        background = sample_background(config.seq_length, config.background_freqs, rng)
+        background = sample_background(config.seq_length, _UNIFORM_BACKGROUND, rng)
         count = int(rng.integers(config.cluster_min, config.cluster_max + 1))
         bases, starts = embed_cluster(background, pwm, count, region, rng)
         records.append(SequenceRecord(f"seq_{i:0{width}d}", bases, 1, starts))
@@ -248,7 +250,7 @@ def generate_dataset(config: SimConfig, pwm: Pwm = None) -> list:
     for k in range(config.n_negative):
         bases = None
         for _ in range(100):
-            cand = sample_background(config.seq_length, config.background_freqs, rng)
+            cand = sample_background(config.seq_length, _UNIFORM_BACKGROUND, rng)
             if consensus not in cand:
                 bases = cand
                 break
@@ -284,7 +286,8 @@ def write_fasta(records, path) -> None:
 
 def read_fasta(path) -> list:
     """Inverse of :func:`write_fasta`; raises ParseError with the
-    offending line number on malformed headers or non-ACGT bodies."""
+    offending line number on malformed headers or non-ACGT bodies,
+    bytes outside ASCII included."""
     records = []
     header = None
     chunks = []
@@ -300,7 +303,7 @@ def read_fasta(path) -> list:
         except ValidationError as exc:
             raise ParseError(f"{path}:{header_line}: {exc}") from exc
 
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line:
@@ -342,8 +345,13 @@ def write_pwm(pwm: Pwm, path) -> None:
 
 
 def read_pwm(path) -> Pwm:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        text = fh.read()
+    bad = text.find("\ufffd")
+    if bad >= 0:
+        line = text.count("\n", 0, bad) + 1
+        raise ParseError(f"{path}:{line}: byte outside ASCII")
+    lines = text.splitlines()
     if not lines or not lines[0].startswith("#PWM "):
         raise ParseError(f"{path}:1: expected '#PWM <name> <rows>' header")
     parts = lines[0].split()

@@ -11,6 +11,10 @@ forward takes the base-code convolution, and the backward sends the
 gradient of each max-pool winner straight to the filter taps of its
 k-mer.  A dense one-hot model built from the dense kernels is the
 tests' oracle for both, bit for bit.
+
+Adam runs with the usual constants (Kingma & Ba 2015): beta1 0.9,
+beta2 0.999 and eps 1e-8.  Only its step size ``alpha`` is set, from
+the run's learning rate.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .errors import (
     ShapeError,
     TrainingDivergedError,
     ValidationError,
+    require_at_least,
 )
 
 PROB_CLAMP = 1e-7
@@ -36,6 +41,10 @@ CHECKPOINT_MAGIC = b"DCNN"
 CHECKPOINT_VERSION = 1
 
 _ACTIVATIONS = ("relu", "linear")
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -48,9 +57,7 @@ class ModelConfig:
     seq_length: int = 1500
 
     def __post_init__(self):
-        for name in ("n_filters", "filter_width", "pool_window", "pool_stride"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        require_at_least(1, self, "n_filters", "filter_width", "pool_window", "pool_stride")
         if self.conv_activation not in _ACTIVATIONS:
             raise ValidationError(
                 f"conv_activation must be one of {_ACTIVATIONS}, "
@@ -81,8 +88,7 @@ class ModelConfig:
 
     @property
     def param_count(self) -> int:
-        conv = self.n_filters * self.filter_width * 4 + self.n_filters
-        return conv + self.flat_dim + 1
+        return sum(math.prod(shape) for shape in _tensor_shapes(self).values())
 
 
 @dataclass
@@ -104,38 +110,46 @@ class Gradients:
 _TENSOR_FIELDS = ("conv_filters", "conv_bias", "dense_weights", "dense_bias")
 
 
+def _tensor_shapes(config: ModelConfig) -> dict:
+    """The shape of each parameter tensor, in the canonical flat order."""
+    return {
+        "conv_filters": (config.n_filters, config.filter_width, 4),
+        "conv_bias": (config.n_filters,),
+        "dense_weights": (config.flat_dim, 1),
+        "dense_bias": (),
+    }
+
+
 @dataclass
 class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
     alpha: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def fresh_adam_state(config: ModelConfig, dtype=np.float32, **hyper) -> AdamState:
+def fresh_adam_state(config: ModelConfig, dtype=np.float32, alpha=1e-3) -> AdamState:
     n = config.param_count
-    return AdamState(m=np.zeros(n, dtype=dtype), v=np.zeros(n, dtype=dtype), **hyper)
+    return AdamState(m=np.zeros(n, dtype=dtype), v=np.zeros(n, dtype=dtype), alpha=alpha)
 
 
 def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
     """Glorot-uniform weights (bound sqrt(6/(fan_in+fan_out))), zero biases."""
     rng = np.random.Generator(np.random.PCG64(seed))
+    shapes = _tensor_shapes(config)
     conv_fan_in = config.filter_width * 4
     conv_fan_out = config.filter_width * config.n_filters
     conv_bound = np.sqrt(6.0 / (conv_fan_in + conv_fan_out))
     dense_bound = np.sqrt(6.0 / (config.flat_dim + 1))
     return ModelParams(
         conv_filters=rng.uniform(
-            -conv_bound, conv_bound, size=(config.n_filters, config.filter_width, 4)
+            -conv_bound, conv_bound, size=shapes["conv_filters"]
         ).astype(dtype),
-        conv_bias=np.zeros(config.n_filters, dtype=dtype),
+        conv_bias=np.zeros(shapes["conv_bias"], dtype=dtype),
         dense_weights=rng.uniform(
-            -dense_bound, dense_bound, size=(config.flat_dim, 1)
+            -dense_bound, dense_bound, size=shapes["dense_weights"]
         ).astype(dtype),
-        dense_bias=np.zeros((), dtype=dtype),
+        dense_bias=np.zeros(shapes["dense_bias"], dtype=dtype),
     )
 
 
@@ -263,15 +277,9 @@ def _unflatten(vec: np.ndarray, config: ModelConfig, cls):
             f"flat vector length {vec.shape} does not match parameter count "
             f"{config.param_count}"
         )
-    shapes = (
-        (config.n_filters, config.filter_width, 4),
-        (config.n_filters,),
-        (config.flat_dim, 1),
-        (),
-    )
     out = {}
     offset = 0
-    for name, shape in zip(_TENSOR_FIELDS, shapes):
+    for name, shape in _tensor_shapes(config).items():
         size = math.prod(shape)
         out[name] = vec[offset : offset + size].reshape(shape)
         offset += size
@@ -312,14 +320,14 @@ def adam_step(theta: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
         raise TrainingDivergedError("non-finite gradient in optimizer step")
     state.t += 1
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * g * g
-    denom = v / (1.0 - state.beta2**state.t)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    denom = v / (1.0 - ADAM_BETA2**state.t)
     np.sqrt(denom, out=denom)
-    denom += state.eps
-    update = state.alpha * (m / (1.0 - state.beta1**state.t))
+    denom += ADAM_EPS
+    update = state.alpha * (m / (1.0 - ADAM_BETA1**state.t))
     update /= denom
     theta -= update
 
@@ -393,7 +401,11 @@ def load_checkpoint(path):
     tensors = {}
     while offset < len(blob):
         (name_len,) = struct.unpack("<H", take(2, "tensor name length"))
-        name = take(name_len, "tensor name").decode("utf-8")
+        try:
+            name = take(name_len, "tensor name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(
+                f"tensor name at byte {offset - name_len} is not UTF-8") from None
         (rank,) = struct.unpack("<B", take(1, f"rank of {name}"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name}"))
         count = 1
@@ -422,14 +434,8 @@ def load_checkpoint(path):
     except ValidationError as exc:
         raise CheckpointError(f"invalid {_META_NAME}: {exc}") from exc
 
-    expected_shapes = {
-        "conv_filters": (config.n_filters, config.filter_width, 4),
-        "conv_bias": (config.n_filters,),
-        "dense_weights": (config.flat_dim, 1),
-        "dense_bias": (),
-    }
     fields = {}
-    for name, shape in expected_shapes.items():
+    for name, shape in _tensor_shapes(config).items():
         if name not in tensors:
             raise CheckpointError(f"checkpoint is missing tensor {name}")
         if tensors[name].shape != shape:

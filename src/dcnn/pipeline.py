@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_at_least
 
 _CODE = np.full(256, -1, dtype=np.int8)
 for _i, _b in enumerate(b"ACGT"):
@@ -33,6 +33,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_at_least(0, self, "seed")
         fracs = (self.train_fraction, self.test_fraction, self.validation_fraction)
         if any(f < 0 for f in fracs):
             raise ValidationError(f"split fractions must be non-negative, got {fracs}")

@@ -39,7 +39,6 @@ sends nothing.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -58,7 +57,8 @@ from .collective import (
     ps_worker_round,
     ring_all_reduce,
 )
-from .errors import DcnnError, PeerClosed, TrainingDivergedError, ValidationError
+from .errors import (DcnnError, PeerClosed, TrainingDivergedError, ValidationError,
+                     require_at_least)
 from .kernels import dtype_for
 from .pipeline import Batch, encode_batch, shuffled_stream
 from .transport import ProcessLinks, TransportStats, run_ranks
@@ -73,8 +73,7 @@ class EarlyStopConfig:
     min_delta: float = 1e-4
 
     def __post_init__(self):
-        if self.patience < 1:
-            raise ValidationError(f"patience must be >= 1, got {self.patience}")
+        require_at_least(1, self, "patience")
         if self.min_delta < 0:
             raise ValidationError(f"min_delta must be >= 0, got {self.min_delta}")
 
@@ -95,14 +94,9 @@ class TrainConfig:
     backend: str = "processes"  # or threads (tests/debug): how ranks start; same pipes
 
     def __post_init__(self):
-        if self.n_replicas < 1:
-            raise ValidationError(f"n_replicas must be >= 1, got {self.n_replicas}")
-        if self.epochs_max < 1:
-            raise ValidationError(f"epochs_max must be >= 1, got {self.epochs_max}")
-        if self.batch_per_replica < 1:
-            raise ValidationError(
-                f"batch_per_replica must be >= 1, got {self.batch_per_replica}"
-            )
+        require_at_least(1, self, "n_replicas", "epochs_max", "batch_per_replica",
+                         "shuffle_buffer_size", "gossip_period")
+        require_at_least(0, self, "seed")
         if self.strategy not in STRATEGIES:
             raise ValidationError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
@@ -110,14 +104,6 @@ class TrainConfig:
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}"
-            )
-        if self.shuffle_buffer_size < 1:
-            raise ValidationError(
-                f"shuffle_buffer_size must be >= 1, got {self.shuffle_buffer_size}"
-            )
-        if self.gossip_period < 1:
-            raise ValidationError(
-                f"gossip_period must be >= 1, got {self.gossip_period}"
             )
         if self.backend not in ("processes", "threads"):
             raise ValidationError(
@@ -128,6 +114,16 @@ class TrainConfig:
     @property
     def global_batch(self) -> int:
         return self.batch_per_replica * self.n_replicas
+
+
+def per_replica_batch(global_batch: int, n_replicas: int) -> int:
+    """Each replica's share of ``global_batch``, which must split evenly."""
+    if global_batch % n_replicas != 0:
+        raise ValidationError(
+            f"global batch size {global_batch} must be divisible by the "
+            f"number of replicas ({n_replicas})"
+        )
+    return global_batch // n_replicas
 
 
 @dataclass
@@ -230,18 +226,16 @@ def _should_stop(val_losses, early: EarlyStopConfig) -> bool:
     return since_best >= early.patience
 
 
-def config_to_dict(config: TrainConfig) -> dict:
-    out = asdict(config)
-    out["global_batch"] = config.global_batch
-    return out
+def _report(config: TrainConfig, epochs, stats, stop_reason) -> TrainReport:
+    """The run's report, of which train() fills in the wall time."""
+    config_dict = {**asdict(config), "global_batch": config.global_batch}
+    return TrainReport(config=config_dict, epochs=epochs, total_wall_seconds=0.0,
+                       total_messages=stats.messages, total_bytes=stats.bytes,
+                       stop_reason=stop_reason)
 
 
 # ---------------------------------------------------------------------------
 # One replica's side of each strategy
-
-
-class _Diverged(Exception):
-    """Internal: a non-finite loss or parameter vector reached this rank."""
 
 
 class _Replica:
@@ -306,7 +300,7 @@ class _AllReduce(_LocalAdam):
         summed /= self.n
         step_loss = float(summed[-1])
         if not np.isfinite(step_loss):
-            raise _Diverged
+            raise TrainingDivergedError("non-finite loss or parameters")
         nw.adam_step(self.theta, summed[:-1], self.adam)
         return step_loss
 
@@ -319,7 +313,7 @@ class _ParameterServer(_Replica):
         self.carried[-1] = loss
         reply = ps_worker_round(self.endpoint, self.n, self.carried)
         if not np.isfinite(reply).all():
-            raise _Diverged
+            raise TrainingDivergedError("non-finite loss or parameters")
         self.vec[:] = reply
         return float(reply[-1])
 
@@ -339,7 +333,7 @@ class _Gossip(_LocalAdam):
 
     def step(self, loss):
         if not np.isfinite(loss):
-            raise _Diverged
+            raise TrainingDivergedError("non-finite loss or parameters")
         nw.adam_step(self.theta, self.carried[:-1], self.adam)
         self.steps += 1
         period = self.config.gossip_period
@@ -413,7 +407,7 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
             halt = _CONTINUE
             if is_root:
                 if not np.isfinite(global_loss):
-                    raise _Diverged
+                    raise TrainingDivergedError("non-finite loss or parameters")
                 val = evaluate(
                     eval_params, validation_set, model_config,
                     precision=config.precision,
@@ -435,7 +429,7 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
                     )
                 )
                 if not np.isfinite(val["loss"]):
-                    raise _Diverged
+                    raise TrainingDivergedError("non-finite loss or parameters")
                 last_good_epoch = epoch
                 if config.early_stopping and _should_stop(
                     [row.val_loss for row in epoch_rows], config.early_stop
@@ -450,19 +444,12 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
             if halt == _HALT:
                 stop_reason = "converged"
                 break
-    except (_Diverged, TrainingDivergedError, PeerClosed):  # or a peer ended first
+    except (TrainingDivergedError, PeerClosed):  # or a peer ended first
         replica.stop()
         raise TrainingDivergedError(
             "training diverged: non-finite loss or parameters",
             last_good_epoch=last_good_epoch,
-            partial_report=TrainReport(
-                config=config_to_dict(config),
-                epochs=epoch_rows,
-                total_wall_seconds=0.0,  # train() times the whole call
-                total_messages=endpoint.stats.messages,
-                total_bytes=endpoint.stats.bytes,
-                stop_reason="diverged",
-            ),
+            partial_report=_report(config, epoch_rows, endpoint.stats, "diverged"),
         ) from None
 
     replica.stop()
@@ -568,54 +555,11 @@ def _finish(config, model_config, results):
         root["params_vec"].astype(dtype_for(config.precision), copy=False),
         model_config,
     )
-    report = TrainReport(
-        config=config_to_dict(config),
-        epochs=root["epochs"],
-        total_wall_seconds=0.0,  # train() times the whole call
-        total_messages=stats.messages,
-        total_bytes=stats.bytes,
-        stop_reason=root["stop_reason"],
-    )
-    return params, report
+    return params, _report(config, root["epochs"], stats, root["stop_reason"])
 
 
 # ---------------------------------------------------------------------------
-# Serialization
-
-
-def metric_or_null(value):
-    """A metric as JSON: a float, or None when it is undefined."""
-    return None if value is None else float(value)
-
-
-def report_to_dict(report: TrainReport) -> dict:
-    return {
-        "config": report.config,
-        "epochs": [
-            {
-                "epoch": row.epoch,
-                "train_loss": float(row.train_loss),
-                "val_loss": float(row.val_loss),
-                "val_accuracy": float(row.val_accuracy),
-                "val_auroc": metric_or_null(row.val_auroc),
-                "val_auprc": metric_or_null(row.val_auprc),
-                "wall_seconds": float(row.wall_seconds),
-                "sequences_per_second": float(row.sequences_per_second),
-            }
-            for row in report.epochs
-        ],
-        "total_wall_seconds": report.total_wall_seconds,
-        "total_messages": report.total_messages,
-        "total_bytes": report.total_bytes,
-        "stop_reason": report.stop_reason,
-    }
-
-
-def write_report_json(report: TrainReport, path, **extra) -> None:
-    """The report as JSON, with the ``extra`` keys after its own."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({**report_to_dict(report), **extra}, fh, indent=2)
-        fh.write("\n")
+# Serialization (report.json is ``dataclasses.asdict`` of the report)
 
 
 def write_curves_csv(report: TrainReport, path) -> None:

@@ -2,9 +2,11 @@
 and the error messages the interface promises."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
+from dcnn import cli
 from dcnn.cli import _merge_settings, _resolve_batch, build_parser, main
 from dcnn.errors import ValidationError
 from dcnn.genome import read_fasta
@@ -102,6 +104,26 @@ def test_train_artifacts_and_report_contents(workspace):
     assert "final_test" in report
     curves = (out / "curves.csv").read_text().strip().splitlines()
     assert len(curves) == 3
+
+
+def test_report_json_is_the_report_dataclass(workspace, tmp_path, monkeypatch):
+    reports = []
+    real_train = cli.train
+
+    def recording_train(*args):
+        params, report = real_train(*args)
+        reports.append(report)
+        return params, report
+
+    monkeypatch.setattr(cli, "train", recording_train)
+    out = tmp_path / "run"
+    assert main(["train", "--config", workspace["config"], "--dataset",
+                 str(workspace["out"] / "dataset.fasta"), "--out", str(out),
+                 "--workers", "2", "--global-batch", "32", "--backend", "threads"]) == 0
+    loaded = json.loads((out / "report.json").read_text())
+    fields = asdict(reports[0])
+    assert list(loaded) == list(fields) + ["effective_config", "final_test"]
+    assert {key: loaded[key] for key in fields} == json.loads(json.dumps(fields))
 
 
 def test_evaluate_after_train_matches_report(workspace, capsys):
@@ -358,6 +380,56 @@ def test_evaluate_single_class_prints_undefined(workspace, tmp_path, capsys):
     assert "auroc=undefined" in capsys.readouterr().out
     metrics = json.loads((neg / "metrics.json").read_text())
     assert metrics["auroc"] is None and metrics["auprc"] is None
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "benchmark", "evaluate"])
+def test_negative_seed_is_a_config_error(workspace, tmp_path, capsys, command):
+    dataset = str(workspace["out"] / "dataset.fasta")
+    argv = {
+        "generate": ["--seq-length", "150", "--n-positive", "2", "--n-negative", "2"],
+        "train": ["--config", workspace["config"], "--dataset", dataset,
+                  "--workers", "2", "--backend", "threads"],
+        "benchmark": ["--config", workspace["config"], "--dataset", dataset,
+                      "--workers-list", "1,2", "--global-batch", "32",
+                      "--backend", "threads"],
+        "evaluate": ["--checkpoint", str(workspace["out"] / "model.ckpt"),
+                     "--dataset", dataset],
+    }[command]
+    assert main([command, *argv, "--out", str(tmp_path), "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+    assert captured.out == ""  # no rank or benchmark row started
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("blob, line", [
+    (">seq_0 label=0 motifs=none\nACGTé\n".encode("utf-8"), 2),  # in a body
+    (b">seq_\xff label=0 motifs=none\nACGT\n", 1),  # in a header's id
+])
+def test_fasta_bytes_outside_ascii_are_a_parse_error(tmp_path, capsys, blob, line):
+    path = tmp_path / "bad.fasta"
+    path.write_bytes(blob)
+    assert main(["train", "--dataset", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
+
+
+def test_pwm_bytes_outside_ascii_are_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.pwm"
+    path.write_bytes(b"#PWM TAL1\xff 1\n0.25 0.25 0.25 0.25\n")
+    assert main(["generate", "--pwm", str(path), "--out", str(tmp_path / "g")]) == 2
+    assert capsys.readouterr().err == f"error: {path}:1: byte outside ASCII\n"
+
+
+def test_undecodable_checkpoint_tensor_name_is_a_checkpoint_error(workspace, tmp_path,
+                                                                   capsys):
+    blob = bytearray((workspace["out"] / "model.ckpt").read_bytes())
+    blob[10] = 0xFF  # the first tensor name's first byte: after magic, version, length
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(blob))
+    code = main(["evaluate", "--checkpoint", str(bad), "--dataset",
+                 str(workspace["out"] / "dataset.fasta"), "--out", str(tmp_path / "e")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: tensor name at byte 10 is not UTF-8\n"
 
 
 def test_corrupted_checkpoint_message(workspace, tmp_path, capsys):

@@ -352,6 +352,12 @@ class TestGossipTransport:
         assert np.array_equal(results[0], results[1])
         assert np.array_equal(results[2], results[3])
 
+    def test_length_mismatch_is_protocol_error(self):
+        vecs = [np.zeros(4), np.zeros(3)]
+        with pytest.raises(DcnnError, match=r"rank 0 raised ProtocolError\('rank 0 received "
+                                            r"vector of shape \(3,\), expected \(4,\)"):
+            run_gossip(vecs, 0)
+
 
 def run_finalize(vectors):
     fns = [(lambda ep, vec=vec: gossip_finalize_exchange(ep, vec)) for vec in vectors]

@@ -238,8 +238,10 @@ class TestGenerateDataset:
             SimConfig(cluster_min=3, cluster_max=2).validate(pwm)
         with pytest.raises(ValidationError, match="cannot[ \n]fit|cannot fit"):
             SimConfig(seq_length=60, cluster_max=5).validate(pwm)
-        with pytest.raises(ValidationError, match="sum"):
-            SimConfig(background_freqs=(0.3, 0.3, 0.3, 0.3)).validate(pwm)
+        with pytest.raises(ValidationError, match="n_negative must be >= 0, got -1"):
+            SimConfig(n_negative=-1).validate(pwm)
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            SimConfig(seed=-1).validate(pwm)
 
 
 class TestFastaRoundTrip:

@@ -84,6 +84,8 @@ class TestSplitSpec:
             SplitSpec(0.5, 0.2, 0.2)
         with pytest.raises(ValidationError, match="non-negative"):
             SplitSpec(1.2, -0.1, -0.1)
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            SplitSpec(seed=-1)
 
 
 class TestSplit:

@@ -7,6 +7,7 @@ import multiprocessing as mp
 import os
 import threading
 import time
+from dataclasses import asdict
 from functools import partial
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcnn import network, training
+from dcnn.cli import write_json
 from dcnn.collective import ring_all_reduce
 from dcnn.errors import DcnnError, TrainingDivergedError, ValidationError
 from dcnn.genome import SimConfig, default_tal1_pwm, generate_dataset
@@ -32,7 +34,6 @@ from dcnn.training import (
     evaluate,
     train,
     write_curves_csv,
-    write_report_json,
 )
 from dcnn.transport import ProcessLinks, run_ranks
 
@@ -78,10 +79,19 @@ def test_config_validation_rejects_bad_values():
             TrainConfig(learning_rate=rate)
     with pytest.raises(ValidationError, match="shuffle_buffer_size"):
         TrainConfig(shuffle_buffer_size=0)
+    with pytest.raises(ValidationError, match="^seed must be >= 0, got -1$"):
+        TrainConfig(seed=-1)
     with pytest.raises(ValidationError):
         EarlyStopConfig(patience=0)
     with pytest.raises(ValidationError):
         EarlyStopConfig(min_delta=-1.0)
+
+
+@pytest.mark.parametrize("name", ["n_replicas", "epochs_max", "batch_per_replica",
+                                  "shuffle_buffer_size", "gossip_period"])
+def test_config_counts_must_be_at_least_one(name):
+    with pytest.raises(ValidationError, match=f"^{name} must be >= 1, got 0$"):
+        TrainConfig(**{name: 0})
 
 
 def test_global_batch_is_per_replica_times_replicas():
@@ -619,7 +629,7 @@ def test_partial_report_times_the_whole_train_call(dataset):
 def test_report_serialization_roundtrip(tmp_path, dataset):
     _vec, report = run(dataset, n_replicas=1, batch_per_replica=32)
     json_path = tmp_path / "report.json"
-    write_report_json(report, json_path)
+    write_json(json_path, asdict(report))
     loaded = json.loads(json_path.read_text())
     assert loaded["stop_reason"] == "max_epochs"
     assert len(loaded["epochs"]) == len(report.epochs)
@@ -652,6 +662,6 @@ def test_curves_csv_writes_empty_cell_for_undefined_metrics(tmp_path):
     row = path.read_text().strip().splitlines()[1].split(",")
     assert row[4] == "" and row[5] == ""
     report_json = tmp_path / "report.json"
-    write_report_json(report, report_json)
+    write_json(report_json, asdict(report))
     loaded = json.loads(report_json.read_text())
     assert loaded["epochs"][0]["val_auroc"] is None
