@@ -1,5 +1,6 @@
 """Aggregation strategies over the transport: ring all-reduce,
-parameter server, and gossip averaging.
+parameter server, and gossip averaging, plus the gather that joins the
+ranks' validation shares on rank 0.
 
 Each strategy runs concurrently on every rank's endpoint, and that form
 is the only one: training calls exactly these functions.  The tests keep
@@ -112,6 +113,19 @@ def mean_ascending(vectors) -> np.ndarray:
     if np.issubdtype(acc.dtype, np.integer):
         return acc // len(vectors)
     return acc / len(vectors)
+
+
+def gather_to_root(endpoint, part: np.ndarray, sizes) -> np.ndarray:
+    """Rank 0 returns the flat ``part`` of each rank r < len(sizes),
+    which has ``sizes[r]`` elements, joined in rank order; every other of
+    those ranks sends its part to rank 0 and returns None.  len(sizes)-1
+    messages, an empty part included."""
+    if endpoint.rank != 0:
+        endpoint.send(0, part)
+        return None
+    return np.concatenate([part] + [
+        _recv_shaped(endpoint, r, (sizes[r],), "part") for r in range(1, len(sizes))
+    ])
 
 
 # ---------------------------------------------------------------------------

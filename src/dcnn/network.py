@@ -196,18 +196,14 @@ def _clamped(probs: np.ndarray) -> np.ndarray:
     return np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
-def _check_labels(labels: np.ndarray) -> None:
-    labels = np.asarray(labels)
-    if not ((labels == 0) | (labels == 1)).all():
-        raise ValidationError("labels must be 0 or 1")
-
-
 def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean binary cross-entropy with probabilities clamped away from
-    {0, 1} by 1e-7."""
-    _check_labels(labels)
-    p = _clamped(np.asarray(probs))
+    {0, 1} by 1e-7.  It checks that the labels are 0 or 1, once per
+    training step: :func:`backward` takes the same labels unchecked."""
     y = np.asarray(labels)
+    if not ((y == 0) | (y == 1)).all():
+        raise ValidationError("labels must be 0 or 1")
+    p = _clamped(np.asarray(probs))
     per_sample = -(y * np.log(p) + (1 - y) * np.log(1 - p))
     return float(per_sample.mean())
 
@@ -217,7 +213,9 @@ def backward(params: ModelParams, cache: ForwardCache, labels: np.ndarray,
     """Exact gradients of mean BCE w.r.t. every parameter tensor.
 
     Sigmoid and BCE are composed analytically, so the logit gradient is
-    the numerically stable (p - y) / B with no division by p(1-p).
+    the numerically stable (p - y) / B with no division by p(1-p).  The
+    labels are not checked here: :func:`bce_loss` checks them, and a
+    step computes the loss first.
 
     With ``out`` (Gradients, typically :func:`unflatten_grads` views of
     a flat vector) the gradients are written into its tensors and
@@ -227,7 +225,6 @@ def backward(params: ModelParams, cache: ForwardCache, labels: np.ndarray,
         raise InternalConsistencyError(
             "backward called with a cache produced by different params"
         )
-    _check_labels(labels)
     batch_size = cache.probs.shape[0]
     if np.shape(labels) != (batch_size,):
         raise ShapeError(

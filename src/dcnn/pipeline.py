@@ -17,7 +17,9 @@ import numpy as np
 
 from .errors import ValidationError, require_at_least
 
-_CODE = np.full(256, -1, dtype=np.int8)
+#: Base code of each byte: A, C, G, T -> 0-3, and _NOT_A_BASE for any other.
+_NOT_A_BASE = 255
+_CODE = np.full(256, _NOT_A_BASE, dtype=np.uint8)
 for _i, _b in enumerate(b"ACGT"):
     _CODE[_b] = _i
 
@@ -75,11 +77,11 @@ def base_codes(bases: str) -> np.ndarray:
             f"cannot encode base {bases[exc.start]!r} at position {exc.start}"
         ) from exc
     codes = _CODE[np.frombuffer(raw, dtype=np.uint8)]
-    bad = np.nonzero(codes < 0)[0]
+    bad = np.flatnonzero(codes == _NOT_A_BASE)
     if bad.size:
         pos = int(bad[0])
         raise ValidationError(f"cannot encode base {bases[pos]!r} at position {pos}")
-    return codes.view(np.uint8)
+    return codes
 
 
 def one_hot(bases: str, dtype=np.float32) -> np.ndarray:
@@ -150,13 +152,30 @@ def shuffled_stream(records, shuffle_buffer_size: int, seed: int):
 
 
 def encode_batch(records, dtype=np.float32) -> Batch:
-    """Stack the base codes of the given records into a Batch; its labels
-    are in ``dtype``."""
+    """The base codes of the given records, which must share one length,
+    as a Batch whose codes own their data; its labels are in ``dtype``.
+
+    Every record's bases go through the code table in one pass over
+    their concatenation.  A base outside ACGT raises the error that
+    :func:`base_codes` raises for its record, before any length check.
+    """
     if not records:
         raise ValidationError("cannot encode an empty batch")
-    codes = np.stack([base_codes(rec.bases) for rec in records])
-    labels = np.asarray([rec.label for rec in records], dtype=dtype)
-    return Batch(codes, labels)
+    lengths = [len(rec.bases) for rec in records]
+    joined = "".join(rec.bases for rec in records)
+    if joined.isascii() and lengths.count(lengths[0]) == len(lengths):
+        # one lookup, which makes the [B, L] array itself, not a view
+        codes = _CODE[np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
+                      .reshape(len(records), lengths[0])]
+        if not (codes == _NOT_A_BASE).any():
+            return Batch(codes, np.asarray([rec.label for rec in records], dtype=dtype))
+    for rec in records:  # name the first base outside ACGT, in its record
+        base_codes(rec.bases)
+    i = next(i for i, n in enumerate(lengths) if n != lengths[0])
+    raise ValidationError(
+        f"record {i} ({records[i].id}) has {lengths[i]} bases, but record 0 has "
+        f"{lengths[0]}: a batch needs records of one length"
+    )
 
 
 def shard(batch: Batch, n_replicas: int):

@@ -27,14 +27,20 @@ whether a rank starts as a thread or as a forked child.  Every wait inside a ran
 is bounded by the link timeout, and every rank ends by itself, so the
 parent waits for each rank's outcome with no cap of its own.
 
-Rank 0 owns bookkeeping: it evaluates validation metrics each epoch,
-decides early stopping, and broadcasts a continue/halt flag.  Under
-``ps`` it also halts the server when its loop ends, on early stop,
+Validation is sharded, and its metrics are not: each epoch every rank
+scores its contiguous share (``collective.ring_chunks``) of the
+validation split with the same parameters, the mean of all replicas
+under ``gossip``, and sends the probabilities to rank 0, which joins
+them in rank order and computes loss, accuracy, auROC and auPRC, bit for
+bit as one rank scoring the whole split would.  Rank 0 owns the
+bookkeeping: it keeps the epoch metrics, decides early stopping and,
+only when early stopping is on, sends every rank a continue/halt flag.
+Under ``ps`` it also halts the server when its loop ends, on early stop,
 normal completion or divergence alike; the rule that tells that halt
-from a gradient report lives in ``collective.ps_server_round``.  A
-group of one (N=1 with a serverless strategy) runs the same worker loop
-inline, never forked, over a one-rank endpoint that has no links and
-sends nothing.
+from a gradient report lives in ``collective.ps_server_round``.  Rank 0
+runs in the calling process, so a group of one (N=1 with a serverless
+strategy) starts no process or thread, and its one-rank endpoint has no
+links and sends nothing.
 """
 
 from __future__ import annotations
@@ -49,13 +55,14 @@ from . import metrics as metrics_mod
 from . import network as nw
 from .collective import (
     STRATEGIES,
+    gather_to_root,
     gossip_exchange,
     gossip_finalize_exchange,
-    mean_ascending,
     ps_halt,
     ps_server_round,
     ps_worker_round,
     ring_all_reduce,
+    ring_chunks,
 )
 from .errors import (DcnnError, PeerClosed, TrainingDivergedError, ValidationError,
                      require_at_least)
@@ -179,37 +186,49 @@ def epoch_stream_seed(seed: int, epoch: int) -> int:
 EVAL_CHUNK_BYTES = 512 * 1024
 
 
-def evaluate(params: nw.ModelParams, records, model_config: nw.ModelConfig,
-             precision: str = "f32", chunk_size: int | None = None) -> dict:
-    """Loss/accuracy/auROC/auPRC of ``params`` on a record list, or on the
-    Batch that ``encode_batch`` made of one (it keeps its own dtype).
+def probabilities(params: nw.ModelParams, batch: Batch,
+                  model_config: nw.ModelConfig, chunk_size: int | None = None):
+    """The model's probability for each record of ``batch``, in the
+    batch's dtype; an empty batch gives an empty vector and runs no
+    forward.
 
     Records are scored ``chunk_size`` at a time, by default as many as
     keep the conv output within EVAL_CHUNK_BYTES; each record's
-    probability does not depend on the chunking.  auROC/auPRC come back
-    as None when the labels contain one class.
+    probability does not depend on the chunking.
     """
-    if not records:
-        raise ValidationError("cannot evaluate on an empty record list")
-    if isinstance(records, Batch):
-        batch = records
-    else:
-        batch = encode_batch(records, dtype=dtype_for(precision))
     if chunk_size is None:
         record_bytes = (model_config.conv_out_length * model_config.n_filters
                         * batch.labels.dtype.itemsize)
         chunk_size = max(1, EVAL_CHUNK_BYTES // record_bytes)
-    probs = np.concatenate([
-        nw.forward(params, batch.rows(start, start + chunk_size), model_config)[0]
-        for start in range(0, len(batch), chunk_size)
-    ])
-    labels = batch.labels
+    parts = [nw.forward(params, batch.rows(start, start + chunk_size), model_config)[0]
+             for start in range(0, len(batch), chunk_size)]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=batch.labels.dtype)
+
+
+def scores(probs, labels) -> dict:
+    """Loss, accuracy, auROC and auPRC of the probabilities ``probs`` of
+    records with these labels; auROC/auPRC are None when the labels
+    contain one class."""
     return {
         "loss": nw.bce_loss(probs, labels),
         "accuracy": metrics_mod.accuracy(probs, labels),
         "auroc": metrics_mod.auroc(probs, labels),
         "auprc": metrics_mod.auprc(probs, labels),
     }
+
+
+def evaluate(params: nw.ModelParams, records, model_config: nw.ModelConfig,
+             precision: str = "f32", chunk_size: int | None = None) -> dict:
+    """:func:`scores` of the :func:`probabilities` of ``params`` on a
+    record list, or on the Batch that ``encode_batch`` made of one (it
+    keeps its own dtype)."""
+    if not records:
+        raise ValidationError("cannot evaluate on an empty record list")
+    if isinstance(records, Batch):
+        batch = records
+    else:
+        batch = encode_batch(records, dtype=dtype_for(precision))
+    return scores(probabilities(params, batch, model_config, chunk_size), batch.labels)
 
 
 def _should_stop(val_losses, early: EarlyStopConfig) -> bool:
@@ -269,7 +288,7 @@ class _Replica:
         self.grads = nw.unflatten_grads(self.carried[:-1], model_config)
 
     def snapshot(self, epoch_loss):
-        """(params to evaluate, global train loss), read on rank 0."""
+        """(params to evaluate, global train loss), the same on every rank."""
         return self.params, epoch_loss
 
     def stop(self):
@@ -324,8 +343,9 @@ class _ParameterServer(_Replica):
 
 class _Gossip(_LocalAdam):
     """Local Adam steps, and every ``gossip_period`` steps an average with
-    this round's ring partner.  Rank 0 evaluates the mean of all
-    replicas; the final consensus installs that mean everywhere."""
+    this round's ring partner.  Each epoch every rank scores the mean of
+    all replicas without installing it; the final consensus installs that
+    mean everywhere."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -347,11 +367,7 @@ class _Gossip(_LocalAdam):
         if self.n == 1:  # the loss slot would round the mean to the run dtype
             return self.params, epoch_loss
         self.vec[-1] = epoch_loss
-        if self.rank != 0:
-            self.endpoint.send(0, self.vec)
-            return None, None
-        gathered = [self.vec] + [self.endpoint.recv(r) for r in range(1, self.n)]
-        mean_vec = mean_ascending(gathered)
+        mean_vec = gossip_finalize_exchange(self.endpoint, self.vec)
         return nw.unflatten_params(mean_vec[:-1], self.model_config), float(mean_vec[-1])
 
     def finish(self):
@@ -374,6 +390,8 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
     """
     replica = _REPLICAS[config.strategy](rank, endpoint, config, model_config)
     steps_per_epoch = len(train_set) // config.global_batch
+    shares = ring_chunks(len(validation_set), config.n_replicas)
+    share_sizes = [stop - start for start, stop in shares]
     is_root = rank == 0
     epoch_rows = []
     stop_reason = "max_epochs"
@@ -403,15 +421,19 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
             epoch_mean_loss = float(np.mean(step_losses))
             wall = time.perf_counter() - epoch_t0
 
+            # every rank scores its share of validation with the same
+            # parameters; rank 0 joins the shares and computes the metrics
             eval_params, global_loss = replica.snapshot(epoch_mean_loss)
+            if not np.isfinite(global_loss):
+                raise TrainingDivergedError("non-finite loss or parameters")
+            probs = gather_to_root(
+                endpoint,
+                probabilities(eval_params, validation_set.rows(*shares[rank]), model_config),
+                share_sizes,
+            )
             halt = _CONTINUE
             if is_root:
-                if not np.isfinite(global_loss):
-                    raise TrainingDivergedError("non-finite loss or parameters")
-                val = evaluate(
-                    eval_params, validation_set, model_config,
-                    precision=config.precision,
-                )
+                val = scores(probs, validation_set.labels)
                 epoch_rows.append(
                     EpochMetrics(
                         epoch=epoch,
@@ -435,12 +457,12 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
                     [row.val_loss for row in epoch_rows], config.early_stop
                 ):
                     halt = _HALT
-            # rank 0 decides; the other replicas follow its flag
-            if is_root:
-                for peer in range(1, config.n_replicas):
-                    endpoint.send(peer, np.asarray([halt], dtype=replica.dtype))
-            else:
-                halt = float(endpoint.recv(0)[0])
+            if config.early_stopping:  # rank 0 decides; the others follow its flag
+                if is_root:
+                    for peer in range(1, config.n_replicas):
+                        endpoint.send(peer, np.asarray([halt], dtype=replica.dtype))
+                else:
+                    halt = float(endpoint.recv(0)[0])
             if halt == _HALT:
                 stop_reason = "converged"
                 break
@@ -531,8 +553,6 @@ def _train(config, model_config, dataset):
            for rank in range(n)]
     if needs_server:
         fns.append(partial(_server_loop, links.endpoint(n), config, model_config))
-    if len(fns) == 1:  # a group of one runs inline: nothing to fork for
-        return _finish(config, model_config, [fns[0]()])
     return _finish(config, model_config,
                    run_ranks(links, fns, forked=config.backend == "processes"))
 

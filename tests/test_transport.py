@@ -1,8 +1,9 @@
 """Tests for the transport: one endpoint class over one link kind, a
-pipe, and one runner that starts each rank as a thread or a forked
-process."""
+pipe, and one runner that runs rank 0 in the caller and starts every
+other rank as a thread or a forked process."""
 
 import multiprocessing as mp
+import os
 import random
 import threading
 import time
@@ -375,6 +376,39 @@ class TestRunRanks:
             run_group([blocked, bad], np.float64, forked=forked)
         assert time.perf_counter() - t0 < 5
         assert set(threading.enumerate()) <= before  # no rank left behind
+        assert not mp.active_children()
+
+    def test_rank_zero_runs_in_the_caller(self, forked):
+        def where(_ep):
+            return os.getpid(), threading.get_ident()
+
+        caller = where(None)
+        (r0, r1), _stats = run_group([where, where], np.float64, forked=forked)
+        assert r0 == caller and r1 != caller
+
+    def test_a_group_of_one_starts_nothing(self, forked):
+        before = threading.active_count()
+
+        def alone(_ep):
+            return threading.active_count(), mp.active_children()
+
+        (result,), stats = run_group([alone], np.float64, forked=forked)
+        assert result == (before, []) and stats.messages == 0
+
+    def test_an_interrupted_rank_zero_raises_its_interrupt_and_leaves_no_rank_behind(
+            self, forked):
+        def interrupted(_ep):
+            raise KeyboardInterrupt
+
+        def blocked(ep):
+            return ep.recv(0)  # the default link timeout: minutes on a live peer
+
+        before = set(threading.enumerate())
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_group([interrupted, blocked, blocked], np.float64, forked=forked)
+        assert time.perf_counter() - t0 < 5
+        assert set(threading.enumerate()) <= before
         assert not mp.active_children()
 
     def test_run_arity_check(self, forked):
