@@ -45,41 +45,43 @@ EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
+#: Every setting with its default; a setting that fills a config field
+#: takes that field's default, so each default is stated once.
 DEFAULTS = {
     # shared
-    "seed": 0,
+    "seed": TrainConfig.seed,
     "out": "runs",
     # simulation
-    "seq_length": 1500,
-    "n_positive": 10000,
-    "n_negative": 10000,
-    "cluster_min": 2,
-    "cluster_max": 5,
-    "cluster_region_fraction": 0.6,
+    "seq_length": SimConfig.seq_length,
+    "n_positive": SimConfig.n_positive,
+    "n_negative": SimConfig.n_negative,
+    "cluster_min": SimConfig.cluster_min,
+    "cluster_max": SimConfig.cluster_max,
+    "cluster_region_fraction": SimConfig.cluster_region_fraction,
     # splits
-    "train_fraction": 0.70,
-    "test_fraction": 0.10,
-    "validation_fraction": 0.20,
+    "train_fraction": SplitSpec.train_fraction,
+    "test_fraction": SplitSpec.test_fraction,
+    "validation_fraction": SplitSpec.validation_fraction,
     # model
-    "n_filters": 15,
-    "filter_width": 10,
-    "pool_window": 35,
-    "pool_stride": 35,
-    "activation": "relu",
+    "n_filters": ModelConfig.n_filters,
+    "filter_width": ModelConfig.filter_width,
+    "pool_window": ModelConfig.pool_window,
+    "pool_stride": ModelConfig.pool_stride,
+    "activation": ModelConfig.conv_activation,
     # training
-    "workers": 1,
-    "strategy": "allreduce",
-    "epochs": 10,
+    "workers": TrainConfig.n_replicas,
+    "strategy": TrainConfig.strategy,
+    "epochs": TrainConfig.epochs_max,
     "batch_per_replica": None,
     "global_batch": None,
-    "precision": "f32",
-    "learning_rate": 1e-3,
-    "shuffle_buffer_size": 100,
-    "patience": 5,
-    "min_delta": 1e-4,
-    "early_stopping": True,
-    "gossip_period": 1,
-    "backend": "processes",
+    "precision": TrainConfig.precision,
+    "learning_rate": TrainConfig.learning_rate,
+    "shuffle_buffer_size": TrainConfig.shuffle_buffer_size,
+    "patience": EarlyStopConfig.patience,
+    "min_delta": EarlyStopConfig.min_delta,
+    "early_stopping": TrainConfig.early_stopping,
+    "gossip_period": TrainConfig.gossip_period,
+    "backend": TrainConfig.backend,
     # benchmark
     "workers_list": (1, 2, 4),
     # paths

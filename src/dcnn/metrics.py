@@ -47,15 +47,12 @@ def auroc(scores, labels):
         return None
     order = np.argsort(scores, kind="stable")
     sorted_scores = scores[order]
-    # midranks: average 1-based rank within each tie block
+    # midranks: average 1-based rank within each tie block; a block starts
+    # where the sorted score changes, so each NaN is a block of its own
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    stops = np.r_[starts[1:], scores.shape[0]]
     ranks = np.empty(scores.shape[0], dtype=np.float64)
-    i = 0
-    while i < sorted_scores.shape[0]:
-        j = i
-        while j + 1 < sorted_scores.shape[0] and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * ((i + 1) + (j + 1))
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * ((starts + 1) + stops), stops - starts)
     rank_sum_pos = float(ranks[labels == 1].sum())
     u_statistic = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u_statistic / (n_pos * n_neg)
@@ -72,16 +69,10 @@ def auprc(scores, labels):
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
     sorted_labels = labels[order]
-    tp = np.cumsum(sorted_labels)
-    taken = np.arange(1, labels.shape[0] + 1)
     # prefix boundaries: last index of each tied block
-    is_block_end = np.ones(labels.shape[0], dtype=bool)
-    is_block_end[:-1] = sorted_scores[:-1] != sorted_scores[1:]
-    total = 0.0
-    prev_recall = 0.0
-    for k in np.nonzero(is_block_end)[0]:
-        precision = tp[k] / taken[k]
-        recall = tp[k] / n_pos
-        total += (recall - prev_recall) * precision
-        prev_recall = recall
-    return float(total)
+    ends = np.flatnonzero(np.r_[sorted_scores[:-1] != sorted_scores[1:], True])
+    tp = np.cumsum(sorted_labels)[ends]
+    precision = tp / (ends + 1)
+    recall = tp / n_pos
+    # summed in block order, one term at a time, as a running total would
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])

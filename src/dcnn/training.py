@@ -41,6 +41,14 @@ from a gradient report lives in ``collective.ps_server_round``.  Rank 0
 runs in the calling process, so a group of one (N=1 with a serverless
 strategy) starts no process or thread, and its one-rank endpoint has no
 links and sends nothing.
+
+Divergence is a replica's result, not an error of the run: a rank that
+meets a non-finite loss or parameters, or whose peer ended first,
+returns stop reason ``diverged`` with its epochs and transport stats.
+``train`` alone builds the report, from every rank's result, the same
+way whether the run finished or diverged: rank 0's epochs and the
+transport totals of every rank, server included.  It raises
+TrainingDivergedError, carrying that report, if any replica diverged.
 """
 
 from __future__ import annotations
@@ -218,17 +226,13 @@ def scores(probs, labels) -> dict:
 
 
 def evaluate(params: nw.ModelParams, records, model_config: nw.ModelConfig,
-             precision: str = "f32", chunk_size: int | None = None) -> dict:
+             precision: str = "f32") -> dict:
     """:func:`scores` of the :func:`probabilities` of ``params`` on a
-    record list, or on the Batch that ``encode_batch`` made of one (it
-    keeps its own dtype)."""
+    record list, encoded at ``precision``."""
     if not records:
         raise ValidationError("cannot evaluate on an empty record list")
-    if isinstance(records, Batch):
-        batch = records
-    else:
-        batch = encode_batch(records, dtype=dtype_for(precision))
-    return scores(probabilities(params, batch, model_config, chunk_size), batch.labels)
+    batch = encode_batch(records, dtype=dtype_for(precision))
+    return scores(probabilities(params, batch, model_config), batch.labels)
 
 
 def _should_stop(val_losses, early: EarlyStopConfig) -> bool:
@@ -243,14 +247,6 @@ def _should_stop(val_losses, early: EarlyStopConfig) -> bool:
         else:
             since_best += 1
     return since_best >= early.patience
-
-
-def _report(config: TrainConfig, epochs, stats, stop_reason) -> TrainReport:
-    """The run's report, of which train() fills in the wall time."""
-    config_dict = {**asdict(config), "global_batch": config.global_batch}
-    return TrainReport(config=config_dict, epochs=epochs, total_wall_seconds=0.0,
-                       total_messages=stats.messages, total_bytes=stats.bytes,
-                       stop_reason=stop_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +382,9 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
     """One replica's whole training run; returns a result dict.
 
     ``train_set`` and ``validation_set`` are the encoded Batches of the
-    dataset's splits.
+    dataset's splits.  A replica that diverges, or whose peer ended
+    first, returns its stop reason ``diverged``, its epochs, its last
+    good epoch and its transport stats, and no parameters.
     """
     replica = _REPLICAS[config.strategy](rank, endpoint, config, model_config)
     steps_per_epoch = len(train_set) // config.global_batch
@@ -467,17 +465,13 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
                 stop_reason = "converged"
                 break
     except (TrainingDivergedError, PeerClosed):  # or a peer ended first
-        replica.stop()
-        raise TrainingDivergedError(
-            "training diverged: non-finite loss or parameters",
-            last_good_epoch=last_good_epoch,
-            partial_report=_report(config, epoch_rows, endpoint.stats, "diverged"),
-        ) from None
+        replica.stop()  # no finish(): it would wait on ranks that have ended
+        return {"stop_reason": "diverged", "last_good_epoch": last_good_epoch,
+                "epochs": epoch_rows, "stats": endpoint.stats}
 
     replica.stop()
     replica.finish()
     return {
-        "rank": rank,
         "params_vec": replica.theta,
         "epochs": epoch_rows,
         "stop_reason": stop_reason,
@@ -495,7 +489,9 @@ def _server_loop(endpoint, config: TrainConfig, model_config):
     ``collective.ps_server_round``).
 
     On a non-finite update the server broadcasts NaN parameters; the
-    workers all observe them and abort identically.
+    workers all observe them and abort identically.  A worker that ends
+    without halting the rounds (its link closes) ends the server too: the
+    workers' results say why.
     """
     server = _LocalAdam(endpoint.rank, endpoint, config, model_config)
 
@@ -508,9 +504,12 @@ def _server_loop(endpoint, config: TrainConfig, model_config):
         server.vec[-1] = mean_report[-1]
         return server.vec
 
-    while ps_server_round(endpoint, step) is not None:
+    try:
+        while ps_server_round(endpoint, step) is not None:
+            pass
+    except PeerClosed:
         pass
-    return {"rank": endpoint.rank, "stats": endpoint.stats}
+    return {"stats": endpoint.stats}
 
 
 # ---------------------------------------------------------------------------
@@ -522,21 +521,14 @@ def train(config: TrainConfig, model_config: nw.ModelConfig, dataset: Dataset):
 
     Deterministic given (config, model_config, dataset): metrics and the
     final parameters repeat bit-for-bit; only wall-clock fields vary.
-    The report's total_wall_seconds, and that of the partial report of a
-    diverged run, time this whole call.
+
+    The report holds rank 0's epochs and the transport totals of every
+    rank, server included, and its total_wall_seconds times this whole
+    call.  If any replica diverged, the same report, with stop reason
+    ``diverged``, is the partial report of the TrainingDivergedError
+    raised instead.
     """
     t0 = time.perf_counter()
-    try:
-        params, report = _train(config, model_config, dataset)
-    except TrainingDivergedError as exc:
-        if exc.partial_report is not None:
-            exc.partial_report.total_wall_seconds = time.perf_counter() - t0
-        raise
-    report.total_wall_seconds = time.perf_counter() - t0
-    return params, report
-
-
-def _train(config, model_config, dataset):
     dataset.check_trainable(config.global_batch)
 
     # encoded once here, before any fork, and shared by every rank
@@ -553,29 +545,35 @@ def _train(config, model_config, dataset):
            for rank in range(n)]
     if needs_server:
         fns.append(partial(_server_loop, links.endpoint(n), config, model_config))
-    return _finish(config, model_config,
-                   run_ranks(links, fns, forked=config.backend == "processes"))
+    results = run_ranks(links, fns, forked=config.backend == "processes")
 
-
-def _finish(config, model_config, results):
-    """The report from the rank-ordered results: rank 0's parameters and
-    epochs, and the transport totals of every rank, server included."""
     root = results[0]
-    # every worker must agree exactly on the final parameters
-    for result in results[1:config.n_replicas]:
-        if not np.array_equal(result["params_vec"], root["params_vec"]):
-            raise DcnnError(
-                f"rank {result['rank']} finished with parameters different "
-                f"from rank 0: aggregation is broken"
-            )
+    diverged = any(result["stop_reason"] == "diverged" for result in results[:n])
+    if not diverged:  # every worker must agree exactly on the final parameters
+        for rank in range(1, n):
+            if not np.array_equal(results[rank]["params_vec"], root["params_vec"]):
+                raise DcnnError(
+                    f"rank {rank} finished with parameters different "
+                    f"from rank 0: aggregation is broken"
+                )
     stats = TransportStats()
     for result in results:
         stats.merge(result["stats"])
-    params = nw.unflatten_params(
-        root["params_vec"].astype(dtype_for(config.precision), copy=False),
-        model_config,
+    report = TrainReport(
+        config={**asdict(config), "global_batch": config.global_batch},
+        epochs=root["epochs"],
+        total_wall_seconds=time.perf_counter() - t0,
+        total_messages=stats.messages,
+        total_bytes=stats.bytes,
+        stop_reason="diverged" if diverged else root["stop_reason"],
     )
-    return params, _report(config, root["epochs"], stats, root["stop_reason"])
+    if diverged:
+        raise TrainingDivergedError(
+            "training diverged: non-finite loss or parameters",
+            last_good_epoch=root["last_good_epoch"],
+            partial_report=report,
+        )
+    return nw.unflatten_params(root["params_vec"], model_config), report
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ training uses so that the numpy work runs in parallel, or as threads.
 Rank 0 runs in the calling thread on either backend, so a group of one
 starts nothing.  :func:`run_ranks` is the one runner that starts ranks,
 for training and for the tests alike, with one rule for which failure a
-run raises.
+run raises: a rank that raised, or ended without an outcome, before a
+rank that only saw a closed link.  It knows nothing of what the ranks
+compute: a rank whose work stops early returns a result that says so,
+for the caller to read.
 
 A message is the raw bytes of one flat vector of the group's dtype (the
 run's precision), with no pickling; any other payload is rejected.  A
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DcnnError, PeerClosed, ProtocolError, TrainingDivergedError, ValidationError
+from .errors import DcnnError, PeerClosed, ProtocolError, ValidationError
 
 #: How long a ``recv`` waits on a live but silent peer, and a ``send``
 #: on a live peer that does not read.
@@ -184,12 +187,10 @@ class ProcessLinks:
 def _outcome(links, rank, fn):
     """Run ``fn`` as ``rank``, close this rank's links so that no peer
     waits on it, and return ``(kind, payload)``: ``ok`` and the result,
-    ``diverged`` and the TrainingDivergedError, or ``closed`` (PeerClosed)
-    or ``error`` (any other Exception) and the traceback."""
+    or ``closed`` (PeerClosed) or ``error`` (any other Exception) and the
+    traceback."""
     try:
         return "ok", fn()
-    except TrainingDivergedError as exc:
-        return "diverged", exc
     except Exception as exc:  # named in the caller
         return ("closed" if isinstance(exc, PeerClosed) else "error",
                 f"raised {exc!r}\n{traceback.format_exc()}")
@@ -220,9 +221,8 @@ def run_ranks(links, fns, forked):
 
     A rank's links close when it ends, so every rank ends by itself, and
     the caller collects the outcomes in rank order.  The lowest rank that
-    raised, or exited without an outcome, is named in a DcnnError; else a
-    diverged run raises rank 0's partial report.  A rank that only saw
-    PeerClosed is named only when neither explains it.  A KeyboardInterrupt
+    raised, or exited without an outcome, is named in a DcnnError; else
+    the lowest rank that only saw PeerClosed is.  A KeyboardInterrupt
     or SystemExit in rank 0 propagates as itself, once the other ranks
     have ended or, if forked, been terminated.
     """
@@ -258,11 +258,8 @@ def run_ranks(links, fns, forked):
             if forked and worker.is_alive():
                 worker.terminate()
             source.close()
-    for kind in ("error", "diverged", "closed"):
+    for kind in ("error", "closed"):
         for rank, (got, payload) in enumerate(outcomes):
-            if got != kind:
-                continue
-            if kind == "diverged":
-                raise payload
-            raise DcnnError(f"worker failure: rank {rank} {payload}")
+            if got == kind:
+                raise DcnnError(f"worker failure: rank {rank} {payload}")
     return [payload for _kind, payload in outcomes]

@@ -196,3 +196,50 @@ def exhaustive_average_precision(scores, labels) -> float:
         total += (recall - prev_recall) * precision
         prev_recall = recall
     return total
+
+
+def loop_auroc(scores, labels):
+    """``metrics.auroc`` as a loop over tie blocks: a block grows while the
+    next sorted score equals the block's first, so each NaN stands alone."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels).astype(np.int64)
+    n_pos = int(labels.sum())
+    n_neg = labels.shape[0] - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return None
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    ranks = np.empty(scores.shape[0], dtype=np.float64)
+    i = 0
+    while i < sorted_scores.shape[0]:
+        j = i
+        while j + 1 < sorted_scores.shape[0] and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * ((i + 1) + (j + 1))
+        i = j + 1
+    rank_sum_pos = float(ranks[labels == 1].sum())
+    u_statistic = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
+    return u_statistic / (n_pos * n_neg)
+
+
+def loop_auprc(scores, labels):
+    """``metrics.auprc`` as a running total over the tie blocks' ends."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels).astype(np.int64)
+    n_pos = int(labels.sum())
+    if n_pos == 0:
+        return None
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    tp = np.cumsum(labels[order])
+    taken = np.arange(1, labels.shape[0] + 1)
+    is_block_end = np.ones(labels.shape[0], dtype=bool)
+    is_block_end[:-1] = sorted_scores[:-1] != sorted_scores[1:]
+    total = 0.0
+    prev_recall = 0.0
+    for k in np.nonzero(is_block_end)[0]:
+        precision = tp[k] / taken[k]
+        recall = tp[k] / n_pos
+        total += (recall - prev_recall) * precision
+        prev_recall = recall
+    return float(total)

@@ -452,8 +452,9 @@ def test_corrupted_checkpoint_message(workspace, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # config file handling and argparse behavior
 
-#: Each DEFAULTS key that restates a dataclass field, with the fields it
-#: restates.
+#: Each DEFAULTS key that fills a dataclass field, with the fields it
+#: fills.  DEFAULTS reads one of them; ``seed`` and ``seq_length`` fill
+#: more than one, whose defaults must then agree.
 _MIRRORED_FIELDS = {
     "seed": [(SimConfig, "seed"), (SplitSpec, "seed"), (TrainConfig, "seed")],
     "seq_length": [(SimConfig, "seq_length"), (ModelConfig, "seq_length")],

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dcnn.errors import ValidationError
 from dcnn.metrics import accuracy, auprc, auroc
 
-from oracles import brute_force_auroc, exhaustive_average_precision
+from oracles import brute_force_auroc, exhaustive_average_precision, loop_auprc, loop_auroc
 
 
 class TestAccuracy:
@@ -132,3 +132,29 @@ class TestAuprc:
             labels[0] = 1
             value = auprc(scores, labels)
             assert 0.0 <= value <= 1.0
+
+
+def _awkward_scores(rng, n):
+    """Scores with ties, NaN, ±inf and signed zeros: the values a diverged
+    epoch's probabilities, or a coarse model's, can hold."""
+    pool = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 0.25, 0.5, 1.0])
+    scores = rng.random(n)
+    coarse = rng.random(n) < rng.random()
+    scores[coarse] = rng.choice(pool, size=int(coarse.sum()))
+    return scores
+
+
+def _bits(value):
+    return None if value is None else np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("metric,loop", [(auroc, loop_auroc), (auprc, loop_auprc)],
+                         ids=["auroc", "auprc"])
+def test_metric_equals_its_loop_form_bit_for_bit(metric, loop):
+    rng = np.random.Generator(np.random.PCG64(17))
+    for case in range(1500):
+        n = int(rng.integers(1, 12 if case % 2 else 400))
+        scores = _awkward_scores(rng, n)
+        labels = (rng.random(n) < rng.random()).astype(np.int64)
+        assert _bits(metric(scores, labels)) == _bits(loop(scores, labels)), (case, scores,
+                                                                             labels)

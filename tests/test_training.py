@@ -32,6 +32,8 @@ from dcnn.training import (
     _should_stop,
     epoch_stream_seed,
     evaluate,
+    probabilities,
+    scores,
     train,
     write_curves_csv,
 )
@@ -629,6 +631,50 @@ def test_divergence_raises_rank_zeros_report_even_when_rank_zero_ends_last(
     assert len(excinfo.value.partial_report.epochs) == 3
 
 
+def _spy_on_endpoint_stats(monkeypatch):
+    """A queue that gets (messages, bytes) of each rank's endpoint, the
+    server's included, as its loop ends, on either backend."""
+    ended = mp.get_context("fork").SimpleQueue()
+
+    def spy(loop, endpoint_of):
+        def wrapper(*args):
+            try:
+                return loop(*args)
+            finally:
+                stats = endpoint_of(args).stats
+                ended.put((stats.messages, stats.bytes))
+        return wrapper
+
+    monkeypatch.setattr(training, "_worker_loop",
+                        spy(training._worker_loop, lambda args: args[1]))
+    monkeypatch.setattr(training, "_server_loop",
+                        spy(training._server_loop, lambda args: args[0]))
+    return ended
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("strategy,replica_class", [
+    ("allreduce", training._AllReduce), ("ps", training._ParameterServer),
+    ("gossip", training._Gossip)], ids=["allreduce", "ps", "gossip"])
+def test_partial_report_counts_every_ranks_traffic(dataset, monkeypatch, strategy,
+                                                   replica_class, backend):
+    ended = _spy_on_endpoint_stats(monkeypatch)
+    _nan_loss_at_step(monkeypatch, replica_class, 40, ranks=(0, 1))
+    with pytest.raises(TrainingDivergedError) as excinfo:
+        run(dataset, n_replicas=2, strategy=strategy, batch_per_replica=16,
+            backend=backend, epochs_max=5)
+    per_rank = []
+    while not ended.empty():
+        per_rank.append(ended.get())
+    ended.close()
+    assert len(per_rank) == (3 if strategy == "ps" else 2)
+    partial = excinfo.value.partial_report
+    assert excinfo.value.last_good_epoch == 2 and len(partial.epochs) == 3
+    assert partial.total_messages == sum(messages for messages, _ in per_rank)
+    assert partial.total_bytes == sum(nbytes for _, nbytes in per_rank)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_gossip_rank_that_diverges_alone_ends_the_run_on_both_backends(
         dataset, monkeypatch):
@@ -674,11 +720,12 @@ def test_evaluate_is_chunk_size_invariant(dataset):
         default = training.EVAL_CHUNK_BYTES // (
             MODEL.conv_out_length * MODEL.n_filters * dtype.itemsize)
         assert 1 < default < n  # the derived chunk splits this batch unevenly
-        want = evaluate(params, batch, MODEL, chunk_size=n)
+        want = scores(probabilities(params, batch, MODEL, chunk_size=n), batch.labels)
         assert want["auroc"] is not None
         assert evaluate(params, records, MODEL, precision=precision) == want
         for chunk in (1, 7, default, n + 5):
-            assert evaluate(params, batch, MODEL, chunk_size=chunk) == want, (precision, chunk)
+            got = scores(probabilities(params, batch, MODEL, chunk_size=chunk), batch.labels)
+            assert got == want, (precision, chunk)
         # each record's probability is the same whatever rows share its
         # forward pass (the conv's k-mer length and dense_forward's einsum
         # both see the chunk's shape)
