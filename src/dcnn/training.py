@@ -255,9 +255,9 @@ def _should_stop(val_losses, early: EarlyStopConfig) -> bool:
 
 class _Replica:
     """This rank's parameters plus the hooks the worker loop calls:
-    ``step`` once per batch, ``snapshot`` once per epoch, ``stop``
-    whenever the loop ends (diverged too) and ``finish`` after a normal
-    end.  A hook that a strategy does not need does nothing.
+    ``step`` once per batch, ``snapshot`` once per epoch, ``finish``
+    after the last epoch and ``stop`` whenever the loop ends (diverged
+    too).  A hook that a strategy does not need does nothing.
 
     Each rank works on two flat vectors of the run's dtype, each with a
     trailing loss slot, so the loss rides along in the same message:
@@ -464,13 +464,13 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
             if halt == _HALT:
                 stop_reason = "converged"
                 break
-    except (TrainingDivergedError, PeerClosed):  # or a peer ended first
-        replica.stop()  # no finish(): it would wait on ranks that have ended
+        replica.finish()
+    except (TrainingDivergedError, PeerClosed):  # or a peer ended first, even in finish()
+        replica.stop()  # finish() is skipped: it would wait on ranks that have ended
         return {"stop_reason": "diverged", "last_good_epoch": last_good_epoch,
                 "epochs": epoch_rows, "stats": endpoint.stats}
 
     replica.stop()
-    replica.finish()
     return {
         "params_vec": replica.theta,
         "epochs": epoch_rows,
@@ -547,11 +547,12 @@ def train(config: TrainConfig, model_config: nw.ModelConfig, dataset: Dataset):
         fns.append(partial(_server_loop, links.endpoint(n), config, model_config))
     results = run_ranks(links, fns, forked=config.backend == "processes")
 
+    # a rank that diverges ends its links, so rank 0 ends diverged too
     root = results[0]
-    diverged = any(result["stop_reason"] == "diverged" for result in results[:n])
+    diverged = root["stop_reason"] == "diverged"
     if not diverged:  # every worker must agree exactly on the final parameters
         for rank in range(1, n):
-            if not np.array_equal(results[rank]["params_vec"], root["params_vec"]):
+            if not np.array_equal(results[rank].get("params_vec"), root["params_vec"]):
                 raise DcnnError(
                     f"rank {rank} finished with parameters different "
                     f"from rank 0: aggregation is broken"
@@ -565,7 +566,7 @@ def train(config: TrainConfig, model_config: nw.ModelConfig, dataset: Dataset):
         total_wall_seconds=time.perf_counter() - t0,
         total_messages=stats.messages,
         total_bytes=stats.bytes,
-        stop_reason="diverged" if diverged else root["stop_reason"],
+        stop_reason=root["stop_reason"],
     )
     if diverged:
         raise TrainingDivergedError(

@@ -676,6 +676,39 @@ def test_partial_report_counts_every_ranks_traffic(dataset, monkeypatch, strateg
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+def test_gossip_divergence_in_the_last_epoch_ends_the_final_consensus(
+        dataset, monkeypatch, backend):
+    # rank 0 alone finds the last epoch's val loss NaN and ends, while rank 1
+    # goes on to the final consensus exchange and finds rank 0's link closed
+    ended = _spy_on_endpoint_stats(monkeypatch)
+    real_scores = training.scores
+    calls = []
+
+    def nan_in_last_epoch(probs, labels):
+        calls.append(None)
+        if len(calls) == 3:
+            probs = np.full_like(probs, np.nan)
+        return real_scores(probs, labels)
+
+    monkeypatch.setattr(training, "scores", nan_in_last_epoch)
+    with pytest.raises(TrainingDivergedError) as excinfo:
+        run(dataset, n_replicas=2, strategy="gossip", batch_per_replica=16,
+            backend=backend, epochs_max=3, early_stopping=False)
+    per_rank = []
+    while not ended.empty():
+        per_rank.append(ended.get())
+    ended.close()
+    assert len(per_rank) == 2
+    exc = excinfo.value
+    assert exc.last_good_epoch == 1
+    assert [row.epoch for row in exc.partial_report.epochs] == [0, 1, 2]
+    assert np.isnan(exc.partial_report.epochs[-1].val_loss)
+    assert exc.partial_report.total_messages == sum(m for m, _ in per_rank)
+    assert exc.partial_report.total_bytes == sum(b for _, b in per_rank)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_gossip_rank_that_diverges_alone_ends_the_run_on_both_backends(
         dataset, monkeypatch):
     _nan_loss_at_step(monkeypatch, training._Gossip, 40, ranks=(1,))
