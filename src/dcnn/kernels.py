@@ -239,13 +239,14 @@ def conv1d_backward_codes(
         raise InternalConsistencyError(
             f"conv1d gradient row {int(rows.max())} outside output of length {out_length}"
         )
-    carries = grad_rows != 0
-    b, _, f = np.nonzero(carries)  # C order: ascending (b, p, f)
-    g = grad_rows[carries]
-    row = rows[carries]
+    carries = np.flatnonzero(grad_rows)  # C order: ascending (b, p, f)
+    g = grad_rows.ravel()[carries]
+    b, f = carries // (rows.shape[1] * n_filters), carries % n_filters
+    # flat index of codes[b, row] in the [B * L] codes
+    start = rows.ravel()[carries] + b * codes.shape[1]
     taps = np.arange(width)
     # flat index of [f, j, codes[b, row + j]] in a [F, W, 4] array, [n, W]
-    index = (f[:, None] * width + taps) * 4 + codes[b[:, None], row[:, None] + taps]
+    index = (f[:, None] * width + taps) * 4 + codes.ravel()[start[:, None] + taps]
     grad_filters = np.zeros(n_filters * width * 4, dtype=grad_rows.dtype)
     np.add.at(grad_filters, index.ravel(), np.repeat(g, width))
     grad_bias = np.zeros(n_filters, dtype=grad_rows.dtype)

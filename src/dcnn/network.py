@@ -306,7 +306,9 @@ def adam_step(theta: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
 
     Bias-corrected step theta <- theta - alpha * m_hat / (sqrt(v_hat) + eps),
     each elementwise operation in the order of that formula, so the
-    result equals the out-of-place form bit for bit.
+    result equals the out-of-place form bit for bit.  A non-finite
+    gradient, or a ``v_hat`` that overflows the dtype, raises
+    TrainingDivergedError before ``theta`` is written.
     """
     g = np.asarray(grads).astype(theta.dtype, copy=False)
     if g.shape != theta.shape:
@@ -322,6 +324,8 @@ def adam_step(theta: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     v *= ADAM_BETA2
     v += (1.0 - ADAM_BETA2) * g * g
     denom = v / (1.0 - ADAM_BETA2**state.t)
+    if not np.isfinite(denom).all():  # else every update would be 0 from here on
+        raise TrainingDivergedError("second moment overflowed in optimizer step")
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
     update = state.alpha * (m / (1.0 - ADAM_BETA1**state.t))

@@ -7,7 +7,16 @@ through one :class:`ProcessEndpoint` (``rank``, ``size``,
 how ranks 1..n-1 start: as forked children, which real multi-replica
 training uses so that the numpy work runs in parallel, or as threads.
 Rank 0 runs in the calling thread on either backend, so a group of one
-starts nothing.  :func:`run_ranks` is the one runner that starts ranks,
+starts nothing.  On the process backend each rank of a group of two or
+more is bound to one CPU, rank r to the r-th (mod their count) of the
+caller's allowed CPUs in ascending order; rank 0 binds the calling
+thread only while it runs.  Ranks that outnumber the CPUs then share
+them in a fixed pattern, and a rank that blocks on a peer sharing its
+CPU hands that CPU over instead of waking the peer on another one: at
+two replicas on two CPUs the parameter server (rank 2) shares rank 0's
+CPU, and the two alternate strictly, since the server reads rank 0's
+report first and rank 0 then waits for its reply.  Threads are never
+bound.  :func:`run_ranks` is the one runner that starts ranks,
 for training and for the tests alike, with one rule for which failure a
 run raises: a rank that raised, or ended without an outcome, before a
 rank that only saw a closed link.  It knows nothing of what the ranks
@@ -36,10 +45,12 @@ rather than assumed.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import socket
 import struct
 import threading
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,14 +209,40 @@ def _outcome(links, rank, fn):
         links.endpoint(rank).close()
 
 
-def _rank_entry(links, rank, fn, sink, forked):
-    """A started rank's life: its outcome, sent to the caller.  A
-    KeyboardInterrupt or SystemExit here is sent as an error, then
-    re-raised."""
+@contextmanager
+def _bound_to(cpu):
+    """Bind the calling thread to ``cpu`` for the block and restore its
+    mask after it, however it ends; ``None`` binds nothing."""
+    if cpu is None:
+        yield
+        return
+    saved = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {cpu})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, saved)
+
+
+def _placement(n, forked):
+    """The CPU each of ``n`` ranks binds to, round-robin over the
+    caller's allowed CPUs in ascending order, for forked ranks where the
+    platform can bind; else ``None`` for every rank."""
+    if not forked or n == 1 or not hasattr(os, "sched_setaffinity"):
+        return [None] * n
+    cpus = sorted(os.sched_getaffinity(0))
+    return [cpus[rank % len(cpus)] for rank in range(n)]
+
+
+def _rank_entry(links, rank, fn, sink, forked, cpu):
+    """A started rank's life, bound to ``cpu``: its outcome, sent to the
+    caller.  A KeyboardInterrupt or SystemExit here is sent as an error,
+    then re-raised."""
     if forked:  # drop the other ranks' ends
         links.close(keep=rank)
     try:
-        outcome = _outcome(links, rank, fn)
+        with _bound_to(cpu):
+            outcome = _outcome(links, rank, fn)
     except BaseException as exc:
         outcome = "error", f"raised {exc!r}\n{traceback.format_exc()}"
         raise
@@ -218,6 +255,10 @@ def run_ranks(links, fns, forked):
     """Run ``fns[r]()`` as rank r over ``links`` and return the results in
     rank order.  Ranks 1..n-1 start on forked children or on threads;
     rank 0 runs in the calling thread, so a group of one starts nothing.
+    With ``forked`` and n > 1, rank r is bound to the CPU
+    ``sorted(caller's allowed CPUs)[r % count]``: a child from its start,
+    and the calling thread only while rank 0 runs, its mask restored
+    however rank 0 ends.
 
     A rank's links close when it ends, so every rank ends by itself, and
     the caller collects the outcomes in rank order.  The lowest rank that
@@ -229,12 +270,14 @@ def run_ranks(links, fns, forked):
     if len(fns) != links.n:
         raise ValidationError(f"expected {links.n} callables, got {len(fns)}")
     start = mp.get_context("fork").Process if forked else threading.Thread
+    cpus = _placement(links.n, forked)
     ranks, sources = [], []
     try:
         for rank in range(1, links.n):
             source, sink = mp.Pipe(duplex=False)
             worker = start(target=_rank_entry,
-                           args=(links, rank, fns[rank], sink, forked), daemon=True)
+                           args=(links, rank, fns[rank], sink, forked, cpus[rank]),
+                           daemon=True)
             worker.start()
             ranks.append(worker)
             sources.append(source)
@@ -242,7 +285,8 @@ def run_ranks(links, fns, forked):
                 sink.close()
         if forked:  # the children hold their own link ends; the caller keeps rank 0's
             links.close(keep=0)
-        outcomes = [_outcome(links, 0, fns[0])]
+        with _bound_to(cpus[0]):
+            outcomes = [_outcome(links, 0, fns[0])]
         for source, worker in zip(sources, ranks):
             try:
                 outcomes.append(source.recv())

@@ -433,6 +433,19 @@ class TestAdam:
         assert np.array_equal(theta, before)
         assert state.t == 0 and not state.m.any() and not state.v.any()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_an_overflowing_second_moment_raises_before_theta_is_written(self):
+        # (1 - beta2) * g * g = 9e35 fits f32, but dividing it by
+        # 1 - beta2 at t = 1 overflows; left alone, m / inf would make
+        # this and every later update 0
+        theta = flat_init(5)
+        before = theta.copy()
+        grads = np.zeros(TINY.param_count, dtype=np.float32)
+        grads[3] = 3e19
+        with pytest.raises(TrainingDivergedError, match="second moment overflowed"):
+            nw.adam_step(theta, grads, nw.fresh_adam_state(TINY))
+        assert np.array_equal(theta, before)
+
     def test_gradient_length_mismatch(self):
         with pytest.raises(ShapeError, match="gradient shape"):
             nw.adam_step(flat_init(5), np.zeros(60, dtype=np.float32),

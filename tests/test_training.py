@@ -598,6 +598,26 @@ def test_divergence_shuts_down_multi_replica_runs(dataset, strategy, backend):
     assert excinfo.value.partial_report.stop_reason == "diverged"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("strategy", ["allreduce", "ps", "gossip"])
+def test_an_overflowing_adam_second_moment_is_a_divergence(strategy):
+    # at this rate Adam's bias-corrected second moment overflows f32 at
+    # the first step while the gradient, the loss and the parameters stay
+    # finite; unchecked, every update is 0 from there and the run ends
+    # "max_epochs" at accuracy 0.5
+    sim = SimConfig(seq_length=120, n_positive=60, n_negative=60, seed=3)
+    train_recs, test_recs, val_recs = split(generate_dataset(sim, default_tal1_pwm()),
+                                            SplitSpec(seed=3))
+    with pytest.raises(TrainingDivergedError) as excinfo:
+        train(TrainConfig(n_replicas=2, strategy=strategy, backend="processes",
+                          batch_per_replica=8, epochs_max=3, early_stopping=False,
+                          learning_rate=1e19, seed=3),
+              ModelConfig(seq_length=120),
+              Dataset(train=train_recs, validation=val_recs, test=test_recs))
+    assert excinfo.value.last_good_epoch == -1
+    assert excinfo.value.partial_report.stop_reason == "diverged"
+
+
 def _nan_loss_at_step(monkeypatch, replica_class, step, ranks):
     """Make the loss of ``ranks`` NaN at their ``step``-th step (from 1)."""
     real_step = replica_class.step

@@ -416,3 +416,93 @@ class TestRunRanks:
         with pytest.raises(ValidationError, match="expected 2 callables, got 1"):
             run_ranks(links, [lambda: None], forked)
         links.close()
+
+
+def _mask(_ep):
+    return os.sched_getaffinity(0)
+
+
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="the platform cannot bind threads to CPUs"
+)
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs at least 2 allowed CPUs",
+)
+
+
+@needs_affinity
+class TestPlacement:
+    """On the process backend rank r runs on the r-th (mod their count)
+    of the caller's allowed CPUs; threads and the caller's own mask are
+    left as they were."""
+
+    # two replicas (allreduce); two workers and the server at rank 2 (ps
+    # ×2); three replicas; three workers and the server at rank 3 (ps ×3)
+    @needs_two_cpus
+    @pytest.mark.parametrize("n", [2, 3, 4], ids=["2-ranks", "3-ranks", "4-ranks"])
+    def test_forked_ranks_bind_round_robin(self, n):
+        caller = os.sched_getaffinity(0)
+        cpus = sorted(caller)
+        masks, _stats = run_group([_mask] * n, np.float64, forked=True)
+        assert masks == [{cpus[rank % len(cpus)]} for rank in range(n)]
+        assert os.sched_getaffinity(0) == caller  # rank 0 restored it
+
+    @needs_two_cpus
+    def test_the_ps_server_of_two_workers_shares_rank_zeros_cpu(self):
+        # the server is rank N = 2 of three: 2 % 2 puts it on rank 0's CPU
+        # when the caller may use exactly two CPUs
+        caller = os.sched_getaffinity(0)
+        two = set(sorted(caller)[:2])
+        os.sched_setaffinity(0, two)
+        try:
+            (worker0, worker1, server), _stats = run_group([_mask] * 3, np.float64,
+                                                           forked=True)
+        finally:
+            os.sched_setaffinity(0, caller)
+        assert server == worker0 != worker1
+        assert worker0 | worker1 == two
+
+    def test_one_allowed_cpu_runs_every_rank_on_it(self):
+        caller = os.sched_getaffinity(0)
+        one = {min(caller)}
+        os.sched_setaffinity(0, one)
+        try:
+            masks, _stats = run_group([_mask] * 3, np.float64, forked=True)
+            assert os.sched_getaffinity(0) == one
+        finally:
+            os.sched_setaffinity(0, caller)
+        assert masks == [one] * 3
+
+    def test_threads_leave_every_mask_alone(self):
+        caller = os.sched_getaffinity(0)
+        masks, _stats = run_group([_mask] * 3, np.float64, forked=False)
+        assert masks == [caller] * 3
+        assert os.sched_getaffinity(0) == caller
+
+    def test_a_group_of_one_is_not_bound(self):
+        caller = os.sched_getaffinity(0)
+        (mask,), _stats = run_group([_mask], np.float64, forked=True)
+        assert mask == caller
+
+    @pytest.mark.parametrize("raising", [0, 1], ids=["rank-0", "rank-1"])
+    def test_the_callers_mask_is_restored_after_a_raising_rank(self, raising):
+        def bad(_ep):
+            raise RuntimeError("worker exploded")
+
+        caller = os.sched_getaffinity(0)
+        fns = [_mask, _mask]
+        fns[raising] = bad
+        with pytest.raises(DcnnError, match=f"rank {raising} raised RuntimeError"):
+            run_group(fns, np.float64, forked=True)
+        assert os.sched_getaffinity(0) == caller
+
+    def test_the_callers_mask_is_restored_after_an_interrupt_in_rank_zero(self):
+        def interrupted(_ep):
+            raise KeyboardInterrupt
+
+        caller = os.sched_getaffinity(0)
+        with pytest.raises(KeyboardInterrupt):
+            run_group([interrupted, _mask], np.float64, forked=True)
+        assert os.sched_getaffinity(0) == caller
+        assert not mp.active_children()
