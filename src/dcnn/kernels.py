@@ -38,6 +38,7 @@ order) that never depend on thread scheduling.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InternalConsistencyError, ShapeError, ValidationError
 
@@ -261,7 +262,13 @@ def maxpool1d_forward(
 
     ``x`` is [..., T, F]; returns (pooled [..., n_out, F], argmax_rows)
     where n_out = (T - window)//stride + 1 and argmax_rows holds the input
-    row index of each winning element (first occurrence on ties).
+    row index of each winning element: ``np.argmax``'s winner, so the
+    first occurrence on ties and the first NaN if the window has one.
+
+    The windows are copied window-last, [..., n_out, F, window], so that
+    ``argmax`` scans contiguous rows, and the winners are read back with
+    one flat gather: each pooled value is the winning element itself,
+    its bits (the sign of a zero, a NaN's payload) included.
     """
     x = np.asarray(x)
     if window < 1 or stride < 1:
@@ -274,18 +281,18 @@ def maxpool1d_forward(
             f"maxpool would produce an empty output: input length {rows} < window {window}"
         )
     n_out = (rows - window) // stride + 1
-    starts = np.arange(n_out) * stride
     if stride == window:  # non-overlapping: the windows are a reshape
         windows = x[..., : n_out * window, :].reshape(
             x.shape[:-2] + (n_out, window, x.shape[-1])
-        )
+        ).swapaxes(-1, -2)
     else:
-        windows = x[..., starts[:, None] + np.arange(window), :]
-    # windows: [..., n_out, window, F]
-    arg_in_window = np.argmax(windows, axis=-2)
-    pooled = np.take_along_axis(windows, arg_in_window[..., None, :], axis=-2)
-    pooled = pooled[..., 0, :]
-    argmax_rows = starts[:, None] + arg_in_window
+        windows = sliding_window_view(x, window, axis=-2)[..., ::stride, :, :]
+    windows = np.ascontiguousarray(windows)  # [..., n_out, F, window]
+    arg_in_window = windows.argmax(axis=-1)
+    flat_winner = np.arange(0, windows.size, window).reshape(arg_in_window.shape)
+    flat_winner += arg_in_window
+    pooled = windows.reshape(-1)[flat_winner]
+    argmax_rows = np.arange(0, n_out * stride, stride)[:, None] + arg_in_window
     return pooled, argmax_rows
 
 
@@ -366,6 +373,8 @@ def sigmoid(x):
 
 
 def relu(x):
+    """max(x, 0) elementwise; NaN stays NaN, and a zero or negative input
+    gives +0.0, never -0.0, so relu commutes with max-pooling bit for bit."""
     x = np.asarray(x)
     return np.maximum(x, 0)
 

@@ -12,6 +12,17 @@ gradient of each max-pool winner straight to the filter taps of its
 k-mer.  A dense one-hot model built from the dense kernels is the
 tests' oracle for both, bit for bit.
 
+The forward max-pools the raw conv output and applies ReLU to the
+pooled [B, P, F] only, which gives the bits of ReLU-then-pool with
+T/P times less ReLU work.  ReLU is monotone and never returns -0.0, so
+relu(max(x)) equals the max of relu(x), NaN included (both pools pick
+the window's first NaN).  The winning rows differ only in windows
+whose maximum is <= 0; there ReLU's derivative is 0, the backward's
+``flat > 0`` mask zeroes the gradient, and the conv backward skips
+zero gradients, so the gradients are unchanged too.  The one exception
+is a non-finite logit gradient: NaN * 0 survives the mask, so the NaN
+lands on the taps of other rows, and Adam rejects the step either way.
+
 Adam runs with the usual constants (Kingma & Ba 2015): beta1 0.9,
 beta2 0.999 and eps 1e-8.  Only its step size ``alpha`` is set, from
 the run's learning rate.
@@ -21,6 +32,7 @@ from __future__ import annotations
 
 import math
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,13 +189,11 @@ def forward(params: ModelParams, batch, config: ModelConfig):
     conv_out = kernels.conv1d_forward_codes(
         codes, params.conv_filters, params.conv_bias, dtype=batch.labels.dtype
     )
-    if config.conv_activation == "relu":
-        act = kernels.relu(conv_out)
-    else:
-        act = conv_out
     pooled, argmax_rows = kernels.maxpool1d_forward(
-        act, config.pool_window, config.pool_stride
+        conv_out, config.pool_window, config.pool_stride
     )
+    if config.conv_activation == "relu":  # pooled first: see the module docstring
+        pooled = kernels.relu(pooled)
     flat = pooled.reshape(pooled.shape[0], -1)
     logits = kernels.dense_forward(flat, params.dense_weights, params.dense_bias)
     probs = kernels.sigmoid(logits)
@@ -358,9 +368,21 @@ def _config_meta(config: ModelConfig) -> np.ndarray:
 
 def save_checkpoint(params: ModelParams, config: ModelConfig, path) -> None:
     """Versioned binary dump of the parameters plus the architecture
-    needed to interpret them; tensors are stored as 32-bit floats."""
+    needed to interpret them; tensors are stored as 32-bit floats.
+
+    A tensor of any other dtype (an f64 run's) is stored rounded to
+    float32, which loses precision, so it warns (UserWarning) naming
+    the tensors and their dtype.
+    """
     tensors = [(_META_NAME, _config_meta(config))]
     tensors += [(name, np.asarray(getattr(params, name))) for name in _TENSOR_FIELDS]
+    rounded = [f"{name} ({tensor.dtype})" for name, tensor in tensors
+               if tensor.dtype != np.float32]
+    if rounded:
+        warnings.warn(
+            f"checkpoint {path} stores {', '.join(rounded)} rounded to float32",
+            UserWarning, stacklevel=2,
+        )
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))

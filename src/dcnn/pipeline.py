@@ -130,23 +130,32 @@ def shuffled_stream(records, shuffle_buffer_size: int, seed: int):
     Every record is emitted exactly once; buffer size 1 degenerates to
     the original order; a buffer covering the whole input is a full
     uniform shuffle.
+
+    The input is read whole at the first item.  Its n draws come from
+    one ``rng.integers(0, bounds)`` call: with size = min(buffer, n),
+    the bounds are size for each of the n - size arrivals, then size,
+    size - 1, ..., 1 for the drain.  NumPy draws an array of bounds one
+    bound at a time, as n scalar calls would (a bound of 1 draws
+    nothing), so the stream is the one the draw-per-record loop yields
+    (``tests/oracles.loop_shuffled_stream``).
     """
     if shuffle_buffer_size < 1:
         raise ValidationError(
             f"shuffle_buffer_size must be >= 1, got {shuffle_buffer_size}"
         )
     rng = np.random.Generator(np.random.PCG64(seed))
-    buffer = []
-    for rec in records:
-        if len(buffer) < shuffle_buffer_size:
-            buffer.append(rec)
-            continue
-        j = int(rng.integers(0, len(buffer)))
+    records = list(records)
+    n = len(records)
+    size = min(shuffle_buffer_size, n)
+    bounds = np.full(n, size, dtype=np.int64)
+    bounds[n - size :] = np.arange(size, 0, -1)
+    draws = rng.integers(0, bounds).tolist()
+    buffer = records[:size]
+    for j, rec in zip(draws, records[size:]):
         out = buffer[j]
         buffer[j] = rec
         yield out
-    while buffer:
-        j = int(rng.integers(0, len(buffer)))
+    for j in draws[n - size :]:
         buffer[j], buffer[-1] = buffer[-1], buffer[j]
         yield buffer.pop()
 

@@ -61,7 +61,8 @@ class DenseCache:
 
 def dense_forward(params: nw.ModelParams, inputs: np.ndarray, config: nw.ModelConfig):
     """(probs, cache) of the model on float inputs [B, L, 4], through the
-    dense convolution; computed in the inputs' dtype."""
+    dense convolution, with ReLU applied to the whole conv output before
+    the pool (the model pools first); computed in the inputs' dtype."""
     conv_out = kernels.conv1d_forward(inputs, params.conv_filters, params.conv_bias)
     act = kernels.relu(conv_out) if config.conv_activation == "relu" else conv_out
     pooled, argmax_rows = kernels.maxpool1d_forward(
@@ -155,6 +156,9 @@ def naive_conv1d(x: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.nda
 
 
 def naive_maxpool1d(x: np.ndarray, window: int, stride: int):
+    """Per-window scan of [T, F]: a row wins if it is greater than the
+    best so far, or is the first NaN (``np.argmax``'s rule); the pooled
+    value is the winning element itself."""
     rows, chans = x.shape
     n_out = (rows - window) // stride + 1
     out = np.empty((n_out, chans), dtype=x.dtype)
@@ -163,11 +167,32 @@ def naive_maxpool1d(x: np.ndarray, window: int, stride: int):
         for f in range(chans):
             best = t * stride
             for r in range(t * stride, t * stride + window):
-                if x[r, f] > x[best, f]:
+                if np.isnan(x[best, f]):
+                    break
+                if np.isnan(x[r, f]) or x[r, f] > x[best, f]:
                     best = r
             out[t, f] = x[best, f]
             idx[t, f] = best
     return out, idx
+
+
+def loop_shuffled_stream(records, shuffle_buffer_size: int, seed: int):
+    """``pipeline.shuffled_stream`` with one scalar draw per record, as
+    each arrival and each drain step needs it."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    buffer = []
+    for rec in records:
+        if len(buffer) < shuffle_buffer_size:
+            buffer.append(rec)
+            continue
+        j = int(rng.integers(0, len(buffer)))
+        out = buffer[j]
+        buffer[j] = rec
+        yield out
+    while buffer:
+        j = int(rng.integers(0, len(buffer)))
+        buffer[j], buffer[-1] = buffer[-1], buffer[j]
+        yield buffer.pop()
 
 
 def brute_force_auroc(scores, labels) -> float:

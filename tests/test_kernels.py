@@ -301,6 +301,25 @@ class TestMaxPoolForward:
         np.testing.assert_array_equal(out, ref_out)
         np.testing.assert_array_equal(idx, ref_idx)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("window,stride", [(4, 4), (4, 2), (5, 1), (3, 5), (1, 1),
+                                               (23, 1)])
+    def test_bits_match_the_naive_loop_on_ties_zeros_and_nans(self, rng, dtype, window,
+                                                             stride):
+        # few distinct values, so windows tie, mix +0.0 with -0.0, and hold
+        # NaNs of two payloads and both signs; two leading batch dimensions
+        nans = np.array([0x7FC00001, 0xFFC00002], np.uint32).view(np.float32)
+        values = np.concatenate([[-1.5, -0.0, 0.0, 2.0], nans]).astype(dtype)
+        x = rng.choice(values, size=(2, 3, 23, 4), p=[0.3, 0.2, 0.2, 0.2, 0.05, 0.05])
+        x[0, 0, :, 0] = -0.0  # a window of negative zeros only
+        x[0, 1, :, 1] = [0.0, -0.0] * 11 + [0.0]
+        out, idx = maxpool1d_forward(x, window, stride)
+        assert out.dtype == dtype
+        for lead in np.ndindex(x.shape[:-2]):
+            ref_out, ref_idx = naive_maxpool1d(x[lead], window, stride)
+            assert out[lead].tobytes() == ref_out.tobytes()
+            np.testing.assert_array_equal(idx[lead], ref_idx)
+
     def test_too_short_input(self):
         with pytest.raises(ShapeError, match="empty"):
             maxpool1d_forward(np.zeros((3, 2)), window=5, stride=1)
@@ -404,6 +423,17 @@ class TestActivations:
     def test_relu_values(self):
         assert relu(-3.0) == 0.0
         assert relu(2.0) == 2.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_never_returns_negative_zero(self, dtype):
+        # relu(max(x)) equals the max of relu(x) bit for bit only if no
+        # zero comes back signed; lengths cover SIMD bodies and tails
+        for n in (1, 2, 3, 7, 8, 15, 16, 17, 33, 64, 255, 11460):
+            x = np.resize(np.array([-0.0, 0.0, -1.0, -np.inf], dtype), n)
+            for view in (x, x[::2], x[::-1]):
+                out = relu(view)
+                assert not np.signbit(out).any(), (n, view.strides)
+        assert not np.signbit(relu(dtype(-0.0)))
 
     def test_relu_grad_mask(self):
         x = np.array([-2.0, 0.0, 3.0])

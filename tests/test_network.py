@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -302,6 +303,51 @@ class TestBaseCodePath:
             got, want = getattr(grads, name), getattr(dense_grads, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
 
+    EDGES = nw.ModelConfig(n_filters=4, filter_width=5, pool_window=6, pool_stride=6,
+                           seq_length=60)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("edge", ["dead_windows", "zero_ties", "nan_filter"])
+    def test_pool_then_relu_matches_relu_then_pool_at_edge_values(self, dtype, edge):
+        # the model pools before ReLU and the dense oracle after it; the
+        # winning rows differ wherever a window's maximum is <= 0
+        cfg = self.EDGES
+        params = nw.init_params(cfg, seed=3, dtype=dtype)
+        if edge == "dead_windows":  # filter 0 never fires, filter 1 now and then
+            params.conv_bias[:2] = [-1e3, -0.3]
+        elif edge == "zero_ties":
+            # exact +0.0 rows, -0.0 rows, +0.0/-0.0 mixed by the base at
+            # tap 0, and a positive constant: every window ties throughout
+            params.conv_filters[:3] = 0.0
+            params.conv_bias[:3] = [0.0, -0.0, 0.5]
+            params.conv_filters[1] = -0.0
+            params.conv_filters[1, 0, 0] = 0.0
+        else:  # filter 0 NaN on every row, and dead windows elsewhere
+            params.conv_filters[0, 2] = np.nan  # all four bases: the dense conv agrees
+            params.conv_bias[1] = -0.3
+        batch = random_batch(5, cfg.seq_length, seed=4, dtype=dtype)
+        probs, cache = nw.forward(params, batch, cfg)
+        dense_probs, dense_cache = dense_forward(params, one_hot_inputs(batch), cfg)
+        assert probs.tobytes() == dense_probs.tobytes()
+        positive = ~(dense_cache.flat <= 0)  # pooled > 0, or NaN
+        assert (~positive).any()
+        assert np.array_equal(cache.flat, dense_cache.flat, equal_nan=True)
+        assert np.array_equal(cache.argmax_rows.reshape(5, -1)[positive],
+                              dense_cache.argmax_rows.reshape(5, -1)[positive])
+        grads = nw.backward(params, cache, batch.labels, cfg)
+        dense_grads = dense_backward(params, dense_cache, batch.labels, cfg)
+        for name in ("conv_filters", "conv_bias", "dense_weights", "dense_bias"):
+            got, want = getattr(grads, name), getattr(dense_grads, name)
+            if edge == "nan_filter" and name == "conv_filters":
+                # the dense correlation multiplies a NaN gradient by every
+                # one-hot zero, so NaN fills each channel of a tap that the
+                # gather path reaches through one base only
+                finite = np.isfinite(want)
+                assert np.isnan(got).any() and not np.isnan(got[finite]).any()
+                got, want = got[finite], want[finite]
+            assert got.tobytes() == want.tobytes(), name
+
     def test_overlapping_pools_match_dense_path(self):
         params = nw.init_params(OVERLAP, seed=5, dtype=np.float64)
         batch = random_batch(6, 60, seed=6, dtype=np.float64)
@@ -520,6 +566,18 @@ class TestCheckpoint:
         path2 = tmp_path / "again.ckpt"
         nw.save_checkpoint(loaded, config, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_f64_tensors_warn_that_they_are_rounded(self, tmp_path):
+        params = nw.init_params(TINY, seed=21, dtype=np.float64)
+        with pytest.warns(UserWarning, match="conv_filters \\(float64\\).*rounded to float32"):
+            nw.save_checkpoint(params, TINY, tmp_path / "f64.ckpt")
+        loaded, _ = nw.load_checkpoint(tmp_path / "f64.ckpt")
+        assert np.array_equal(loaded.conv_filters, params.conv_filters.astype(np.float32))
+
+    def test_f32_tensors_save_silently(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nw.save_checkpoint(nw.init_params(TINY, seed=21), TINY, tmp_path / "f32.ckpt")
 
     def test_magic_bytes(self, tmp_path):
         path = tmp_path / "model.ckpt"

@@ -20,7 +20,7 @@ from dcnn.pipeline import (
     shuffled_stream,
     split,
 )
-from oracles import decode, one_hot_inputs
+from oracles import decode, loop_shuffled_stream, one_hot_inputs
 
 BASES = st.text(alphabet="ACGT", min_size=1, max_size=200)
 
@@ -163,6 +163,17 @@ class TestShuffledStream:
     def test_invalid_buffer(self):
         with pytest.raises(ValidationError, match=">= 1"):
             list(shuffled_stream([1], 0, seed=0))
+
+    @pytest.mark.parametrize("n,buffer", [(0, 5), (1, 1), (30, 1), (7, 100), (100, 100),
+                                          (700, 100), (64, 63)])
+    def test_matches_the_draw_per_record_loop(self, n, buffer):
+        # n < buffer, n = buffer, buffer 1, n = 0 and the training shape
+        # (700 records through a buffer of 100)
+        for seed in range(40):
+            want = list(loop_shuffled_stream(range(n), buffer, seed))
+            assert list(shuffled_stream(range(n), buffer, seed)) == want
+            # a generator is read whole, without a length
+            assert list(shuffled_stream((i for i in range(n)), buffer, seed)) == want
 
     def test_full_buffer_matches_fisher_yates(self):
         # buffer >= n is a full uniform shuffle: over many trials every
