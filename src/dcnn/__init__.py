@@ -1,5 +1,5 @@
 """Distributed data-parallel CNN for motif-cluster detection in
-simulated DNA: sequence simulation, streaming input pipeline, a
+simulated DNA: sequence simulation, a seeded input pipeline, a
 from-scratch convolutional network, pluggable gradient aggregation
 (ring all-reduce / parameter server / gossip), and a scaling benchmark.
 """

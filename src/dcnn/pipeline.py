@@ -1,6 +1,6 @@
 """From sequence records to training batches.
 
-Base codes (A, C, G, T -> 0-3), a seeded stratified split, a streaming
+Base codes (A, C, G, T -> 0-3), a seeded stratified split, a
 buffer shuffle, batch encoding, and contiguous per-replica sharding.  A
 batch holds base codes only: the model never reads a one-hot array, and
 :func:`one_hot` stays as a small helper for callers who want one.  All
@@ -125,14 +125,15 @@ def split(records, spec: SplitSpec):
 
 
 def shuffled_stream(records, shuffle_buffer_size: int, seed: int):
-    """Streaming buffer shuffle: keep a buffer of the given size, emit a
-    uniformly chosen element for each new arrival, then drain uniformly.
-    Every record is emitted exactly once; buffer size 1 degenerates to
-    the original order; a buffer covering the whole input is a full
-    uniform shuffle.
+    """The order a buffered shuffle of the given size gives: keep a buffer
+    of that size, emit a uniformly chosen element for each new arrival,
+    then drain uniformly.  Every record is emitted exactly once; buffer
+    size 1 degenerates to the original order; a buffer covering the
+    whole input is a full uniform shuffle.
 
-    The input is read whole at the first item.  Its n draws come from
-    one ``rng.integers(0, bounds)`` call: with size = min(buffer, n),
+    The input is not streamed: it is read whole at the first item, so
+    memory grows with the input, not with the buffer.  All n draws come
+    from one ``rng.integers(0, bounds)`` call: with size = min(buffer, n),
     the bounds are size for each of the n - size arrivals, then size,
     size - 1, ..., 1 for the drain.  NumPy draws an array of bounds one
     bound at a time, as n scalar calls would (a bound of 1 draws

@@ -1,12 +1,15 @@
 """Test tools: :func:`run_group`, which runs a group of ranks the way
-training does, and finite-difference gradients with a relative error
-to compare them by.  The reference implementations themselves are in
-``oracles.py``.
+training does, finite-difference gradients with a relative error to
+compare them by, and :func:`identity_sweep`, the sweep tool whose fault
+patches the training tests share.  The reference implementations
+themselves are in ``oracles.py``.
 """
 
 from __future__ import annotations
 
-from functools import partial
+import importlib.util
+from functools import cache, partial
+from pathlib import Path
 
 import numpy as np
 
@@ -58,3 +61,13 @@ def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-12)
     return float(np.max(np.abs(a - b)) / scale)
+
+
+@cache
+def identity_sweep():
+    """``tools/identity_sweep.py``, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "identity_sweep.py"
+    spec = importlib.util.spec_from_file_location("identity_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

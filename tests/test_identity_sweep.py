@@ -1,21 +1,16 @@
 """The bit-identity sweep tool (``tools/identity_sweep.py``): its output
 repeats byte for byte, and its case list is exactly the named one."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "identity_sweep.py"
+from helpers import identity_sweep
 
 
 @pytest.fixture(scope="module")
 def tool():
-    spec = importlib.util.spec_from_file_location("identity_sweep", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return identity_sweep()
 
 
 def named_cases() -> list:
@@ -53,3 +48,18 @@ def test_against_lists_the_cases_that_differ(tool):
     results = {"a": {"loss": float("nan")}, "b": {"loss": 1.0}}
     other = {"a": {"loss": float("nan")}, "b": {"loss": 2.0}, "c": {}}
     assert tool.differing(results, other) == ["b", "c"]
+
+
+def test_against_fails_on_a_metric_but_not_on_transport_totals_alone(
+        tool, tmp_path, monkeypatch, capsys):
+    entry = {"params_sha256": "00", "total_messages": 10, "total_bytes": 80}
+    earlier = {"a": entry, "b": entry}
+    now = {"a": {**entry, "total_messages": 5, "total_bytes": 40}, "b": entry}
+    (tmp_path / "earlier.json").write_text(json.dumps(earlier))
+    monkeypatch.setattr(tool, "sweep", lambda case_ids: now)
+    against = ["--out", str(tmp_path / "now.json"), "--against", str(tmp_path / "earlier.json")]
+    assert tool.main(against) == 0
+    assert "transport totals differ (not a failure): a" in capsys.readouterr().out
+    now["b"] = {**entry, "params_sha256": "01"}
+    assert tool.main(against) == 1
+    assert "differs: b" in capsys.readouterr().out

@@ -38,6 +38,7 @@ from dcnn.training import (
     write_curves_csv,
 )
 from dcnn.transport import ProcessLinks, run_ranks
+from helpers import identity_sweep
 
 MODEL = ModelConfig(
     seq_length=200, n_filters=6, filter_width=10, pool_window=10, pool_stride=10
@@ -618,24 +619,18 @@ def test_an_overflowing_adam_second_moment_is_a_divergence(strategy):
     assert excinfo.value.partial_report.stop_reason == "diverged"
 
 
-def _nan_loss_at_step(monkeypatch, replica_class, step, ranks):
-    """Make the loss of ``ranks`` NaN at their ``step``-th step (from 1)."""
-    real_step = replica_class.step
-
-    def step_with_nan(self, loss):
-        self.calls = getattr(self, "calls", 0) + 1
-        if self.rank in ranks and self.calls == step:
-            loss = float("nan")
-        return real_step(self, loss)
-
-    monkeypatch.setattr(replica_class, "step", step_with_nan)
+def _patch(monkeypatch, patches):
+    """Apply the (object, attribute, value) patches of an identity-sweep
+    fault, so that the tests and the sweep inject the same fault."""
+    for obj, name, value in patches:
+        monkeypatch.setattr(obj, name, value)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("backend", ["threads", "processes"])
 def test_divergence_raises_rank_zeros_report_even_when_rank_zero_ends_last(
         dataset, monkeypatch, backend):
-    _nan_loss_at_step(monkeypatch, training._AllReduce, 40, ranks=(0, 1))
+    _patch(monkeypatch, identity_sweep().nan_loss_at_step("allreduce", 40, ranks=(0, 1)))
     real_stop = training._Replica.stop
 
     def slow_stop(self):
@@ -674,13 +669,11 @@ def _spy_on_endpoint_stats(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("backend", ["threads", "processes"])
-@pytest.mark.parametrize("strategy,replica_class", [
-    ("allreduce", training._AllReduce), ("ps", training._ParameterServer),
-    ("gossip", training._Gossip)], ids=["allreduce", "ps", "gossip"])
+@pytest.mark.parametrize("strategy", ["allreduce", "ps", "gossip"])
 def test_partial_report_counts_every_ranks_traffic(dataset, monkeypatch, strategy,
-                                                   replica_class, backend):
+                                                   backend):
     ended = _spy_on_endpoint_stats(monkeypatch)
-    _nan_loss_at_step(monkeypatch, replica_class, 40, ranks=(0, 1))
+    _patch(monkeypatch, identity_sweep().nan_loss_at_step(strategy, 40, ranks=(0, 1)))
     with pytest.raises(TrainingDivergedError) as excinfo:
         run(dataset, n_replicas=2, strategy=strategy, batch_per_replica=16,
             backend=backend, epochs_max=5)
@@ -702,16 +695,7 @@ def test_gossip_divergence_in_the_last_epoch_ends_the_final_consensus(
     # rank 0 alone finds the last epoch's val loss NaN and ends, while rank 1
     # goes on to the final consensus exchange and finds rank 0's link closed
     ended = _spy_on_endpoint_stats(monkeypatch)
-    real_scores = training.scores
-    calls = []
-
-    def nan_in_last_epoch(probs, labels):
-        calls.append(None)
-        if len(calls) == 3:
-            probs = np.full_like(probs, np.nan)
-        return real_scores(probs, labels)
-
-    monkeypatch.setattr(training, "scores", nan_in_last_epoch)
+    _patch(monkeypatch, identity_sweep().nan_scores_in_epoch(2))
     with pytest.raises(TrainingDivergedError) as excinfo:
         run(dataset, n_replicas=2, strategy="gossip", batch_per_replica=16,
             backend=backend, epochs_max=3, early_stopping=False)
@@ -731,7 +715,7 @@ def test_gossip_divergence_in_the_last_epoch_ends_the_final_consensus(
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_gossip_rank_that_diverges_alone_ends_the_run_on_both_backends(
         dataset, monkeypatch):
-    _nan_loss_at_step(monkeypatch, training._Gossip, 40, ranks=(1,))
+    _patch(monkeypatch, identity_sweep().nan_loss_at_step("gossip", 40, ranks=(1,)))
     reports = {}
     for backend in ("threads", "processes"):
         t0 = time.perf_counter()

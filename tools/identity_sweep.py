@@ -13,13 +13,16 @@ a run that diverged), every report field except the wall-clock ones (a
 divergence's partial report included, with its last good epoch) and the
 transport totals ``total_messages``/``total_bytes``.  ``--against FILE``
 prints the id of every case whose entry differs from FILE's, or that only
-one of the two files has, and exits 1 if there is any.
+one of the two files has, and exits 1 if there is any.  A case whose
+only differences are the transport totals is printed on a line of its
+own and does not fail the comparison: a protocol change moves those
+totals on purpose, and the tests pin their closed forms.
 
 The cases are the determinism contract's sweep: strategy x N in {1,2,3} x
 backend x precision; early stopping and divergence at learning rate 1e25
 for each strategy and backend; gossip period 2 at N = 2 and 3 on both
 backends.  Named extra cases inject faults by patching module attributes
-by name, as the tests do: a NaN loss on rank 1 at its 25th step, NaN
+by name, with the patches ``tests/test_training.py`` uses: a NaN loss on rank 1 at its 25th step, NaN
 validation probabilities in gossip's last epoch, and learning rate 1e19,
 at which Adam's second moment overflows.
 
@@ -34,7 +37,8 @@ import hashlib
 import json
 import sys
 import warnings
-from contextlib import contextmanager
+from contextlib import ExitStack
+from unittest import mock
 
 import numpy as np
 
@@ -48,6 +52,7 @@ from dcnn.pipeline import SplitSpec, split
 STRATEGIES = ("allreduce", "ps", "gossip")
 BACKENDS = ("threads", "processes")
 WALL_FIELDS = ("wall_seconds", "sequences_per_second")
+TRANSPORT_FIELDS = ("total_messages", "total_bytes")
 
 #: 200 records at L = 120: 140 train, 40 validation, 20 test; a replica
 #: takes 4 records a step, so N = 2 runs 17 steps an epoch
@@ -136,19 +141,6 @@ def dataset() -> training.Dataset:
     return training.Dataset(train=train, validation=validation, test=test)
 
 
-@contextmanager
-def patched(patches):
-    """Set each (object, attribute, value) and restore it on exit."""
-    saved = [(obj, name, getattr(obj, name)) for obj, name, _ in patches]
-    try:
-        for obj, name, value in patches:
-            setattr(obj, name, value)
-        yield
-    finally:
-        for obj, name, value in reversed(saved):
-            setattr(obj, name, value)
-
-
 def _report_fields(report) -> dict:
     return {
         "config": report.config,
@@ -164,8 +156,10 @@ def run_case(case_id: str, data: training.Dataset) -> dict:
     kwargs, make_patches = CASES[case_id]
     config = training.TrainConfig(**{**BASE, **kwargs})
     # silence the overflow warnings that diverging cases raise on every rank
-    with warnings.catch_warnings(), patched(make_patches() if make_patches else []):
+    with warnings.catch_warnings(), ExitStack() as patches:
         warnings.simplefilter("ignore", RuntimeWarning)
+        for obj, name, value in make_patches() if make_patches else []:
+            patches.enter_context(mock.patch.object(obj, name, value))
         try:
             params, report = training.train(config, MODEL, data)
         except TrainingDivergedError as exc:
@@ -184,13 +178,18 @@ def dumps(results: dict) -> str:
     return json.dumps(results, indent=1, sort_keys=True) + "\n"
 
 
-def differing(results: dict, other: dict) -> list:
-    """Ids of the cases whose entries differ, or that one side lacks;
-    entries compare as JSON text, so NaN equals NaN."""
+def differing(results: dict, other: dict, ignore=()) -> list:
+    """Ids of the cases whose entries differ in a field not in ``ignore``,
+    or that one side lacks; entries compare as JSON text, so NaN equals
+    NaN."""
+    def text(entry):
+        if entry is not None:
+            entry = {k: v for k, v in entry.items() if k not in ignore}
+        return json.dumps(entry, sort_keys=True)
+
     ids = list(results) + [case_id for case_id in other if case_id not in results]
     return [case_id for case_id in ids
-            if json.dumps(results.get(case_id), sort_keys=True)
-            != json.dumps(other.get(case_id), sort_keys=True)]
+            if text(results.get(case_id)) != text(other.get(case_id))]
 
 
 def main(argv=None) -> int:
@@ -206,9 +205,12 @@ def main(argv=None) -> int:
         return 0
     with open(args.against, encoding="utf-8") as fh:
         other = json.load(fh)
-    changed = differing(results, other)
+    changed = differing(results, other, ignore=TRANSPORT_FIELDS)
     for case_id in changed:
         print(f"differs: {case_id}")
+    for case_id in differing(results, other):
+        if case_id not in changed:
+            print(f"transport totals differ (not a failure): {case_id}")
     print(f"{len(changed)} of {len(set(results) | set(other))} cases differ "
           f"from {args.against}")
     return 1 if changed else 0
