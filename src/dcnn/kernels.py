@@ -37,6 +37,8 @@ order) that never depend on thread scheduling.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -201,10 +203,10 @@ def conv1d_forward_codes(codes: np.ndarray, filters: np.ndarray, bias: np.ndarra
         if j:
             index <<= 2
             index += codes[..., j : j + out_length]
-    out = np.take(prefix, index, axis=0, mode="clip")
+    out = prefix.take(index, axis=0, mode="clip")
     tmp = np.empty_like(out)
     for j in range(k, width):
-        np.take(table[j], codes[..., j : j + out_length], axis=0, out=tmp, mode="clip")
+        table[j].take(codes[..., j : j + out_length], axis=0, out=tmp, mode="clip")
         out += tmp
     return out
 
@@ -216,20 +218,15 @@ def conv1d_backward_codes(
     everywhere except at given rows, as after a max-pool.
 
     ``codes`` is [B, L]; ``rows`` [B, P, F] holds the conv output row that
-    carries each gradient in ``grad_rows`` [B, P, F] (for filter f).  Each
-    nonzero gradient g at (b, row, f) adds g to grad_bias[f] and to
-    grad_filters[f, j, codes[b, row + j]] for every tap j, in ascending
-    (b, p) order, which is ascending (b, row) when pools do not overlap.
-    That is the order in which conv1d_backward sums the same nonzero
-    terms.  Sums run in ``grad_rows``'s dtype; grad_filters comes back in
-    the filters' dtype.
+    carries each gradient in ``grad_rows`` [B, P, F] (for filter f).  It
+    checks the codes and rows, then runs :func:`conv1d_backward_scatter`.
     """
     codes = np.asarray(codes)
     filters = np.asarray(filters)
     rows = np.asarray(rows)
     grad_rows = np.asarray(grad_rows)
     out_length = _codes_out_length(codes, filters)
-    n_filters, width, _ = filters.shape
+    n_filters = filters.shape[0]
     if (codes.ndim != 2 or rows.ndim != 3 or rows.shape != grad_rows.shape
             or rows.shape[0] != codes.shape[0] or rows.shape[2] != n_filters):
         raise ShapeError(
@@ -240,14 +237,45 @@ def conv1d_backward_codes(
         raise InternalConsistencyError(
             f"conv1d gradient row {int(rows.max())} outside output of length {out_length}"
         )
+    return conv1d_backward_scatter(codes, filters, rows, grad_rows)
+
+
+@functools.cache
+def _taps(n_filters: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(the taps 0 ... W-1, the flat index (f * W + j) * 4 of [f, j, 0] in
+    a [F, W, 4] array), built once per filter shape and read-only, since
+    every call with that shape shares them."""
+    taps = np.arange(width)
+    offsets = (np.arange(n_filters)[:, None] * width + taps) * 4
+    taps.setflags(write=False)
+    offsets.setflags(write=False)
+    return taps, offsets
+
+
+def conv1d_backward_scatter(
+    codes: np.ndarray, filters: np.ndarray, rows: np.ndarray, grad_rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The scatter of :func:`conv1d_backward_codes`, with no checks: the
+    arrays must be ones it accepts, such as the codes and winning rows of
+    the model's own forward.  An unchecked code or row outside its range
+    lands on another tap, or another record's bases.
+
+    Each nonzero gradient g at (b, row, f) adds g to grad_bias[f] and to
+    grad_filters[f, j, codes[b, row + j]] for every tap j, in ascending
+    (b, p) order, which is ascending (b, row) when pools do not overlap.
+    That is the order in which conv1d_backward sums the same nonzero
+    terms.  Sums run in ``grad_rows``'s dtype; grad_filters comes back in
+    the filters' dtype.
+    """
+    n_filters, width, _ = filters.shape
+    taps, tap_offsets = _taps(n_filters, width)
     carries = np.flatnonzero(grad_rows)  # C order: ascending (b, p, f)
     g = grad_rows.ravel()[carries]
     b, f = carries // (rows.shape[1] * n_filters), carries % n_filters
     # flat index of codes[b, row] in the [B * L] codes
     start = rows.ravel()[carries] + b * codes.shape[1]
-    taps = np.arange(width)
     # flat index of [f, j, codes[b, row + j]] in a [F, W, 4] array, [n, W]
-    index = (f[:, None] * width + taps) * 4 + codes.ravel()[start[:, None] + taps]
+    index = tap_offsets[f] + codes.ravel()[start[:, None] + taps]
     grad_filters = np.zeros(n_filters * width * 4, dtype=grad_rows.dtype)
     np.add.at(grad_filters, index.ravel(), np.repeat(g, width))
     grad_bias = np.zeros(n_filters, dtype=grad_rows.dtype)
@@ -365,11 +393,14 @@ def dense_backward(
 
 
 def sigmoid(x):
-    """Logistic function, overflow-free for any finite input."""
+    """Logistic function, overflow-free for any finite input: with
+    e = exp(-|x|), 1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere.
+    The mask x >= 0 and the denominator 1 + e are each computed once."""
     x = np.asarray(x)
-    z = np.where(x >= 0, -x, x)  # always <= 0, so exp never overflows
-    e = np.exp(z)
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    nonneg = x >= 0
+    e = np.exp(np.where(nonneg, -x, x))  # exp of a value <= 0 never overflows
+    denom = 1.0 + e
+    return np.where(nonneg, 1.0 / denom, e / denom)
 
 
 def relu(x):

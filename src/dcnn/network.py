@@ -95,6 +95,14 @@ class ModelConfig:
         return (self.conv_out_length - self.pool_window) // self.pool_stride + 1
 
     @property
+    def read_length(self) -> int:
+        """The leading bases of a record that reach the output: the conv
+        rows the max-pool reads, (P - 1) * stride + window, plus the
+        filter's W - 1 further bases."""
+        return ((self.pool_out_length - 1) * self.pool_stride + self.pool_window
+                + self.filter_width - 1)
+
+    @property
     def flat_dim(self) -> int:
         return self.pool_out_length * self.n_filters
 
@@ -177,7 +185,12 @@ class ForwardCache:
 def forward(params: ModelParams, batch, config: ModelConfig):
     """(probs in (0,1), cache for backward).  ``batch`` is a pipeline
     Batch, or any object with base codes .codes (uint8 [B, L], A/C/G/T =
-    0-3) and .labels; the model runs in the labels' dtype."""
+    0-3) and .labels; the model runs in the labels' dtype.
+
+    Every code of the batch must be 0-3, but only each record's first
+    ``config.read_length`` bases are convolved: the conv rows past them
+    are in no max-pool window, so they cannot reach the output.
+    """
     codes = getattr(batch, "codes", None)
     if (codes is None or codes.dtype != np.uint8 or codes.ndim != 2
             or codes.shape[1] != config.seq_length):
@@ -186,8 +199,16 @@ def forward(params: ModelParams, batch, config: ModelConfig):
             f"batch codes ({got}) do not match the model's expected "
             f"uint8 [B, {config.seq_length}]"
         )
+    read = config.read_length
+    # the conv checks the codes it reads; the unread tail is checked here
+    tail_max = codes[:, read:].max(initial=0)
+    if tail_max > 3:
+        raise ValidationError(
+            f"batch codes must be 0-3, got {int(tail_max)} among bases "
+            f"{read}-{config.seq_length - 1}"
+        )
     conv_out = kernels.conv1d_forward_codes(
-        codes, params.conv_filters, params.conv_bias, dtype=batch.labels.dtype
+        codes[:, :read], params.conv_filters, params.conv_bias, dtype=batch.labels.dtype
     )
     pooled, argmax_rows = kernels.maxpool1d_forward(
         conv_out, config.pool_window, config.pool_stride
@@ -202,20 +223,23 @@ def forward(params: ModelParams, batch, config: ModelConfig):
     return probs, cache
 
 
-def _clamped(probs: np.ndarray) -> np.ndarray:
-    return np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-
-
 def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean binary cross-entropy with probabilities clamped away from
     {0, 1} by 1e-7.  It checks that the labels are 0 or 1, once per
-    training step: :func:`backward` takes the same labels unchecked."""
+    training step: :func:`backward` takes the same labels unchecked.
+
+    The clamp is ``np.maximum`` then ``np.minimum``, as ``np.clip``
+    runs it, and the mean is one ``np.add.reduce`` divided by the count.
+    ``ndarray.mean`` sums the same way; it divides a float32 sum in
+    float64 and rounds back, which gives the same correctly rounded
+    quotient (53 >= 2 * 24 + 2 bits).
+    """
     y = np.asarray(labels)
     if not ((y == 0) | (y == 1)).all():
         raise ValidationError("labels must be 0 or 1")
-    p = _clamped(np.asarray(probs))
+    p = np.minimum(np.maximum(probs, PROB_CLAMP), 1.0 - PROB_CLAMP)
     per_sample = -(y * np.log(p) + (1 - y) * np.log(1 - p))
-    return float(per_sample.mean())
+    return float(np.add.reduce(per_sample, axis=None) / per_sample.size)
 
 
 def backward(params: ModelParams, cache: ForwardCache, labels: np.ndarray,
@@ -250,7 +274,8 @@ def backward(params: ModelParams, cache: ForwardCache, labels: np.ndarray,
     # pooled value is positive
     if config.conv_activation == "relu":
         dpooled = dpooled * (cache.flat.reshape(dpooled.shape) > 0)
-    grad_filters, grad_bias = kernels.conv1d_backward_codes(
+    # the codes and rows come from forward, which checked the codes
+    grad_filters, grad_bias = kernels.conv1d_backward_scatter(
         cache.codes, params.conv_filters, cache.argmax_rows, dpooled
     )
     grads = Gradients(

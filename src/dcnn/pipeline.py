@@ -17,11 +17,16 @@ import numpy as np
 
 from .errors import ValidationError, require_at_least
 
-#: Base code of each byte: A, C, G, T -> 0-3, and _NOT_A_BASE for any other.
+#: Base code of each byte, as a ``bytes.translate`` table: A, C, G, T ->
+#: 0-3, and _NOT_A_BASE for any other.
 _NOT_A_BASE = 255
-_CODE = np.full(256, _NOT_A_BASE, dtype=np.uint8)
-for _i, _b in enumerate(b"ACGT"):
-    _CODE[_b] = _i
+_CODE = bytes(b"ACGT".index(b) if b in b"ACGT" else _NOT_A_BASE for b in range(256))
+
+
+def _translated(raw: bytes, shape) -> np.ndarray:
+    """The base code of each byte of ``raw``, as a uint8 array of the
+    given shape that owns its data."""
+    return np.frombuffer(raw.translate(_CODE), dtype=np.uint8).reshape(shape).copy()
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,7 @@ def base_codes(bases: str) -> np.ndarray:
         raise ValidationError(
             f"cannot encode base {bases[exc.start]!r} at position {exc.start}"
         ) from exc
-    codes = _CODE[np.frombuffer(raw, dtype=np.uint8)]
+    codes = _translated(raw, -1)
     bad = np.flatnonzero(codes == _NOT_A_BASE)
     if bad.size:
         pos = int(bad[0])
@@ -165,8 +170,9 @@ def encode_batch(records, dtype=np.float32) -> Batch:
     """The base codes of the given records, which must share one length,
     as a Batch whose codes own their data; its labels are in ``dtype``.
 
-    Every record's bases go through the code table in one pass over
-    their concatenation.  A base outside ACGT raises the error that
+    Every record's bases go through the code table in one
+    ``bytes.translate`` over their concatenation, which is then copied
+    into the [B, L] array.  A base outside ACGT raises the error that
     :func:`base_codes` raises for its record, before any length check.
     """
     if not records:
@@ -174,9 +180,7 @@ def encode_batch(records, dtype=np.float32) -> Batch:
     lengths = [len(rec.bases) for rec in records]
     joined = "".join(rec.bases for rec in records)
     if joined.isascii() and lengths.count(lengths[0]) == len(lengths):
-        # one lookup, which makes the [B, L] array itself, not a view
-        codes = _CODE[np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
-                      .reshape(len(records), lengths[0])]
+        codes = _translated(joined.encode("ascii"), (len(records), lengths[0]))
         if not (codes == _NOT_A_BASE).any():
             return Batch(codes, np.asarray([rec.label for rec in records], dtype=dtype))
     for rec in records:  # name the first base outside ACGT, in its record

@@ -24,6 +24,8 @@ def named_cases() -> list:
     ids += [f"{s}-{kind}-{b}" for s in strategies for b in backends
             for kind in ("nan-loss-step25", "lr1e19")]
     ids += [f"gossip-last-epoch-nan-{b}" for b in backends]
+    ids += [f"allreduce-n2-l200-pool{pool}-processes-{p}"
+            for pool in ("35s35", "10s4", "9s12") for p in ("f32", "f64")]
     return ids
 
 

@@ -420,6 +420,18 @@ class TestActivations:
         assert float(lo[0]) == pytest.approx(0.0)
         assert float(hi[0]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bits_are_the_two_branch_formulas(self, dtype):
+        x = np.concatenate([
+            np.random.default_rng(0).standard_normal(1000) * 20,
+            [0.0, -0.0, 1e-30, -1e-30, 88.7, -88.7, 1e38, -1e38, np.inf, -np.inf, np.nan],
+        ]).astype(dtype)
+        for view in (x, x[::3], x[-13:]):
+            e = np.exp(np.where(view >= 0, -view, view))
+            want = np.where(view >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+            got = sigmoid(view)
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
     def test_relu_values(self):
         assert relu(-3.0) == 0.0
         assert relu(2.0) == 2.0

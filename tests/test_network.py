@@ -53,6 +53,20 @@ class TestModelConfig:
         assert TINY.pool_out_length == 9
         assert TINY.flat_dim == 18
         assert TINY.param_count == 61
+        assert TINY.read_length == 49
+
+    @pytest.mark.parametrize("length,window,stride,read", [
+        (200, 35, 35, 184),  # 175 of 191 conv rows reach the pool
+        (1500, 35, 35, 1479),  # 1470 of 1491
+        (200, 10, 4, 199),  # overlapping windows: 190 of 191
+        (200, 9, 12, 198),  # gapped windows: 189 of 191
+        (50, 41, 1, 50),  # every row
+    ])
+    def test_read_length_is_what_the_pool_reaches(self, length, window, stride, read):
+        cfg = nw.ModelConfig(seq_length=length, pool_window=window, pool_stride=stride)
+        assert cfg.read_length == read
+        last_row = (cfg.pool_out_length - 1) * stride + window - 1
+        assert read == last_row + cfg.filter_width
 
     def test_validation(self):
         with pytest.raises(ValidationError, match="seq_length"):
@@ -144,6 +158,34 @@ class TestForward:
         with pytest.raises(ValidationError, match="0-3"):
             nw.forward(params, Batch(codes, np.zeros(1, dtype=np.float32)), TINY)
 
+    def test_codes_outside_0_3_in_the_unread_tail_rejected(self):
+        # at L = 200 the default pool reaches bases 0-183 only; bases
+        # 184-199 are not convolved, but must still be bases
+        cfg = nw.ModelConfig(seq_length=200)
+        params = nw.init_params(cfg, seed=0)
+        for position in (184, 199):
+            codes = np.zeros((2, 200), dtype=np.uint8)
+            codes[1, position] = 7
+            with pytest.raises(ValidationError, match="0-3"):
+                nw.forward(params, Batch(codes, np.zeros(2, dtype=np.float32)), cfg)
+
+    def test_the_conv_receives_only_the_codes_the_pool_reaches(self, monkeypatch):
+        cfg = nw.ModelConfig(seq_length=200)
+        params = nw.init_params(cfg, seed=0)
+        batch = random_batch(3, 200, seed=1)
+        real, seen = nw.kernels.conv1d_forward_codes, []
+
+        def spy(codes, *args, **kwargs):
+            seen.append(codes)
+            return real(codes, *args, **kwargs)
+
+        monkeypatch.setattr(nw.kernels, "conv1d_forward_codes", spy)
+        _, cache = nw.forward(params, batch, cfg)
+        (codes,) = seen
+        assert np.array_equal(codes, batch.codes[:, :184])
+        assert cache.codes is batch.codes
+        assert cache.argmax_rows.max() < 175
+
     def test_linear_activation_supported(self):
         cfg = nw.ModelConfig(
             n_filters=2, filter_width=5, pool_window=5, pool_stride=5,
@@ -173,6 +215,19 @@ class TestBceLoss:
     def test_label_validation(self):
         with pytest.raises(ValidationError, match="0 or 1"):
             nw.bce_loss(np.array([0.5]), np.array([2.0]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bits_as_clip_and_mean(self, dtype):
+        rng = np.random.default_rng(0)
+        edges = np.array([0.0, 1.0, 1e-9, 1e-7, 1 - 1e-7, 1 - 1e-9, 0.5], dtype)
+        for n in (1, 2, 3, 4, 7, 8, 45, 100, 200):
+            for _ in range(50):
+                probs = rng.random(n).astype(dtype)
+                probs[rng.random(n) < 0.3] = rng.choice(edges)
+                labels = (rng.random(n) < 0.5).astype(dtype)
+                p = np.clip(probs, nw.PROB_CLAMP, 1.0 - nw.PROB_CLAMP)
+                want = float((-(labels * np.log(p) + (1 - labels) * np.log(1 - p))).mean())
+                assert nw.bce_loss(probs, labels) == want
 
 
 class TestBackward:

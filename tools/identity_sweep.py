@@ -24,7 +24,11 @@ for each strategy and backend; gossip period 2 at N = 2 and 3 on both
 backends.  Named extra cases inject faults by patching module attributes
 by name, with the patches ``tests/test_training.py`` uses: a NaN loss on rank 1 at its 25th step, NaN
 validation probabilities in gossip's last epoch, and learning rate 1e19,
-at which Adam's second moment overflows.
+at which Adam's second moment overflows.  The last named extras train at
+L = 200, where the model convolves only the bases its max-pool reads,
+with pools that leave unread tails of different lengths: the default
+pool 35/35 (16 conv rows), an overlapping pool 10/4 (1 row) and a gapped
+pool 9/12 (2 rows), each as allreduce x 2 on forked ranks at f32 and f64.
 
 A committed golden file would not carry over between machines (bits may
 differ between NumPy builds), so the two versions run on one machine.
@@ -33,6 +37,8 @@ differ between NumPy builds), so the two versions run on one machine.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -58,6 +64,8 @@ TRANSPORT_FIELDS = ("total_messages", "total_bytes")
 #: takes 4 records a step, so N = 2 runs 17 steps an epoch
 SIM = SimConfig(seq_length=120, n_positive=100, n_negative=100, seed=3)
 MODEL = ModelConfig(seq_length=120)
+#: (window, stride) of the pools of the L = 200 extras
+TAIL_POOLS = ((35, 35), (10, 4), (9, 12))
 BASE = dict(batch_per_replica=4, epochs_max=3, early_stopping=False, seed=3)
 
 
@@ -92,7 +100,8 @@ def nan_scores_in_epoch(epoch):
 
 
 def _cases() -> dict:
-    """case id -> (TrainConfig keyword arguments, patch factory or None)."""
+    """case id -> (TrainConfig keyword arguments, patch factory or None,
+    ModelConfig)."""
     cases = {}
     for strategy in STRATEGIES:
         for n in (1, 2, 3):
@@ -129,14 +138,25 @@ def _cases() -> dict:
         cases[f"gossip-last-epoch-nan-{backend}"] = (
             dict(strategy="gossip", n_replicas=2, backend=backend),
             lambda: nan_scores_in_epoch(2))
+    cases = {case_id: (kwargs, patches, MODEL)
+             for case_id, (kwargs, patches) in cases.items()}
+    for window, stride in TAIL_POOLS:
+        for precision in ("f32", "f64"):
+            cases[f"allreduce-n2-l200-pool{window}s{stride}-processes-{precision}"] = (
+                dict(strategy="allreduce", n_replicas=2, backend="processes",
+                     precision=precision), None,
+                ModelConfig(seq_length=200, pool_window=window, pool_stride=stride))
     return cases
 
 
 CASES = _cases()
 
 
-def dataset() -> training.Dataset:
-    train, test, validation = split(generate_dataset(SIM, default_tal1_pwm()),
+@functools.cache
+def dataset(seq_length: int) -> training.Dataset:
+    """SIM's records at ``seq_length``, split."""
+    sim = dataclasses.replace(SIM, seq_length=seq_length)
+    train, test, validation = split(generate_dataset(sim, default_tal1_pwm()),
                                     SplitSpec(seed=3))
     return training.Dataset(train=train, validation=validation, test=test)
 
@@ -152,8 +172,9 @@ def _report_fields(report) -> dict:
     }
 
 
-def run_case(case_id: str, data: training.Dataset) -> dict:
-    kwargs, make_patches = CASES[case_id]
+def run_case(case_id: str) -> dict:
+    kwargs, make_patches, model = CASES[case_id]
+    data = dataset(model.seq_length)
     config = training.TrainConfig(**{**BASE, **kwargs})
     # silence the overflow warnings that diverging cases raise on every rank
     with warnings.catch_warnings(), ExitStack() as patches:
@@ -161,7 +182,7 @@ def run_case(case_id: str, data: training.Dataset) -> dict:
         for obj, name, value in make_patches() if make_patches else []:
             patches.enter_context(mock.patch.object(obj, name, value))
         try:
-            params, report = training.train(config, MODEL, data)
+            params, report = training.train(config, model, data)
         except TrainingDivergedError as exc:
             return {"params_sha256": None, "last_good_epoch": exc.last_good_epoch,
                     **_report_fields(exc.partial_report)}
@@ -170,8 +191,7 @@ def run_case(case_id: str, data: training.Dataset) -> dict:
 
 
 def sweep(case_ids) -> dict:
-    data = dataset()
-    return {case_id: run_case(case_id, data) for case_id in case_ids}
+    return {case_id: run_case(case_id) for case_id in case_ids}
 
 
 def dumps(results: dict) -> str:
