@@ -2,7 +2,8 @@
 
 Each oracle is deliberately plain and independent of the code path it
 checks: naive loops in ascending index order, brute-force metrics, a
-dense one-hot model, and the single-call form of each collective.  The
+dense one-hot model, the single-call form of each collective, and a
+FASTA reader that reads a line at a time in text mode.  The
 library keeps only the path training runs (base codes in, collectives
 over the transport); these are the second path that the tests compare
 it with, most of them bit for bit.
@@ -14,6 +15,7 @@ The dense model is built from the dense kernels in ``dcnn.kernels``
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +23,8 @@ import numpy as np
 from dcnn import kernels
 from dcnn import network as nw
 from dcnn.collective import gossip_pairs, mean_ascending
-from dcnn.errors import ValidationError
+from dcnn.errors import ParseError, ValidationError
+from dcnn.genome import _FASTA_HEADER, SequenceRecord
 
 _BASE_BYTES = np.frombuffer(b"ACGT", dtype=np.uint8)
 
@@ -44,6 +47,59 @@ def decode(encoded: np.ndarray) -> str:
 def one_hot_inputs(batch) -> np.ndarray:
     """[B, L, 4] one-hot of a batch's base codes, in its labels' dtype."""
     return np.eye(4, dtype=batch.labels.dtype)[batch.codes]
+
+
+# ---------------------------------------------------------------------------
+# FASTA
+
+_NON_ACGT = re.compile(r"[^ACGT]")
+
+
+def read_fasta_lines(path) -> list:
+    """``genome.read_fasta`` as a loop over the lines of the file opened
+    in text mode: universal newlines, ASCII with each other byte decoded
+    as U+FFFD, blank lines skipped, and each line numbered as it is read."""
+    records = []
+    header = None
+    chunks = []
+    header_line = 0
+
+    def flush():
+        if header is None:
+            return
+        rec_id, label, motifs = header
+        positions = [] if motifs == "none" else [int(p) for p in motifs.split(",")]
+        try:
+            records.append(SequenceRecord(rec_id, "".join(chunks), int(label), positions))
+        except ValidationError as exc:
+            raise ParseError(f"{path}:{header_line}: {exc}") from exc
+
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line:
+                continue
+            if line.startswith(">"):
+                flush()
+                m = _FASTA_HEADER.match(line)
+                if m is None:
+                    raise ParseError(f"{path}:{lineno}: malformed header {line!r}")
+                header = m.group(1, 2, 3)
+                header_line = lineno
+                chunks = []
+            else:
+                if header is None:
+                    raise ParseError(
+                        f"{path}:{lineno}: sequence data before any header"
+                    )
+                if _NON_ACGT.search(line):
+                    raise ParseError(
+                        f"{path}:{lineno}: sequence line contains characters "
+                        f"outside ACGT"
+                    )
+                chunks.append(line)
+        flush()
+    return records
 
 
 # ---------------------------------------------------------------------------

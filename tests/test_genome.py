@@ -1,6 +1,8 @@
 """Tests for synthetic sequence generation and its file formats."""
 
 import collections
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from dcnn.genome import (
     write_fasta,
     write_pwm,
 )
+from oracles import read_fasta_lines
 
 
 def rng_from(seed):
@@ -292,6 +295,112 @@ class TestFastaRoundTrip:
             read_fasta(path)
 
 
+def parse_outcome(reader, path):
+    """The reader's records, or its ParseError's text."""
+    try:
+        return reader(path)
+    except ParseError as exc:
+        return str(exc)
+
+
+H0 = b">s0 label=0 motifs=none"
+H1 = b">s1 label=1 motifs=3,9"
+
+#: (name, file bytes, what the oracle gives: "ok" or a piece of its message)
+FASTA_CORPUS = [
+    ("lf", H0 + b"\nACGT\nAC\n" + H1 + b"\nACGTACGT\n", "ok"),
+    ("crlf", H0 + b"\r\nACGT\r\nAC\r\n" + H1 + b"\r\nACGTACGT\r\n", "ok"),
+    ("lone-cr", H0 + b"\rACGT\rAC\r" + H1 + b"\rACGTACGT\r", "ok"),
+    ("mixed-endings", H0 + b"\r\r\nAC\n\rGT\r\n\n" + H1 + b"\rA", "ok"),
+    ("cr-splits-header", b">s0 label=0\rmotifs=none\nACGT\n", ":1: malformed header"),
+    ("blank-before-first", b"\n\r\n\n" + H0 + b"\nACGT\n", "ok"),
+    ("blank-between-and-inside",
+     H0 + b"\nAC\n\n\nGT\n\n" + H1 + b"\n\nAC\n\n", "ok"),
+    ("no-final-newline", H0 + b"\nACGT\n" + H1 + b"\nACG", "ok"),
+    ("header-without-newline", H0, "ok"),
+    ("empty-bodies", H0 + b"\n" + H1 + b"\n\n" + H0 + b"\n", "ok"),
+    ("empty-file", b"", "ok"),
+    ("blank-lines-only", b"\n\r\n\r\n\n", "ok"),
+    ("id-nul", b">a\x00b label=0 motifs=none\nAC\n", "ok"),
+    *[(f"id-{ch!r}", b">a" + ch + b"b label=0 motifs=none\nAC\n", ":1: malformed header")
+      for ch in (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")],
+    ("id-high-byte", b">a\xe9 label=0 motifs=none\nAC\n", ":1: malformed header"),
+    ("label-high-byte", H0 + b"\nAC\n>s1 label=\xff motifs=none\n", ":3: malformed header"),
+    ("body-high-byte", H0 + b"\nAC\r\nA\x80C\n", ":3: sequence line contains"),
+    ("lowercase", H0 + b"\nACGT\nacgt\n", ":3: sequence line contains"),
+    ("gt-inside-body", H0 + b"\nAC>GT\n", ":2: sequence line contains"),
+    ("space-line-in-body", H0 + b"\nAC\n \nGT\n", ":3: sequence line contains"),
+    ("bare-gt", H0 + b"\nAC\n>\nGT\n", ":3: malformed header"),
+    ("data-before-header", b"\n\r\nACGT\n" + H0 + b"\nAC\n", ":3: sequence data before any header"),
+    ("space-before-header", b" \n" + H0 + b"\n", ":1: sequence data before any header"),
+    ("data-only", b"ACGT", ":1: sequence data before any header"),
+    ("inconsistent-then-malformed",
+     b">s0 label=1 motifs=none\nACGT\n\n>s1 label=2 motifs=none\n", ":1: record s0"),
+    ("bad-body-then-malformed", H0 + b"\nACGT\r\nACGN\n>bad\n", ":3: sequence line contains"),
+    ("inconsistent-last", H0 + b"\nAC\n>s1 label=0 motifs=4\r\nAC", ":3: record s1"),
+]
+
+
+class TestFastaReader:
+    """``read_fasta`` against the line-at-a-time text-mode reader."""
+
+    @pytest.mark.parametrize("data,expect", [c[1:] for c in FASTA_CORPUS],
+                             ids=[c[0] for c in FASTA_CORPUS])
+    def test_corpus_matches_the_line_reader(self, tmp_path, data, expect):
+        path = tmp_path / "corpus.fa"
+        path.write_bytes(data)
+        want = parse_outcome(read_fasta_lines, path)
+        if expect == "ok":
+            assert isinstance(want, list)
+        else:
+            assert expect in want
+        assert parse_outcome(read_fasta, path) == want
+
+    def test_mixed_endings_records(self, tmp_path):
+        path = tmp_path / "mixed.fa"
+        path.write_bytes(H0 + b"\r\r\nAC\n\rGT\r\n\n" + H1 + b"\rA")
+        assert read_fasta(path) == [
+            SequenceRecord("s0", "ACGT", 0, []), SequenceRecord("s1", "A", 1, [3, 9])
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(
+        st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7e), min_size=1,
+                max_size=8),
+        st.sampled_from([0, 1, 79, 80, 81, 160, 161]),
+        st.lists(st.integers(0, 10**6), max_size=3),
+        st.integers(0, 2**32 - 1),
+    ), max_size=5))
+    def test_round_trip(self, specs):
+        records = [
+            SequenceRecord(rec_id, "".join(np.random.default_rng(seed).choice(list("ACGT"), n)),
+                           int(bool(starts)), sorted(starts))
+            for rec_id, n, starts, seed in specs
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "round.fa"
+            write_fasta(records, path)
+            assert read_fasta(path) == records
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.booleans(), st.integers(0, 10**6), st.sampled_from(list(b"\r\n>N\xff ")),
+    ), min_size=1, max_size=4))
+    def test_corrupted_files_match_the_line_reader(self, edits):
+        records = [SequenceRecord("s0", "ACGT" * 21, 1, [5, 40]),
+                   SequenceRecord("s1", "GATTACA", 0, []),
+                   SequenceRecord("s2", "", 0, [])]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corrupt.fa"
+            write_fasta(records, path)
+            data = bytearray(path.read_bytes())
+            for insert, pos, byte in edits:
+                pos %= len(data) + insert
+                data[pos:pos + (not insert)] = bytes([byte])
+            path.write_bytes(bytes(data))
+            assert parse_outcome(read_fasta, path) == parse_outcome(read_fasta_lines, path)
+
+
 class TestPwmFile:
     def test_round_trip_bit_exact(self, tmp_path):
         pwm = default_tal1_pwm()
@@ -319,6 +428,17 @@ class TestPwmFile:
         path.write_text("#PWM x 1\n0.25 0.25 0.25\n")
         with pytest.raises(ParseError, match="expected 4"):
             read_pwm(path)
+
+    def test_bad_row_reports_its_own_line(self, tmp_path):
+        path = tmp_path / "m.pwm"
+        path.write_text("#PWM m 2\n\n0.25 0.25 0.25 0.25\n0.25 0.25 0.5\n")
+        with pytest.raises(ParseError, match=r"m\.pwm:4: expected 4 probabilities, got 3"):
+            read_pwm(path)
+
+    def test_rows_end_only_at_newlines(self, tmp_path):
+        path = tmp_path / "m.pwm"
+        path.write_bytes(b"#PWM m 1\r\n0.25 0.25\x0c0.25 0.25\r\n")
+        assert np.array_equal(read_pwm(path).matrix, np.full((1, 4), 0.25))
 
     def test_invalid_distribution_rejected(self, tmp_path):
         path = tmp_path / "m.pwm"
