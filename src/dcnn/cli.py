@@ -1,5 +1,12 @@
 """Command-line interface: generate / train / benchmark / evaluate.
 
+Every setting is stated once, in the table ``SETTINGS``: its default or
+the config fields it fills (whose default it takes), its type or
+choices, and the commands that give it a flag.  ``DEFAULTS``, the flags,
+the config objects (``_build``) and the checks on config-file values
+all come from that table, so a config-file value gets the same type and
+choice checks as a flag.
+
 Settings come from three layers — built-in defaults, an optional JSON
 config file (snake_case keys, every field optional), and command-line
 flags — with later layers winning.  The effective merged configuration
@@ -17,6 +24,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from typing import NamedTuple
 
 from .benchmark import format_benchmark_table, run_benchmark, write_benchmark_csv
 from .errors import DcnnError, TrainingDivergedError, ValidationError
@@ -45,56 +53,97 @@ EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
-#: Every setting with its default; a setting that fills a config field
-#: takes that field's default, so each default is stated once.
-DEFAULTS = {
-    # shared
-    "seed": TrainConfig.seed,
-    "out": "runs",
-    # simulation
-    "seq_length": SimConfig.seq_length,
-    "n_positive": SimConfig.n_positive,
-    "n_negative": SimConfig.n_negative,
-    "cluster_min": SimConfig.cluster_min,
-    "cluster_max": SimConfig.cluster_max,
-    "cluster_region_fraction": SimConfig.cluster_region_fraction,
-    # splits
-    "train_fraction": SplitSpec.train_fraction,
-    "test_fraction": SplitSpec.test_fraction,
-    "validation_fraction": SplitSpec.validation_fraction,
-    # model
-    "n_filters": ModelConfig.n_filters,
-    "filter_width": ModelConfig.filter_width,
-    "pool_window": ModelConfig.pool_window,
-    "pool_stride": ModelConfig.pool_stride,
-    "activation": ModelConfig.conv_activation,
-    # training
-    "workers": TrainConfig.n_replicas,
-    "strategy": TrainConfig.strategy,
-    "epochs": TrainConfig.epochs_max,
-    "batch_per_replica": None,
-    "global_batch": None,
-    "precision": TrainConfig.precision,
-    "learning_rate": TrainConfig.learning_rate,
-    "shuffle_buffer_size": TrainConfig.shuffle_buffer_size,
-    "patience": EarlyStopConfig.patience,
-    "min_delta": EarlyStopConfig.min_delta,
-    "early_stopping": TrainConfig.early_stopping,
-    "gossip_period": TrainConfig.gossip_period,
-    "backend": TrainConfig.backend,
-    # benchmark
-    "workers_list": (1, 2, 4),
-    # paths
-    "pwm": None,
-    "dataset": None,
-    "checkpoint": None,
-    # evaluate
-    "split": "test",
-}
 
-# the type of each key whose default is None
-_NONE_DEFAULT_TYPES = {"batch_per_replica": int, "global_batch": int,
-                       "pwm": str, "dataset": str, "checkpoint": str}
+class Setting(NamedTuple):
+    """One row of ``SETTINGS``."""
+
+    key: str
+    default: object
+    kind: object  # a type, or the tuple of values the setting may take
+    commands: tuple  # the commands that give it a flag
+    help: str
+    fills: tuple  # the (config class, field name) pairs it fills
+
+    @property
+    def flag(self) -> str:
+        """``--key`` with dashes; a bool setting's flag turns its default of
+        True off."""
+        return ("--no-" if self.kind is bool else "--") + self.key.replace("_", "-")
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+def _setting(key, *fills, default=None, kind=None, commands=(), help=None) -> Setting:
+    """A setting whose default is its first filled field's, else ``default``,
+    and whose type is its default's unless ``kind`` is given; a config
+    class in ``fills`` stands for its field named ``key``."""
+    fills = tuple((f, key) if isinstance(f, type) else f for f in fills)
+    if fills:
+        default = getattr(*fills[0])
+    return Setting(key, default, kind or type(default), commands, help, fills)
+
+
+_ALL = ("generate", "train", "benchmark", "evaluate")
+_GENERATE, _TRAIN, _FIT = ("generate",), ("train",), ("train", "benchmark")
+
+#: Every setting, in the order of ``effective_config``: its default or the
+#: config fields it fills, its type or choices, and the commands with its flag.
+SETTINGS = {s.key: s for s in (
+    # shared
+    _setting("seed", SimConfig, SplitSpec, TrainConfig, commands=_ALL,
+             help="master RNG seed"),
+    _setting("out", default="runs", commands=_ALL, help="output directory (default: runs)"),
+    # simulation
+    _setting("seq_length", SimConfig, ModelConfig, commands=_GENERATE),
+    _setting("n_positive", SimConfig, commands=_GENERATE),
+    _setting("n_negative", SimConfig, commands=_GENERATE),
+    _setting("cluster_min", SimConfig, commands=_GENERATE),
+    _setting("cluster_max", SimConfig, commands=_GENERATE),
+    _setting("cluster_region_fraction", SimConfig),
+    # splits
+    _setting("train_fraction", SplitSpec),
+    _setting("test_fraction", SplitSpec),
+    _setting("validation_fraction", SplitSpec),
+    # model
+    _setting("n_filters", ModelConfig),
+    _setting("filter_width", ModelConfig),
+    _setting("pool_window", ModelConfig),
+    _setting("pool_stride", ModelConfig),
+    _setting("activation", (ModelConfig, "conv_activation")),
+    # training
+    _setting("workers", (TrainConfig, "n_replicas"), commands=_TRAIN,
+             help="number of replicas"),
+    _setting("strategy", TrainConfig, commands=_FIT,
+             help="allreduce | ps | gossip; benchmark sweeps a comma-separated list"),
+    _setting("epochs", (TrainConfig, "epochs_max"), commands=_FIT, help="maximum epochs"),
+    _setting("batch_per_replica", kind=int, commands=_TRAIN),
+    _setting("global_batch", kind=int, commands=_FIT),
+    _setting("precision", TrainConfig, commands=_FIT, help="f32 | f64"),
+    _setting("learning_rate", TrainConfig, commands=_TRAIN),
+    _setting("shuffle_buffer_size", TrainConfig),
+    _setting("patience", EarlyStopConfig),
+    _setting("min_delta", EarlyStopConfig),
+    _setting("early_stopping", TrainConfig, commands=_TRAIN,
+             help="always run the full epoch budget"),
+    _setting("gossip_period", TrainConfig),
+    _setting("backend", TrainConfig, commands=_FIT, help="processes | threads"),
+    # benchmark
+    _setting("workers_list", default=(1, 2, 4), commands=("benchmark",),
+             help="comma-separated worker counts, e.g. 1,2,4"),
+    # paths
+    _setting("pwm", kind=str, commands=_GENERATE,
+             help="PWM file (default: built-in TAL1-style)"),
+    _setting("dataset", kind=str, commands=_ALL,
+             help="FASTA path: generate writes it, the other commands read it"),
+    _setting("checkpoint", kind=str, commands=("evaluate",), help="checkpoint path"),
+    # evaluate
+    _setting("split", default="test", kind=("train", "test", "validation", "all"),
+             commands=("evaluate",), help="which split of the dataset to score (default: test)"),
+)}
+
+DEFAULTS = {key: s.default for key, s in SETTINGS.items()}
 
 
 def _parse_workers_list(text):
@@ -115,25 +164,31 @@ def _has_type(value, kind) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _config_value(key, value, path):
-    """A config-file value, checked against the type of the key's default;
+def _config_value(setting, value, path):
+    """A config-file value, checked against the setting's type or choices;
     ``workers_list`` takes a list of ints or the flag's comma string."""
-    if key == "workers_list":
+    if setting.key == "workers_list":
         if isinstance(value, str):
             value = _parse_workers_list(value)
         if isinstance(value, (list, tuple)) and value and all(
                 _has_type(v, int) for v in value):
             return tuple(value)
         expected = "a non-empty list of integers or a comma-separated string"
-    else:
-        kind = _NONE_DEFAULT_TYPES.get(key, type(DEFAULTS[key]))
-        if _has_type(value, kind) or (value is None and DEFAULTS[key] is None):
+    elif isinstance(setting.kind, tuple):
+        if value in setting.kind:
             return value
-        expected = f"of type {kind.__name__}"
-    raise ValidationError(f"config key {key!r} in {path} must be {expected}, got {value!r}")
+        expected = f"one of {setting.kind}"
+    else:
+        if _has_type(value, setting.kind) or (value is None and setting.default is None):
+            return value
+        expected = f"of type {setting.kind.__name__}"
+    raise ValidationError(
+        f"config key {setting.key!r} in {path} must be {expected}, got {value!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per entry of ``COMMANDS``, with a flag for each
+    setting that names the command."""
     parser = argparse.ArgumentParser(
         prog="dcnn",
         description=(
@@ -142,71 +197,18 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def shared(p):
+    for command, run in COMMANDS.items():
+        p = sub.add_parser(command, help=run.__doc__)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int, help="master RNG seed")
-        p.add_argument("--out", help="output directory (default: runs)")
-
-    p_gen = sub.add_parser("generate", help="simulate a labeled FASTA dataset")
-    shared(p_gen)
-    p_gen.add_argument("--pwm", help="PWM file (default: built-in TAL1-style)")
-    p_gen.add_argument("--dataset", help="output FASTA path")
-    p_gen.add_argument("--seq-length", type=int, dest="seq_length")
-    p_gen.add_argument("--n-positive", type=int, dest="n_positive")
-    p_gen.add_argument("--n-negative", type=int, dest="n_negative")
-    p_gen.add_argument("--cluster-min", type=int, dest="cluster_min")
-    p_gen.add_argument("--cluster-max", type=int, dest="cluster_max")
-
-    p_train = sub.add_parser("train", help="train on a FASTA dataset")
-    shared(p_train)
-    p_train.add_argument("--dataset", help="input FASTA path")
-    p_train.add_argument("--workers", type=int, help="number of replicas")
-    p_train.add_argument(
-        "--strategy", help="allreduce | ps | gossip"
-    )
-    p_train.add_argument("--epochs", type=int, help="maximum epochs")
-    p_train.add_argument(
-        "--batch-per-replica", type=int, dest="batch_per_replica"
-    )
-    p_train.add_argument("--global-batch", type=int, dest="global_batch")
-    p_train.add_argument("--precision", help="f32 | f64")
-    p_train.add_argument(
-        "--learning-rate", type=float, dest="learning_rate"
-    )
-    p_train.add_argument(
-        "--no-early-stopping", action="store_true",
-        help="always run the full epoch budget",
-    )
-    p_train.add_argument("--backend", help="processes | threads")
-
-    p_bench = sub.add_parser(
-        "benchmark", help="worker-count scaling sweep (fixed epochs)"
-    )
-    shared(p_bench)
-    p_bench.add_argument("--dataset", help="input FASTA path")
-    p_bench.add_argument(
-        "--workers-list", dest="workers_list",
-        help="comma-separated worker counts, e.g. 1,2,4",
-    )
-    p_bench.add_argument(
-        "--strategy",
-        help="strategy or comma-separated sweep, e.g. allreduce,ps,gossip",
-    )
-    p_bench.add_argument("--epochs", type=int, help="epochs per row")
-    p_bench.add_argument("--global-batch", type=int, dest="global_batch")
-    p_bench.add_argument("--precision", help="f32 | f64")
-    p_bench.add_argument("--backend", help="processes | threads")
-
-    p_eval = sub.add_parser("evaluate", help="score a checkpoint on a dataset")
-    shared(p_eval)
-    p_eval.add_argument("--checkpoint", help="checkpoint path")
-    p_eval.add_argument("--dataset", help="input FASTA path")
-    p_eval.add_argument(
-        "--split", choices=("train", "test", "validation", "all"),
-        help="which split of the dataset to score (default: test)",
-    )
-
+        for s in SETTINGS.values():
+            if command not in s.commands:
+                continue
+            if s.kind is bool:
+                p.add_argument(s.flag, dest=s.dest, action="store_true", help=s.help)
+            else:
+                p.add_argument(s.flag, dest=s.dest, help=s.help,
+                               type=s.kind if s.kind in (int, float) else None,
+                               choices=s.kind if isinstance(s.kind, tuple) else None)
     return parser
 
 
@@ -231,18 +233,17 @@ def _merge_settings(args) -> dict:
                 f"config file {path} must hold a JSON object"
             )
         for key, value in loaded.items():
-            if key not in DEFAULTS:
+            if key not in SETTINGS:
                 raise ValidationError(f"unknown config key {key!r} in {path}")
-            merged[key] = _config_value(key, value, path)
+            merged[key] = _config_value(SETTINGS[key], value, path)
             explicit.add(key)
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None and value is not False:
-            merged[key] = value
-            explicit.add(key)
-    if getattr(args, "no_early_stopping", False):
-        merged["early_stopping"] = False
-        explicit.add("early_stopping")
+    for s in SETTINGS.values():
+        value = getattr(args, s.dest, None)
+        if s.kind is bool:  # its flag, when given, turns the setting off
+            value = False if value else None
+        if value is not None:
+            merged[s.key] = value
+            explicit.add(s.key)
     if isinstance(merged["workers_list"], str):
         merged["workers_list"] = _parse_workers_list(merged["workers_list"])
     merged["_explicit"] = explicit
@@ -288,27 +289,20 @@ def _resolve_batch(workers, global_batch, per_replica) -> int:
     return per_replica if per_replica is not None else TrainConfig.batch_per_replica
 
 
+def _build(cls, settings, **given):
+    """A ``cls`` whose fields are the settings that fill them, then ``given``;
+    the config class checks every value."""
+    filled = {name: settings[s.key] for s in SETTINGS.values()
+              for owner, name in s.fills if owner is cls}
+    return cls(**{**filled, **given})
+
+
 def _train_config(settings, strategy, workers, batch_per_replica) -> TrainConfig:
-    """The TrainConfig of the settings: the one place where each settings
-    key is mapped to its field, and every value is checked."""
     if settings["epochs"] < 1:  # TrainConfig would name its field, epochs_max
         raise ValidationError(f"epochs must be >= 1, got {settings['epochs']}")
-    return TrainConfig(
-        n_replicas=workers,
-        strategy=strategy,
-        epochs_max=settings["epochs"],
-        batch_per_replica=batch_per_replica,
-        seed=settings["seed"],
-        precision=settings["precision"],
-        learning_rate=settings["learning_rate"],
-        shuffle_buffer_size=settings["shuffle_buffer_size"],
-        early_stop=EarlyStopConfig(
-            patience=settings["patience"], min_delta=settings["min_delta"]
-        ),
-        early_stopping=settings["early_stopping"],
-        gossip_period=settings["gossip_period"],
-        backend=settings["backend"],
-    )
+    return _build(TrainConfig, settings, n_replicas=workers, strategy=strategy,
+                  batch_per_replica=batch_per_replica,
+                  early_stop=_build(EarlyStopConfig, settings))
 
 
 def _load_pwm(settings):
@@ -336,24 +330,11 @@ def _model_config(settings, seq_length) -> ModelConfig:
             f"configured sequence length {settings['seq_length']} does not "
             f"match the dataset ({seq_length})"
         )
-    return ModelConfig(
-        seq_length=seq_length,
-        n_filters=settings["n_filters"],
-        filter_width=settings["filter_width"],
-        pool_window=settings["pool_window"],
-        pool_stride=settings["pool_stride"],
-        conv_activation=settings["activation"],
-    )
+    return _build(ModelConfig, settings, seq_length=seq_length)
 
 
 def _split_dataset(settings, records) -> Dataset:
-    spec = SplitSpec(
-        train_fraction=settings["train_fraction"],
-        test_fraction=settings["test_fraction"],
-        validation_fraction=settings["validation_fraction"],
-        seed=settings["seed"],
-    )
-    train_recs, test_recs, val_recs = split(records, spec)
+    train_recs, test_recs, val_recs = split(records, _build(SplitSpec, settings))
     return Dataset(train=train_recs, validation=val_recs, test=test_recs)
 
 
@@ -380,15 +361,8 @@ def write_json(path, payload) -> None:
 
 
 def cmd_generate(settings) -> int:
-    sim = SimConfig(
-        seq_length=settings["seq_length"],
-        n_positive=settings["n_positive"],
-        n_negative=settings["n_negative"],
-        cluster_min=settings["cluster_min"],
-        cluster_max=settings["cluster_max"],
-        cluster_region_fraction=settings["cluster_region_fraction"],
-        seed=settings["seed"],
-    )
+    """simulate a labeled FASTA dataset"""
+    sim = _build(SimConfig, settings)
     pwm = _load_pwm(settings)
     records = generate_dataset(sim, pwm)
     path = settings["dataset"] or os.path.join(_out_dir(settings), "dataset.fasta")
@@ -406,6 +380,7 @@ def cmd_generate(settings) -> int:
 
 
 def cmd_train(settings) -> int:
+    """train on a FASTA dataset"""
     records, seq_length = _read_records(settings)
     model_config = _model_config(settings, seq_length)
     dataset = _split_dataset(settings, records)
@@ -450,6 +425,7 @@ def cmd_train(settings) -> int:
 
 
 def cmd_benchmark(settings) -> int:
+    """worker-count scaling sweep (fixed epochs)"""
     records, seq_length = _read_records(settings)
     model_config = _model_config(settings, seq_length)
     dataset = _split_dataset(settings, records)
@@ -483,6 +459,7 @@ def cmd_benchmark(settings) -> int:
 
 
 def cmd_evaluate(settings) -> int:
+    """score a checkpoint on a dataset"""
     checkpoint_path = _require_input(settings["checkpoint"], "checkpoint")
     params, model_config = load_checkpoint(checkpoint_path)
     records, seq_length = _read_records(settings)
@@ -492,15 +469,7 @@ def cmd_evaluate(settings) -> int:
             f"dataset has {seq_length}"
         )
     which = settings["split"]
-    if which == "all":
-        chosen = records
-    else:
-        dataset = _split_dataset(settings, records)
-        chosen = {
-            "train": dataset.train,
-            "test": dataset.test,
-            "validation": dataset.validation,
-        }[which]
+    chosen = records if which == "all" else getattr(_split_dataset(settings, records), which)
     if not chosen:
         raise ValidationError(
             f"the {which} split of {settings['dataset']} is empty"

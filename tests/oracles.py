@@ -68,7 +68,12 @@ def read_fasta_lines(path) -> list:
         if header is None:
             return
         rec_id, label, motifs = header
-        positions = [] if motifs == "none" else [int(p) for p in motifs.split(",")]
+        try:
+            positions = [] if motifs == "none" else [int(p) for p in motifs.split(",")]
+        except ValueError:
+            raise ParseError(
+                f"{path}:{header_line}: motif position has too many digits to read"
+            ) from None
         try:
             records.append(SequenceRecord(rec_id, "".join(chunks), int(label), positions))
         except ValidationError as exc:

@@ -416,6 +416,14 @@ def test_fasta_bytes_outside_ascii_are_a_parse_error(tmp_path, capsys, blob, lin
     assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
 
 
+def test_fasta_motif_position_past_the_int_limit_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "long.fasta"
+    path.write_bytes(b">a label=1 motifs=" + b"1" * 5000 + b"\nACGT\n")
+    assert main(["train", "--dataset", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}:1: motif position has too many digits to read\n")
+
+
 def test_pwm_bytes_outside_ascii_are_a_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.pwm"
     path.write_bytes(b"#PWM TAL1\xff 1\n0.25 0.25 0.25 0.25\n")
@@ -452,36 +460,40 @@ def test_corrupted_checkpoint_message(workspace, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # config file handling and argparse behavior
 
-#: Each DEFAULTS key that fills a dataclass field, with the fields it
-#: fills.  DEFAULTS reads one of them; ``seed`` and ``seq_length`` fill
-#: more than one, whose defaults must then agree.
-_MIRRORED_FIELDS = {
-    "seed": [(SimConfig, "seed"), (SplitSpec, "seed"), (TrainConfig, "seed")],
-    "seq_length": [(SimConfig, "seq_length"), (ModelConfig, "seq_length")],
-    **{key: [(SimConfig, key)] for key in ("n_positive", "n_negative", "cluster_min",
-                                           "cluster_max", "cluster_region_fraction")},
-    **{key: [(SplitSpec, key)] for key in ("train_fraction", "test_fraction",
-                                           "validation_fraction")},
-    **{key: [(ModelConfig, key)] for key in ("n_filters", "filter_width", "pool_window",
-                                             "pool_stride")},
-    "activation": [(ModelConfig, "conv_activation")],
-    "workers": [(TrainConfig, "n_replicas")],
-    "epochs": [(TrainConfig, "epochs_max")],
-    **{key: [(TrainConfig, key)] for key in ("strategy", "precision", "learning_rate",
-                                             "shuffle_buffer_size", "early_stopping",
-                                             "gossip_period", "backend")},
-    "patience": [(EarlyStopConfig, "patience")],
-    "min_delta": [(EarlyStopConfig, "min_delta")],
-}
-
-
-@pytest.mark.parametrize("key", sorted(_MIRRORED_FIELDS))
+@pytest.mark.parametrize("key", sorted(k for k, s in cli.SETTINGS.items() if s.fills))
 def test_defaults_equal_the_dataclass_defaults_they_restate(key):
-    for cls, name in _MIRRORED_FIELDS[key]:
+    # a setting takes its first filled field's default, so the others
+    # (seed's, seq_length's) must agree with it, and each field's type
+    # is the one the config file checks
+    setting = cli.SETTINGS[key]
+    for cls, name in setting.fills:
         field = {f.name: f for f in fields(cls)}[name]
-        assert cli.DEFAULTS[key] == field.default, (key, cls.__name__, name)
-        assert type(cli.DEFAULTS[key]) is type(field.default), (key, cls.__name__, name)
+        assert setting.default == field.default, (key, cls.__name__, name)
+        assert type(field.default) is setting.kind, (key, cls.__name__, name)
+        assert field.type in (setting.kind, setting.kind.__name__), (key, cls.__name__, name)
 
+
+def test_every_config_field_is_filled_by_a_setting_or_given(tmp_path, monkeypatch):
+    given = {}
+    real_build = cli._build
+
+    def recording_build(cls, settings, **kwargs):
+        given.setdefault(cls, set()).update(kwargs)
+        return real_build(cls, settings, **kwargs)
+
+    monkeypatch.setattr(cli, "_build", recording_build)
+    settings = {**cli.DEFAULTS, "_explicit": set(), "out": str(tmp_path),
+                "seq_length": 100, "n_positive": 1, "n_negative": 1}
+    assert cli.cmd_generate(settings) == 0
+    cli._model_config(settings, 100)
+    cli._split_dataset(settings, read_fasta(tmp_path / "dataset.fasta"))
+    cli._train_config(settings, "ps", 2, 8)
+    filled = {pair for s in cli.SETTINGS.values() for pair in s.fills}
+    for cls in (SimConfig, SplitSpec, ModelConfig, EarlyStopConfig, TrainConfig):
+        assert cls in given, cls.__name__  # each is built through _build
+        missing = [f.name for f in fields(cls)
+                   if (cls, f.name) not in filled and f.name not in given[cls]]
+        assert not missing, (cls.__name__, missing)
 
 
 def test_flags_override_config_file(workspace, tmp_path):
@@ -517,7 +529,8 @@ def test_unknown_config_key_rejected(workspace, tmp_path, capsys):
     for key, value in [("workers_list", 4),
                        ("workers_list", [1, True]), ("epochs", "3"), ("epochs", True),
                        ("strategy", ["ps"]), ("global_batch", 32.0),
-                       ("learning_rate", "0.1"), ("early_stopping", 1)]:
+                       ("learning_rate", "0.1"), ("early_stopping", 1),
+                       ("split", "bogus")]:
         bad.write_text(json.dumps({key: value}))
         code = main(
             [

@@ -338,6 +338,9 @@ FASTA_CORPUS = [
      b">s0 label=1 motifs=none\nACGT\n\n>s1 label=2 motifs=none\n", ":1: record s0"),
     ("bad-body-then-malformed", H0 + b"\nACGT\r\nACGN\n>bad\n", ":3: sequence line contains"),
     ("inconsistent-last", H0 + b"\nAC\n>s1 label=0 motifs=4\r\nAC", ":3: record s1"),
+    # past Python's 4,300-digit integer-string limit
+    ("motif-past-int-limit", H0 + b"\nAC\n>s1 label=1 motifs=3," + b"1" * 5000 + b"\nAC\n",
+     ":3: motif position has too many digits"),
 ]
 
 

@@ -1,7 +1,9 @@
 """Tests for encoding, splitting, shuffling, batching, and sharding."""
 
 import itertools
+import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -175,16 +177,23 @@ class TestShuffledStream:
             # a generator is read whole, without a length
             assert list(shuffled_stream((i for i in range(n)), buffer, seed)) == want
 
-    def test_full_buffer_matches_fisher_yates(self):
-        # buffer >= n is a full uniform shuffle: over many trials every
-        # permutation of 3 elements appears with frequency 1/6 +- 2%
-        trials = 100_000
-        seen = Counter()
-        for t in range(trials):
-            seen[tuple(shuffled_stream((0, 1, 2), 3, seed=t))] += 1
-        assert len(seen) == 6
-        for perm in itertools.permutations((0, 1, 2)):
-            assert abs(seen[perm] / trials - 1 / 6) <= 0.02 * (1 / 6)
+    def test_full_buffer_matches_fisher_yates(self, monkeypatch):
+        # buffer >= n is a full uniform shuffle: its one integers(0, bounds)
+        # call has bounds n, n - 1, ..., 1, whose n! draw vectors are
+        # equally likely, so each must give a different permutation
+        for n in (3, 4):
+            bounds = list(range(n, 0, -1))
+            perms = set()
+            for draws in itertools.product(*map(range, bounds)):
+                def integers(low, high):
+                    assert low == 0 and high.tolist() == bounds
+                    return np.array(draws)
+
+                monkeypatch.setattr(np.random, "Generator",
+                                    lambda _bits: SimpleNamespace(integers=integers))
+                perms.add(tuple(shuffled_stream(range(n), n, seed=0)))
+            assert len(perms) == math.factorial(n)
+            assert all(sorted(perm) == list(range(n)) for perm in perms)
 
 
 class TestBatching:
