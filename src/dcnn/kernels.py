@@ -17,13 +17,20 @@ tests, because the traced benchmark (``perfbench/tracing.py``) looks
 each of them up by name; they move out with the benchmark change that
 drops them from its ``TIMED`` list.
 
-The base-code forward takes its first k taps from a prefix table, as the
+The base-code conv is split into the work that depends only on the
+codes, which a caller can do once ahead (``conv1d_index`` for the
+forward, ``conv1d_taps`` for the backward), and the work on the
+parameters (``conv1d_table``, ``conv1d_gather``, ``conv1d_scatter``).
+The forward takes its first k taps from a prefix table, as the
 "superalphabet" PWM scan does (Pizzi, Rastas & Ukkonen, IEEE/ACM TCBB
 2011).  Because the sum starts at the bias and adds taps in ascending
 order, the running sum after tap k-1 at row i depends only on the k-mer
 codes[i : i+k].  The table holds that sum for all 4**k k-mers, folded
 with the same roundings in the same order, so gathering it through the
-k-mer index is exact, not an approximation.
+k-mer index is exact, not an approximation.  The later taps' filter
+columns are stacked under it, so that one ``take`` gathers every tap of
+every row and one ``np.add.reduce`` over the leading tap axis folds
+them, in the loop's own order.
 
 All kernels are pure functions on numpy arrays in float32 or float64 and
 accept an optional leading batch dimension. Reductions run in a fixed
@@ -32,7 +39,10 @@ forward accumulates bias first, then filter taps in ascending (tap,
 channel) order, which makes it bit-equal to a naive triple loop; gradient
 reductions go through single-threaded ``einsum``/``add.at`` paths (the
 base-code backward through ``add.at`` alone, in ascending sample and row
-order) that never depend on thread scheduling.
+order) that never depend on thread scheduling.  These sums keep their
+bits at every SIMD level NumPy picks at run time (only ``exp`` and
+``log`` move, in float64); ``tests/test_identity_sweep.py`` checks
+float32 training with AVX-512 off.
 """
 
 from __future__ import annotations
@@ -155,15 +165,152 @@ def _codes_out_length(codes, filters) -> int:
 
 
 def prefix_length(rows: int, width: int) -> int:
-    """Default k-mer length of conv1d_forward_codes for ``rows`` output
-    rows (B * T) and filter width ``width``: the largest k in 1 ... width
-    with 16 * 4**k <= rows, else 1.  Building the table costs about
+    """Default prefix length of the conv's gather table (``network.plan``,
+    :func:`conv1d_forward_codes`) for ``rows`` output rows (B * T) and
+    filter width ``width``: the largest k in 1 ... width with
+    16 * 4**k <= rows, else 1.  Building the table costs about
     F * 4**k adds, and each tap it absorbs saves B * T * F, so the table
     stays at most 1/16 of the output."""
     k = 1
     while k < width and 16 * 4 ** (k + 1) <= rows:
         k += 1
     return k
+
+
+#: Bytes of gathered taps [K, rows, F] up to which :func:`conv1d_gather`
+#: takes a whole conv in one block (a [4, 200] training step's is 378 KB
+#: in f32): splitting it would cost more NumPy calls than it saves.
+GATHER_WHOLE_BYTES = 1024 * 1024
+#: Bytes of gathered taps that a larger conv (a scoring chunk's, or a
+#: [64, 1500] step's) sums at a time: below glibc's default 128 KiB mmap
+#: threshold, so that the block's buffer is reused from the heap without
+#: page faults, and well within a core's L2 cache.
+GATHER_BYTES = 120 * 1024
+
+
+def conv1d_index_dtype(width: int, k: int) -> np.dtype:
+    """The dtype of :func:`conv1d_index`: the smallest unsigned one that
+    holds the table's last row, 4**k + 4 (W - k) - 1."""
+    return np.min_scalar_type(4**k + 4 * (width - k) - 1)
+
+
+def conv1d_taps_dtype(width: int) -> np.dtype:
+    """The dtype of :func:`conv1d_taps`: the smallest unsigned one that
+    holds 4 W - 1, the last flat index of a [W, 4] array."""
+    return np.min_scalar_type(4 * width - 1)
+
+
+def _windows(codes: np.ndarray, width: int, dtype) -> np.ndarray:
+    """The codes [..., L] in ``dtype`` as one flat run of n codes and
+    W - 1 zeros, viewed as [W, n]: row j starts j codes on, so that an op
+    over the view is an op over W contiguous runs.  At the positions past
+    L - W, which no conv row starts at, a row reads on into the next
+    record's codes or the zeros."""
+    n = codes.size
+    flat = np.zeros(n + width - 1, dtype)
+    flat[:n].reshape(codes.shape)[...] = codes
+    # a view straight from the buffer: as_strided's __array_interface__
+    # route took 0.5 MiB more peak RSS over 200 train() calls
+    windows = np.ndarray((width, n), dtype, buffer=flat, strides=(flat.itemsize,) * 2)
+    windows.flags.writeable = False
+    return windows
+
+
+def conv1d_index(codes: np.ndarray, width: int, k: int) -> np.ndarray:
+    """The gather index of :func:`conv1d_gather` for base codes [..., L]
+    (0-3, unchecked): [K, ..., T] for the K = 1 + W - k rows of
+    :func:`conv1d_table` that each of the T = L - W + 1 conv rows sums.
+
+    Entry 0 of row i is its k-mer codes[i : i+k], first base most
+    significant, which names the table row holding bias + taps 0 ... k-1;
+    entry 1 + m is 4**k + 4 m + codes[i + k + m], the row of tap k + m's
+    filter column, in :func:`conv1d_index_dtype` (uint8 or uint16 at this
+    model's sizes).  It is a view of a [K, ..., L] array.
+    """
+    n_taps, dtype = 1 + width - k, conv1d_index_dtype(width, k)
+    windows = _windows(codes, width, dtype)
+    index = np.empty((n_taps, windows.shape[1]), dtype)
+    kmer = index[0]
+    kmer[...] = windows[0]
+    for j in range(1, k):
+        np.multiply(kmer, 4, out=kmer)
+        np.add(kmer, windows[j], out=kmer)
+    np.add(windows[k:], np.arange(4**k, 4**k + 4 * (width - k), 4, dtype=dtype)[:, None],
+           out=index[1:])
+    return index.reshape((n_taps,) + codes.shape)[..., : codes.shape[-1] - width + 1]
+
+
+def conv1d_taps(codes: np.ndarray, width: int) -> np.ndarray:
+    """The scatter index of :func:`conv1d_scatter` for base codes [..., L]
+    (0-3, unchecked): [W, ..., L], where entry j at position i is
+    4 j + codes[i + j], the flat index of [j, codes[i + j]] in a [W, 4]
+    array, in :func:`conv1d_taps_dtype` (uint8 up to W = 64), for every
+    position i <= L - W that a conv row starts at; the positions past it
+    hold no taps of their record."""
+    dtype = conv1d_taps_dtype(width)
+    taps = np.add(_windows(codes, width, dtype),
+                  np.arange(0, 4 * width, 4, dtype=dtype)[:, None])
+    return taps.reshape((width,) + codes.shape)
+
+
+def conv1d_table(filters: np.ndarray, bias: np.ndarray, k: int, dtype=None) -> np.ndarray:
+    """The gather table of the base-code conv, [4**k + 4 (W - k), F] in
+    ``dtype`` (default: the filters' dtype).
+
+    Row m < 4**k holds the bias plus taps 0 ... k-1 of the k-mer m, folded
+    in that order, as the "superalphabet" PWM scan does (Pizzi, Rastas &
+    Ukkonen, IEEE/ACM TCBB 2011); row 4**k + 4 m + c holds
+    filters[:, k + m, c], tap k + m's column for base c.
+    """
+    n_filters, width, _ = filters.shape
+    dtype = filters.dtype if dtype is None else np.dtype(dtype)
+    columns = np.ascontiguousarray(filters.transpose(1, 2, 0), dtype=dtype)  # [W, 4, F]
+    table = np.empty((4**k + 4 * (width - k), n_filters), dtype)
+    prefix = bias.astype(dtype, copy=False)  # [4] * j + [F] after j taps
+    for j in range(k - 1):
+        prefix = prefix[..., None, :] + columns[j]
+    np.add(prefix[..., None, :], columns[k - 1],
+           out=table[: 4**k].reshape((4,) * k + (n_filters,)))
+    table[4**k :].reshape(width - k, 4, n_filters)[...] = columns[k:]
+    return table
+
+
+def conv1d_gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The conv output [..., T, F] of a gather index [K, ..., T]
+    (:func:`conv1d_index`) into a table (:func:`conv1d_table`): each row
+    is the sum of the K table rows its index names, folded in index
+    order, which is the order bias, tap 0, ..., tap W-1.
+
+    The rows are gathered whole, or GATHER_BYTES at a time, with one
+    ``take`` into a C-contiguous [K, rows, F] block, which one
+    ``np.add.reduce`` sums over its leading axis from -0.0, the one value
+    that adds exactly (from 0.0, its default, a -0.0 sum would come back
+    +0.0).  NumPy folds a reduction over a leading axis sequentially, one
+    [rows, F] slice after another, as a loop of ``out += block[j]`` would;
+    its pairwise summation applies only along the innermost axis, which
+    the tap axis becomes only when a block holds one element, so that one
+    is folded by ``accumulate``.
+    """
+    n_taps, n_filters = index.shape[0], table.shape[1]
+    out = np.empty(index.shape[1:] + (n_filters,), dtype=table.dtype)
+    rows = out.size // n_filters
+    row_bytes = n_taps * n_filters * table.itemsize
+    if rows * row_bytes <= GATHER_WHOLE_BYTES:
+        block, parts = rows, [(index, out)]
+    else:
+        block = max(1, GATHER_BYTES // row_bytes)
+        flat, flat_out = index.reshape(n_taps, rows), out.reshape(rows, n_filters)
+        parts = [(flat[:, start : start + block], flat_out[start : start + block])
+                 for start in range(0, rows, block)]
+    buffer = np.empty(n_taps * block * n_filters, dtype=table.dtype)
+    for part, part_out in parts:
+        gathered = buffer[: part.size * n_filters].reshape(part.shape + (n_filters,))
+        table.take(part, axis=0, out=gathered, mode="clip")
+        if part_out.size > 1:
+            np.add.reduce(gathered, axis=0, out=part_out, initial=-0.0)
+        else:
+            part_out[...] = np.add.accumulate(gathered, axis=0)[-1]
+    return out
 
 
 def conv1d_forward_codes(codes: np.ndarray, filters: np.ndarray, bias: np.ndarray,
@@ -176,11 +323,11 @@ def conv1d_forward_codes(codes: np.ndarray, filters: np.ndarray, bias: np.ndarra
     ascending tap order after the bias.  The dense kernel's other three
     channels add exact zeros, so the two are bit-identical.
 
-    The first ``k`` taps come from a prefix table: prefix[m] is the bias
-    plus taps 0 ... k-1 of the k-mer m, folded in that order, so one gather
-    through the k-mer index at i replaces k gathers and k-1 adds with the
-    same roundings.  Taps k ... W-1 follow one gather each.  ``k`` defaults
-    to prefix_length(B * T, W); k = 1 is the plain tap loop.
+    It checks the codes, then gathers through :func:`conv1d_index` into
+    :func:`conv1d_table` (:func:`conv1d_gather`): the first ``k`` taps in
+    one k-mer row that folds them with the same roundings, taps k ... W-1
+    one row each.  ``k`` defaults to prefix_length(B * T, W); k = 1 is the
+    plain tap loop.
     """
     codes = np.asarray(codes)
     filters = np.asarray(filters)
@@ -193,22 +340,8 @@ def conv1d_forward_codes(codes: np.ndarray, filters: np.ndarray, bias: np.ndarra
         k = prefix_length(codes.size // codes.shape[-1] * out_length, width)
     elif not 1 <= k <= width:
         raise ValidationError(f"conv1d prefix length k must be in 1 ... {width}, got {k}")
-    codes = codes.astype(np.intp)
-    dtype = filters.dtype if dtype is None else np.dtype(dtype)
-    table = filters.transpose(1, 2, 0).astype(dtype)  # [W, 4, F]
-    prefix = bias.astype(dtype)[None]  # [4**j, F] after j taps
-    index = codes[..., :out_length].copy()  # k-mer index, first base most significant
-    for j in range(k):
-        prefix = (prefix[:, None] + table[j]).reshape(-1, n_filters)
-        if j:
-            index <<= 2
-            index += codes[..., j : j + out_length]
-    out = prefix.take(index, axis=0, mode="clip")
-    tmp = np.empty_like(out)
-    for j in range(k, width):
-        table[j].take(codes[..., j : j + out_length], axis=0, out=tmp, mode="clip")
-        out += tmp
-    return out
+    index = conv1d_index(codes.astype(np.uint8, copy=False), width, k)
+    return conv1d_gather(conv1d_table(filters, bias, k, dtype), index)
 
 
 def conv1d_backward_codes(
@@ -219,14 +352,16 @@ def conv1d_backward_codes(
 
     ``codes`` is [B, L]; ``rows`` [B, P, F] holds the conv output row that
     carries each gradient in ``grad_rows`` [B, P, F] (for filter f).  It
-    checks the codes and rows, then runs :func:`conv1d_backward_scatter`.
+    checks the codes and rows, then runs :func:`conv1d_scatter` on the
+    codes' :func:`conv1d_taps`.  Sums run in ``grad_rows``'s dtype;
+    grad_filters comes back in the filters' dtype.
     """
     codes = np.asarray(codes)
     filters = np.asarray(filters)
     rows = np.asarray(rows)
     grad_rows = np.asarray(grad_rows)
     out_length = _codes_out_length(codes, filters)
-    n_filters = filters.shape[0]
+    n_filters, width, _ = filters.shape
     if (codes.ndim != 2 or rows.ndim != 3 or rows.shape != grad_rows.shape
             or rows.shape[0] != codes.shape[0] or rows.shape[2] != n_filters):
         raise ShapeError(
@@ -237,50 +372,63 @@ def conv1d_backward_codes(
         raise InternalConsistencyError(
             f"conv1d gradient row {int(rows.max())} outside output of length {out_length}"
         )
-    return conv1d_backward_scatter(codes, filters, rows, grad_rows)
+    grad_filters = np.empty(filters.shape, dtype=grad_rows.dtype)
+    grad_bias = np.empty(n_filters, dtype=grad_rows.dtype)
+    taps = conv1d_taps(codes.astype(np.uint8, copy=False), width)
+    conv1d_scatter(taps, rows, grad_rows, grad_filters, grad_bias)
+    return grad_filters.astype(filters.dtype, copy=False), grad_bias
 
 
 @functools.cache
-def _taps(n_filters: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(the taps 0 ... W-1, the flat index (f * W + j) * 4 of [f, j, 0] in
-    a [F, W, 4] array), built once per filter shape and read-only, since
-    every call with that shape shares them."""
-    taps = np.arange(width)
-    offsets = (np.arange(n_filters)[:, None] * width + taps) * 4
-    taps.setflags(write=False)
-    offsets.setflags(write=False)
-    return taps, offsets
+def _scatter_offsets(batch: int, pools: int, n_filters: int, width: int,
+                     length: int) -> tuple:
+    """For gradients [B, P, F] of records of ``length`` codes: (the flat
+    position of each record's first code, [B, 1, 1]; the filter f of each
+    gradient, flattened; and the offset 4 W f of its filter in a
+    [F, W, 4] array).  Built once per shape and read-only, since every
+    call with that shape shares them."""
+    records = np.arange(0, batch * length, length)[:, None, None]
+    filters = np.arange(batch * pools * n_filters) % n_filters
+    offsets = filters * (4 * width)
+    for array in (records, filters, offsets):
+        array.setflags(write=False)
+    return records, filters, offsets
 
 
-def conv1d_backward_scatter(
-    codes: np.ndarray, filters: np.ndarray, rows: np.ndarray, grad_rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The scatter of :func:`conv1d_backward_codes`, with no checks: the
-    arrays must be ones it accepts, such as the codes and winning rows of
-    the model's own forward.  An unchecked code or row outside its range
-    lands on another tap, or another record's bases.
+def conv1d_scatter(taps: np.ndarray, rows: np.ndarray, grad_rows: np.ndarray,
+                   grad_filters: np.ndarray, grad_bias: np.ndarray) -> None:
+    """The gradients of the base-code conv, written into ``grad_filters``
+    [F, W, 4] and ``grad_bias`` [F], which must be C-contiguous in
+    ``grad_rows``'s dtype.  No checks: ``taps`` [W, B, L] must be the
+    :func:`conv1d_taps` of the convolved codes, viewable as [W, B * L],
+    and ``rows`` [B, P, F] conv rows of them, such as the winning rows of
+    the model's own forward.
 
-    Each nonzero gradient g at (b, row, f) adds g to grad_bias[f] and to
-    grad_filters[f, j, codes[b, row + j]] for every tap j, in ascending
-    (b, p) order, which is ascending (b, row) when pools do not overlap.
+    Each gradient g at (b, p, f) in ``grad_rows`` [B, P, F], from conv row
+    r = rows[b, p, f], adds g to grad_bias[f] and to
+    grad_filters[f, j, codes[b, r + j]] for every tap j, in ascending
+    (b, p) order, which is ascending (b, r) when pools do not overlap.
     That is the order in which conv1d_backward sums the same nonzero
-    terms.  Sums run in ``grad_rows``'s dtype; grad_filters comes back in
-    the filters' dtype.
+    terms; the zero ones change no bit of a sum that starts at +0.0 (no
+    such sum is ever -0.0).  The flat index of the taps is one ``take`` of
+    the rows' planned taps plus the filter's offset 4 W f, tap by tap;
+    only tap j reaches grad_filters[:, j], so each element still gets its
+    terms in ascending (b, p) order.
     """
-    n_filters, width, _ = filters.shape
-    taps, tap_offsets = _taps(n_filters, width)
-    carries = np.flatnonzero(grad_rows)  # C order: ascending (b, p, f)
-    g = grad_rows.ravel()[carries]
-    b, f = carries // (rows.shape[1] * n_filters), carries % n_filters
-    # flat index of codes[b, row] in the [B * L] codes
-    start = rows.ravel()[carries] + b * codes.shape[1]
-    # flat index of [f, j, codes[b, row + j]] in a [F, W, 4] array, [n, W]
-    index = tap_offsets[f] + codes.ravel()[start[:, None] + taps]
-    grad_filters = np.zeros(n_filters * width * 4, dtype=grad_rows.dtype)
-    np.add.at(grad_filters, index.ravel(), np.repeat(g, width))
-    grad_bias = np.zeros(n_filters, dtype=grad_rows.dtype)
-    np.add.at(grad_bias, f, g)
-    return grad_filters.reshape(filters.shape).astype(filters.dtype, copy=False), grad_bias
+    n_filters, width, _ = grad_filters.shape
+    records, filters, offsets = _scatter_offsets(*grad_rows.shape[:2], n_filters, width,
+                                                 taps.shape[-1])
+    # the position of each gradient's conv row in the batch's flat codes
+    starts = rows + records
+    index = taps.reshape(width, -1).take(starts.reshape(-1), axis=1)  # [W, B * P * F]
+    index = index.astype(np.intp)  # add.at's fast path takes intp indexes
+    index += offsets
+    values = np.empty(index.shape, grad_rows.dtype)
+    values[...] = grad_rows.reshape(-1)
+    grad_filters[...] = 0
+    np.add.at(grad_filters.reshape(-1), index.reshape(-1), values.reshape(-1))
+    grad_bias[...] = 0
+    np.add.at(grad_bias, filters, grad_rows.reshape(-1))
 
 
 def maxpool1d_forward(
@@ -373,9 +521,14 @@ def dense_forward(x: np.ndarray, weights: np.ndarray, bias: float) -> np.ndarray
 
 
 def dense_backward(
-    x: np.ndarray, weights: np.ndarray, grad_out: np.ndarray
+    x: np.ndarray, weights: np.ndarray, grad_out: np.ndarray, out=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of dense_forward: (grad_weights [D,1], grad_bias scalar, grad_input)."""
+    """Gradients of dense_forward: (grad_weights [D,1], grad_bias scalar, grad_input).
+
+    With ``out``, a pair of C-contiguous arrays (grad_weights [D, 1],
+    grad_bias []) in grad_out's dtype, the two gradients are written there
+    and returned; the sums are the same either way.
+    """
     x = np.asarray(x)
     weights = np.asarray(weights)
     grad_out = np.asarray(grad_out)
@@ -386,8 +539,13 @@ def dense_backward(
         )
     flat_x = x.reshape(-1, x.shape[-1])
     flat_grad = grad_out.reshape(-1)
-    grad_weights = np.einsum("nd,n->d", flat_x, flat_grad)[:, None]
-    grad_bias = grad_out.sum(dtype=grad_out.dtype)
+    if out is None:
+        grad_weights = np.einsum("nd,n->d", flat_x, flat_grad)[:, None]
+        grad_bias = grad_out.sum(dtype=grad_out.dtype)
+    else:
+        grad_weights, grad_bias = out
+        np.einsum("nd,n->d", flat_x, flat_grad, out=grad_weights[:, 0])
+        grad_out.sum(dtype=grad_out.dtype, out=grad_bias)
     grad_input = grad_out[..., None] * weights[:, 0]
     return grad_weights, grad_bias, grad_input
 

@@ -10,7 +10,10 @@ The model reads a batch's base codes, never a one-hot array: the
 forward takes the base-code convolution, and the backward sends the
 gradient of each max-pool winner straight to the filter taps of its
 k-mer.  A dense one-hot model built from the dense kernels is the
-tests' oracle for both, bit for bit.
+tests' oracle for both, bit for bit.  What does not depend on the
+parameters is done once per batch, ahead of its step, by :func:`plan`:
+the checks of its codes and labels and the conv's gather and scatter
+indexes.  The forward and backward then do parameter work only.
 
 The forward max-pools the raw conv output and applies ReLU to the
 pooled [B, P, F] only, which gives the bits of ReLU-then-pool with
@@ -46,6 +49,7 @@ from .errors import (
     ValidationError,
     require_at_least,
 )
+from .pipeline import Plan
 
 PROB_CLAMP = 1e-7
 
@@ -176,40 +180,85 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams
 @dataclass
 class ForwardCache:
     params: ModelParams
-    codes: np.ndarray  # [B, L] base codes
+    plan: Plan  # the batch as forward ran it
     argmax_rows: np.ndarray
     flat: np.ndarray
     probs: np.ndarray
 
 
-def forward(params: ModelParams, batch, config: ModelConfig):
-    """(probs in (0,1), cache for backward).  ``batch`` is a pipeline
-    Batch, or any object with base codes .codes (uint8 [B, L], A/C/G/T =
-    0-3) and .labels; the model runs in the labels' dtype.
-
-    Every code of the batch must be 0-3, but only each record's first
-    ``config.read_length`` bases are convolved: the conv rows past them
-    are in no max-pool window, so they cannot reach the output.
-    """
-    codes = getattr(batch, "codes", None)
-    if (codes is None or codes.dtype != np.uint8 or codes.ndim != 2
-            or codes.shape[1] != config.seq_length):
-        got = "none" if codes is None else f"{codes.dtype} {codes.shape}"
-        raise ShapeError(
-            f"batch codes ({got}) do not match the model's expected "
-            f"uint8 [B, {config.seq_length}]"
-        )
-    read = config.read_length
-    # the conv checks the codes it reads; the unread tail is checked here
-    tail_max = codes[:, read:].max(initial=0)
-    if tail_max > 3:
-        raise ValidationError(
-            f"batch codes must be 0-3, got {int(tail_max)} among bases "
-            f"{read}-{config.seq_length - 1}"
-        )
-    conv_out = kernels.conv1d_forward_codes(
-        codes[:, :read], params.conv_filters, params.conv_bias, dtype=batch.labels.dtype
+def _codes_mismatch(got: str, config: ModelConfig) -> ShapeError:
+    return ShapeError(
+        f"batch codes ({got}) do not match the model's expected "
+        f"uint8 [B, {config.seq_length}]"
     )
+
+
+def plan_nbytes(config: ModelConfig, records: int) -> int:
+    """Bytes of the indexes of a :func:`plan` of one batch of ``records``
+    records, at its default prefix length, with the backward's taps."""
+    rows = records * (config.read_length - config.filter_width + 1)
+    width = config.filter_width
+    k = kernels.prefix_length(rows, width)
+    return rows * ((1 + width - k) * kernels.conv1d_index_dtype(width, k).itemsize
+                   + width * kernels.conv1d_taps_dtype(width).itemsize)
+
+
+def plan(codes: np.ndarray, labels: np.ndarray, config: ModelConfig,
+         backward: bool = True, k: int | None = None) -> list:
+    """One :class:`~dcnn.pipeline.Plan` for each of S batches, from their
+    codes (uint8 [S, B, L], A/C/G/T = 0-3) and labels [S, B], built in one
+    vectorized pass that holds all the work of a step that does not
+    depend on the parameters.
+
+    It checks every code, the unread tail included, and every label
+    once, here: a code above 3 or a label other than 0 or 1 raises
+    ValidationError.  Then it builds the conv's gather index at prefix
+    length ``k`` (default: ``kernels.prefix_length`` of one batch's conv
+    rows) and, with ``backward``, the scatter index of each conv row's
+    taps.  Only each record's first ``config.read_length`` bases are
+    indexed: the conv rows past them are in no max-pool window, so they
+    cannot reach the output.
+    """
+    if codes.dtype != np.uint8 or codes.ndim != 3 or codes.shape[2] != config.seq_length:
+        raise _codes_mismatch(f"{codes.dtype} {codes.shape[1:]}", config)
+    if labels.shape != codes.shape[:2]:
+        raise ShapeError(f"labels shape {labels.shape} does not match codes {codes.shape}")
+    code_max = codes.max(initial=0)
+    if code_max > 3:
+        raise ValidationError(f"batch codes must be 0-3, got {int(code_max)}")
+    if not ((labels == 0) | (labels == 1)).all():
+        raise ValidationError("labels must be 0 or 1")
+    width, read = config.filter_width, config.read_length
+    if k is None:
+        k = kernels.prefix_length(codes.shape[1] * (read - width + 1), width)
+    index = kernels.conv1d_index(codes[..., :read], width, k).swapaxes(0, 1)  # [S, K, B, T]
+    taps = (kernels.conv1d_taps(codes[..., :read], width).swapaxes(0, 1)
+            if backward else [None] * len(codes))  # [S, W, B, read]
+    return [Plan(*step, k) for step in zip(codes, labels, index, taps)]
+
+
+def forward(params: ModelParams, batch, config: ModelConfig):
+    """(probs in (0,1), cache for backward).  ``batch`` is a
+    :class:`~dcnn.pipeline.Plan`, or any object with base codes .codes
+    (uint8 [B, L], A/C/G/T = 0-3) and .labels, which is planned here
+    (:func:`plan`); the model runs in the labels' dtype.
+
+    The conv gathers every tap of every row through the plan's index in
+    one ``take`` and folds the taps with one ``np.add.reduce``
+    (``kernels.conv1d_gather``), into the plan's table or one built here
+    from ``params``.
+    """
+    if not isinstance(batch, Plan):
+        codes = getattr(batch, "codes", None)
+        if codes is None or codes.ndim != 2:
+            got = "none" if codes is None else f"{codes.dtype} {codes.shape}"
+            raise _codes_mismatch(got, config)
+        (batch,) = plan(codes[None], np.asarray(batch.labels)[None], config)
+    table = batch.table
+    if table is None:
+        table = kernels.conv1d_table(params.conv_filters, params.conv_bias, batch.k,
+                                     dtype=batch.labels.dtype)
+    conv_out = kernels.conv1d_gather(table, batch.index)
     pooled, argmax_rows = kernels.maxpool1d_forward(
         conv_out, config.pool_window, config.pool_stride
     )
@@ -218,15 +267,17 @@ def forward(params: ModelParams, batch, config: ModelConfig):
     flat = pooled.reshape(pooled.shape[0], -1)
     logits = kernels.dense_forward(flat, params.dense_weights, params.dense_bias)
     probs = kernels.sigmoid(logits)
-    cache = ForwardCache(params=params, codes=codes, argmax_rows=argmax_rows,
+    cache = ForwardCache(params=params, plan=batch, argmax_rows=argmax_rows,
                          flat=flat, probs=probs)
     return probs, cache
 
 
-def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
+def bce_loss(probs: np.ndarray, labels: np.ndarray, checked: bool = False) -> float:
     """Mean binary cross-entropy with probabilities clamped away from
-    {0, 1} by 1e-7.  It checks that the labels are 0 or 1, once per
-    training step: :func:`backward` takes the same labels unchecked.
+    {0, 1} by 1e-7.  It checks that the labels are 0 or 1, unless
+    ``checked`` says that they were checked already, as a :func:`plan`'s
+    are: a training step's labels are checked once, when its plan is
+    built.
 
     The clamp is ``np.maximum`` then ``np.minimum``, as ``np.clip``
     runs it, and the mean is one ``np.add.reduce`` divided by the count.
@@ -235,7 +286,7 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
     quotient (53 >= 2 * 24 + 2 bits).
     """
     y = np.asarray(labels)
-    if not ((y == 0) | (y == 1)).all():
+    if not checked and not ((y == 0) | (y == 1)).all():
         raise ValidationError("labels must be 0 or 1")
     p = np.minimum(np.maximum(probs, PROB_CLAMP), 1.0 - PROB_CLAMP)
     per_sample = -(y * np.log(p) + (1 - y) * np.log(1 - p))
@@ -248,12 +299,16 @@ def backward(params: ModelParams, cache: ForwardCache, labels: np.ndarray,
 
     Sigmoid and BCE are composed analytically, so the logit gradient is
     the numerically stable (p - y) / B with no division by p(1-p).  The
-    labels are not checked here: :func:`bce_loss` checks them, and a
-    step computes the loss first.
+    labels are not checked here: the plan the forward ran checked them.
+    The conv's gradients go only to the taps of each max-pool winner's
+    row, through the plan's scatter index (``kernels.conv1d_scatter``),
+    so the plan must have been built with ``backward``.
 
     With ``out`` (Gradients, typically :func:`unflatten_grads` views of
-    a flat vector) the gradients are written into its tensors and
-    ``out`` is returned; otherwise they come back as new arrays.
+    a flat vector) the gradients are written straight into its tensors,
+    which must be C-contiguous in the run's dtype, and ``out`` is
+    returned; otherwise they come back as new arrays, the conv filters'
+    in the filters' dtype.
     """
     if cache.params is not params:
         raise InternalConsistencyError(
@@ -264,31 +319,36 @@ def backward(params: ModelParams, cache: ForwardCache, labels: np.ndarray,
         raise ShapeError(
             f"labels shape {np.shape(labels)} does not match batch of {batch_size}"
         )
+    taps = cache.plan.taps
+    if taps is None:
+        raise InternalConsistencyError("backward needs a forward on a plan built with backward")
     dtype = cache.flat.dtype
+    shapes = _tensor_shapes(config)
+    if out is None:
+        grads = Gradients(**{name: np.empty(shape, dtype) for name, shape in shapes.items()})
+    else:
+        grads = out
+        for name, shape in shapes.items():
+            tensor = getattr(out, name)
+            if tensor.shape != shape or tensor.dtype != dtype or not tensor.flags.c_contiguous:
+                raise ShapeError(
+                    f"out.{name} must be C-contiguous {dtype} {shape}, got "
+                    f"{tensor.dtype} {tensor.shape}"
+                )
     dlogit = ((cache.probs - labels) / batch_size).astype(dtype, copy=False)
-    grad_dense_w, grad_dense_b, dflat = kernels.dense_backward(
-        cache.flat, params.dense_weights, dlogit
+    _, _, dflat = kernels.dense_backward(
+        cache.flat, params.dense_weights, dlogit, out=(grads.dense_weights, grads.dense_bias)
     )
     dpooled = dflat.reshape(batch_size, config.pool_out_length, config.n_filters)
     # only the pool winners carry gradient, and ReLU passes it where the
     # pooled value is positive
     if config.conv_activation == "relu":
         dpooled = dpooled * (cache.flat.reshape(dpooled.shape) > 0)
-    # the codes and rows come from forward, which checked the codes
-    grad_filters, grad_bias = kernels.conv1d_backward_scatter(
-        cache.codes, params.conv_filters, cache.argmax_rows, dpooled
-    )
-    grads = Gradients(
-        conv_filters=grad_filters,
-        conv_bias=grad_bias,
-        dense_weights=grad_dense_w,
-        dense_bias=np.asarray(grad_dense_b, dtype=dtype).reshape(()),
-    )
+    kernels.conv1d_scatter(taps, cache.argmax_rows, dpooled, grads.conv_filters,
+                           grads.conv_bias)
     if out is None:
-        return grads
-    for name in _TENSOR_FIELDS:
-        getattr(out, name)[...] = getattr(grads, name)
-    return out
+        grads.conv_filters = grads.conv_filters.astype(params.conv_filters.dtype, copy=False)
+    return grads
 
 
 # ---------------------------------------------------------------------------

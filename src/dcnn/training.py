@@ -15,8 +15,11 @@ workers, and each is one small class with the same hooks:
   with an alternating ring partner every ``gossip_period`` steps;
   consistency is established exactly once by the final averaging.
 
-The per-step scalar train loss rides along with the gradient vector in
-the same message, so loss aggregation adds no extra messages.  Each
+Each rank plans its micro-batches ahead (``network.plan``), PLAN_BYTES
+of steps at a time in one vectorized pass, so that a step does only the
+work that depends on the parameters.  The per-step scalar train loss
+rides along with the gradient vector in the same message, so loss
+aggregation adds no extra messages.  Each
 rank keeps its parameters, gradient and Adam moments as flat vectors of
 the run's dtype (the tensors are views of them) and updates them in
 place.  A message is the raw bytes of such a vector, and a received
@@ -59,6 +62,7 @@ from functools import partial
 
 import numpy as np
 
+from . import kernels
 from . import metrics as metrics_mod
 from . import network as nw
 from .collective import (
@@ -192,6 +196,9 @@ def epoch_stream_seed(seed: int, epoch: int) -> int:
 #: Bytes of conv output [chunk, T, F] that one scoring chunk fills, so
 #: that a chunk's activations stay in a core's L2 cache between layers.
 EVAL_CHUNK_BYTES = 512 * 1024
+#: Bytes of conv indexes (``network.plan_nbytes``) of the micro-batches
+#: a rank plans ahead at a time, at least one step's.
+PLAN_BYTES = 128 * 1024
 
 
 def probabilities(params: nw.ModelParams, batch: Batch,
@@ -202,15 +209,30 @@ def probabilities(params: nw.ModelParams, batch: Batch,
 
     Records are scored ``chunk_size`` at a time, by default as many as
     keep the conv output within EVAL_CHUNK_BYTES; each record's
-    probability does not depend on the chunking.
+    probability does not depend on the chunking.  Each chunk is planned
+    for the forward only (``network.plan``) as it comes, all at the
+    prefix length of the whole pass's conv rows, so the conv's gather
+    table is built once a pass, from ``params``, and shared by the
+    chunks' forwards.
     """
+    if not len(batch):
+        return np.empty(0, dtype=batch.labels.dtype)
     if chunk_size is None:
         record_bytes = (model_config.conv_out_length * model_config.n_filters
                         * batch.labels.dtype.itemsize)
         chunk_size = max(1, EVAL_CHUNK_BYTES // record_bytes)
-    parts = [nw.forward(params, batch.rows(start, start + chunk_size), model_config)[0]
-             for start in range(0, len(batch), chunk_size)]
-    return np.concatenate(parts) if parts else np.empty(0, dtype=batch.labels.dtype)
+    width = model_config.filter_width
+    k = kernels.prefix_length(len(batch) * (model_config.read_length - width + 1), width)
+    table = kernels.conv1d_table(params.conv_filters, params.conv_bias, k,
+                                 dtype=batch.labels.dtype)
+    parts = []
+    for start in range(0, len(batch), chunk_size):
+        chunk = batch.rows(start, start + chunk_size)
+        (planned,) = nw.plan(chunk.codes[None], chunk.labels[None], model_config,
+                             backward=False, k=k)
+        planned.table = table
+        parts.append(nw.forward(params, planned, model_config)[0])
+    return np.concatenate(parts)
 
 
 def scores(probs, labels) -> dict:
@@ -388,8 +410,10 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
     """
     replica = _REPLICAS[config.strategy](rank, endpoint, config, model_config)
     steps_per_epoch = len(train_set) // config.global_batch
+    block = max(1, PLAN_BYTES // nw.plan_nbytes(model_config, config.batch_per_replica))
     shares = ring_chunks(len(validation_set), config.n_replicas)
     share_sizes = [stop - start for start, stop in shares]
+    share = validation_set.rows(*shares[rank])
     is_root = rank == 0
     epoch_rows = []
     stop_reason = "max_epochs"
@@ -406,16 +430,20 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
                 ),
                 dtype=np.intp, count=len(train_set),
             )
+            mine = order[: steps_per_epoch * config.global_batch].reshape(
+                steps_per_epoch, config.n_replicas, config.batch_per_replica)[:, rank]
             step_losses = []
-            for step in range(steps_per_epoch):
-                start = step * config.global_batch + rank * config.batch_per_replica
-                mine = order[start : start + config.batch_per_replica]
-                micro = Batch(train_set.codes[mine], train_set.labels[mine])
-                probs, cache = nw.forward(replica.params, micro, model_config)
-                local_loss = nw.bce_loss(probs, micro.labels)
-                nw.backward(replica.params, cache, micro.labels, model_config,
-                            out=replica.grads)
-                step_losses.append(replica.step(local_loss))
+            for first in range(0, steps_per_epoch, block):
+                records = mine[first : first + block]  # [steps, B]
+                plans = nw.plan(train_set.codes[records], train_set.labels[records],
+                                model_config)
+                for micro in plans:
+                    probs, cache = nw.forward(replica.params, micro, model_config)
+                    local_loss = nw.bce_loss(probs, micro.labels, checked=True)
+                    nw.backward(replica.params, cache, micro.labels, model_config,
+                                out=replica.grads)
+                    step_losses.append(replica.step(local_loss))
+                del plans, micro, cache  # so that two blocks' plans are never alive
             epoch_mean_loss = float(np.mean(step_losses))
             wall = time.perf_counter() - epoch_t0
 
@@ -426,7 +454,7 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
                 raise TrainingDivergedError("non-finite loss or parameters")
             probs = gather_to_root(
                 endpoint,
-                probabilities(eval_params, validation_set.rows(*shares[rank]), model_config),
+                probabilities(eval_params, share, model_config),
                 share_sizes,
             )
             halt = _CONTINUE

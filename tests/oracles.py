@@ -329,3 +329,25 @@ def loop_auprc(scores, labels):
         total += (recall - prev_recall) * precision
         prev_recall = recall
     return float(total)
+
+
+def conv_scatter_in_carry_order(codes, rows, grad_rows, n_filters: int, width: int):
+    """(grad_filters [F, W, 4], grad_bias [F]) of the base-code conv for
+    the max-pool winners' gradients ``grad_rows`` [B, P, F] at conv rows
+    ``rows`` of ``codes`` [B, L]: each nonzero gradient, in ascending
+    (b, p, f) order, is added to the bias and, tap after tap, to the
+    filter column of its row's base at that tap.  ``np.add.at`` adds
+    repeated indices one after another in index order, so this is the
+    sum order the model's scatter documents, built carry by carry."""
+    batch, pools, _ = grad_rows.shape
+    carries = np.flatnonzero(grad_rows)
+    g = grad_rows.ravel()[carries]
+    b, f = carries // (pools * n_filters), carries % n_filters
+    taps = np.arange(width)
+    bases = codes[b[:, None], rows.ravel()[carries][:, None] + taps]
+    index = (f[:, None] * width + taps) * 4 + bases  # [n, W], carry by carry
+    grad_filters = np.zeros(n_filters * width * 4, dtype=grad_rows.dtype)
+    np.add.at(grad_filters, index.ravel(), np.repeat(g, width))
+    grad_bias = np.zeros(n_filters, dtype=grad_rows.dtype)
+    np.add.at(grad_bias, f, g)
+    return grad_filters.reshape(n_filters, width, 4), grad_bias

@@ -3,12 +3,14 @@
 import collections
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcnn import genome
 from dcnn.errors import ParseError, PlacementError, ValidationError
 from dcnn.genome import (
     Pwm,
@@ -359,6 +361,43 @@ class TestFastaReader:
             assert expect in want
         assert parse_outcome(read_fasta, path) == want
 
+    @pytest.mark.parametrize("data,expect", [c[1:] for c in FASTA_CORPUS],
+                             ids=[c[0] for c in FASTA_CORPUS])
+    def test_corpus_matches_the_line_reader_at_every_block_boundary(
+            self, tmp_path, monkeypatch, data, expect):
+        # blocks of 1-9 bytes put a boundary at every byte of the short
+        # files: inside a header, a body, a \r\n and just before a ">"
+        path = tmp_path / "corpus.fa"
+        path.write_bytes(data)
+        want = parse_outcome(read_fasta_lines, path)
+        for size in (*range(1, 10), len(data) - 1, len(data), len(data) + 1):
+            monkeypatch.setattr(genome, "FASTA_BLOCK_BYTES", max(size, 1))
+            assert parse_outcome(read_fasta, path) == want, size
+
+    @pytest.mark.parametrize("data,size", [
+        (H0 + b"\nACGT\n" + H1 + b"\nAC\n", len(H0) // 2),  # inside a header
+        (H0 + b"\nACGT\n" + H1 + b"\nAC\n", len(H0) + 3),  # inside a body
+        (H0 + b"\r\nACGT\r\n" + H1 + b"\r\nAC\r\n", len(H0) + 1),  # inside a \r\n
+        (H0 + b"\nACGT\n" + H1 + b"\nAC\n", len(H0) + 6),  # just before a ">"
+        (H0 + b"\nACGT\n" + H1 + b"\nAC\n", len(H0) + 7),  # just after a ">"
+    ], ids=["header", "body", "crlf", "before-gt", "after-gt"])
+    def test_a_block_boundary_changes_no_record(self, tmp_path, monkeypatch, data, size):
+        path = tmp_path / "boundary.fa"
+        path.write_bytes(data)
+        monkeypatch.setattr(genome, "FASTA_BLOCK_BYTES", size)
+        assert read_fasta(path) == [
+            SequenceRecord("s0", "ACGT", 0, []), SequenceRecord("s1", "AC", 1, [3, 9])
+        ]
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7])
+    def test_error_lines_count_across_blocks(self, tmp_path, monkeypatch, size):
+        # a \r\n split by a boundary still counts as one line end
+        path = tmp_path / "late.fa"
+        path.write_bytes(H0 + b"\r\nAC\r\n\r\n" + H1 + b"\r\nACXT\r\n")
+        monkeypatch.setattr(genome, "FASTA_BLOCK_BYTES", size)
+        with pytest.raises(ParseError, match=r"late\.fa:5: sequence line"):
+            read_fasta(path)
+
     def test_mixed_endings_records(self, tmp_path):
         path = tmp_path / "mixed.fa"
         path.write_bytes(H0 + b"\r\r\nAC\n\rGT\r\n\n" + H1 + b"\rA")
@@ -388,8 +427,8 @@ class TestFastaReader:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(
         st.booleans(), st.integers(0, 10**6), st.sampled_from(list(b"\r\n>N\xff ")),
-    ), min_size=1, max_size=4))
-    def test_corrupted_files_match_the_line_reader(self, edits):
+    ), min_size=1, max_size=4), st.integers(1, 200))
+    def test_corrupted_files_match_the_line_reader(self, edits, block):
         records = [SequenceRecord("s0", "ACGT" * 21, 1, [5, 40]),
                    SequenceRecord("s1", "GATTACA", 0, []),
                    SequenceRecord("s2", "", 0, [])]
@@ -401,7 +440,10 @@ class TestFastaReader:
                 pos %= len(data) + insert
                 data[pos:pos + (not insert)] = bytes([byte])
             path.write_bytes(bytes(data))
-            assert parse_outcome(read_fasta, path) == parse_outcome(read_fasta_lines, path)
+            want = parse_outcome(read_fasta_lines, path)
+            assert parse_outcome(read_fasta, path) == want
+            with mock.patch.object(genome, "FASTA_BLOCK_BYTES", block):
+                assert parse_outcome(read_fasta, path) == want
 
 
 class TestPwmFile:

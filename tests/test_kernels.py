@@ -216,6 +216,35 @@ class TestBaseCodeConv:
                 got = conv1d_forward_codes(codes, filters, bias, k=k)
                 self.assert_bits_equal(got, want)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_negative_zero_sum_stays_negative_zero(self, rng, dtype):
+        # the gather's sum starts from -0.0: from 0.0 these would be +0.0
+        codes, _, filters, bias = self.operands(rng, dtype, 3, 30, 2, 5)
+        filters[...] = -0.0
+        bias[...] = -0.0
+        want = self.tap_loop(codes, filters, bias, dtype)
+        assert np.signbit(want).all()
+        for k in range(1, 6):
+            self.assert_bits_equal(conv1d_forward_codes(codes, filters, bias, k=k), want)
+
+    def test_a_lone_output_element_is_folded_tap_after_tap(self):
+        # one filter and one conv row leave the tap axis innermost, which
+        # NumPy's add.reduce would sum pairwise; these 12 taps sum to
+        # other bits that way
+        taps = np.array([0.01257302239537239, -132.1048583984375, 0.6404226422309875,
+                         1.049001184583176e-05, -53.56693649291992, 36.15950393676758,
+                         1304.0, 0.0009470809600315988, -7.037352042971179e-05,
+                         -1265.4215087890625, -6.232744635781273e-05, 0.04132597893476486],
+                        dtype=np.float32)
+        filters = np.repeat(taps[None, :, None], 4, axis=2)  # [1, 12, 4]: any base
+        bias = np.zeros(1, dtype=np.float32)
+        codes = (np.arange(12) % 4).astype(np.uint8)[None]
+        want = self.tap_loop(codes, filters, bias, np.float32)
+        pairwise = np.add.reduce(taps.reshape(12, 1, 1), axis=0, initial=-0.0)
+        assert pairwise.tobytes() != want.tobytes()
+        for k in range(1, 13):
+            self.assert_bits_equal(conv1d_forward_codes(codes, filters, bias, k=k), want)
+
     @pytest.mark.parametrize("rows,width,k", [(0, 10, 1), (63, 10, 1), (64, 10, 1),
                                               (255, 10, 1), (256, 10, 2), (764, 10, 2),
                                               (38200, 10, 5), (95424, 10, 6),

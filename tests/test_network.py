@@ -18,7 +18,7 @@ from dcnn.errors import (
 )
 from dcnn.genome import Pwm, SequenceRecord, SimConfig, generate_dataset
 from dcnn.pipeline import Batch, encode_batch
-from oracles import dense_backward, dense_forward, one_hot_inputs
+from oracles import conv_scatter_in_carry_order, dense_backward, dense_forward, one_hot_inputs
 
 TINY = nw.ModelConfig(
     n_filters=2, filter_width=5, pool_window=5, pool_stride=5, seq_length=50
@@ -169,21 +169,28 @@ class TestForward:
             with pytest.raises(ValidationError, match="0-3"):
                 nw.forward(params, Batch(codes, np.zeros(2, dtype=np.float32)), cfg)
 
-    def test_the_conv_receives_only_the_codes_the_pool_reaches(self, monkeypatch):
+    def test_the_plan_indexes_only_the_codes_the_pool_reaches(self, monkeypatch):
+        # at L = 200 the default pool reads conv rows 0-174, so the plan
+        # indexes bases 0-183 for the gather and for the scatter; the
+        # tail test above checks that it still checks bases 184-199
         cfg = nw.ModelConfig(seq_length=200)
         params = nw.init_params(cfg, seed=0)
         batch = random_batch(3, 200, seed=1)
-        real, seen = nw.kernels.conv1d_forward_codes, []
+        seen = []
+        for name in ("conv1d_index", "conv1d_taps"):
+            def spy(codes, *args, real=getattr(nw.kernels, name), **kwargs):
+                seen.append(codes)
+                return real(codes, *args, **kwargs)
 
-        def spy(codes, *args, **kwargs):
-            seen.append(codes)
-            return real(codes, *args, **kwargs)
-
-        monkeypatch.setattr(nw.kernels, "conv1d_forward_codes", spy)
+            monkeypatch.setattr(nw.kernels, name, spy)
         _, cache = nw.forward(params, batch, cfg)
-        (codes,) = seen
-        assert np.array_equal(codes, batch.codes[:, :184])
-        assert cache.codes is batch.codes
+        assert len(seen) == 2
+        for codes in seen:
+            assert np.array_equal(codes, batch.codes[None, :, :184])
+        k = nw.kernels.prefix_length(3 * 175, 10)
+        assert cache.plan.index.shape == (1 + 10 - k, 3, 175)
+        assert cache.plan.taps.shape == (10, 3, 184)
+        assert np.array_equal(cache.plan.codes, batch.codes)
         assert cache.argmax_rows.max() < 175
 
     def test_linear_activation_supported(self):
@@ -449,6 +456,133 @@ class TestBaseCodePath:
                 nw.adam_step(theta, nw.flatten_grads(grads), state)
             runs.append(theta)
         assert runs[0].tobytes() == runs[1].tobytes()
+
+
+class TestPlan:
+    """``network.plan`` and the planned conv: the forward against the dense
+    one-hot oracle at every prefix length, the conv gradients against a
+    scatter carry by carry (every pool) and the dense oracle (pools that
+    do not overlap), at L = 200, where the pools leave unread tails."""
+
+    POOLS = [(35, 35), (10, 4), (9, 12)]
+
+    @staticmethod
+    def model(pool, batch_size, dtype):
+        cfg = nw.ModelConfig(seq_length=200, pool_window=pool[0], pool_stride=pool[1])
+        params = nw.init_params(cfg, seed=3, dtype=dtype)
+        params.conv_bias[:] = np.linspace(-0.2, 0.2, cfg.n_filters)
+        return cfg, params, random_batch(batch_size, 200, seed=batch_size, dtype=dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pool", POOLS, ids=["35s35", "10s4", "9s12"])
+    @pytest.mark.parametrize("batch_size", [1, 3, 4, 45, 64])
+    def test_planned_path_matches_the_oracles(self, dtype, pool, batch_size):
+        cfg, params, batch = self.model(pool, batch_size, dtype)
+        dense_probs, dense_cache = dense_forward(params, one_hot_inputs(batch), cfg)
+        for k in range(1, cfg.filter_width + 1):
+            (planned,) = nw.plan(batch.codes[None], batch.labels[None], cfg, k=k)
+            assert planned.k == k
+            probs, cache = nw.forward(params, planned, cfg)
+            assert probs.tobytes() == dense_probs.tobytes(), k
+            assert cache.flat.tobytes() == dense_cache.flat.tobytes(), k
+        grads = nw.backward(params, cache, batch.labels, cfg)
+        dense_grads = dense_backward(params, dense_cache, batch.labels, cfg)
+        for name in ("dense_weights", "dense_bias"):
+            assert getattr(grads, name).tobytes() == getattr(dense_grads, name).tobytes()
+        # the pooled gradient backward scatters: ReLU's mask at the winners
+        dlogit = ((probs - batch.labels) / batch_size).astype(dtype)
+        dflat = dlogit[:, None] * params.dense_weights[:, 0]
+        dpooled = (dflat * (cache.flat > 0)).reshape(batch_size, -1, cfg.n_filters)
+        want = conv_scatter_in_carry_order(batch.codes, cache.argmax_rows, dpooled,
+                                           cfg.n_filters, cfg.filter_width)
+        assert grads.conv_filters.tobytes() == want[0].tobytes()
+        assert grads.conv_bias.tobytes() == want[1].tobytes()
+        if pool[0] <= pool[1]:  # no overlap: the dense correlation's order too
+            assert grads.conv_filters.tobytes() == dense_grads.conv_filters.tobytes()
+            assert grads.conv_bias.tobytes() == dense_grads.conv_bias.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pool", POOLS, ids=["35s35", "10s4", "9s12"])
+    @pytest.mark.parametrize("batch_size", [1, 3, 45])
+    def test_gather_blocks_that_split_records_change_no_bit(self, monkeypatch, dtype, pool,
+                                                            batch_size):
+        # blocks of 11 conv rows, or of 1: boundaries inside every record
+        cfg, params, batch = self.model(pool, batch_size, dtype)
+        want = nw.forward(params, batch, cfg)[0].tobytes()
+        (planned,) = nw.plan(batch.codes[None], batch.labels[None], cfg)
+        row_bytes = planned.index.shape[0] * cfg.n_filters * np.dtype(dtype).itemsize
+        monkeypatch.setattr(nw.kernels, "GATHER_WHOLE_BYTES", 0)
+        for rows in (11, 1):
+            monkeypatch.setattr(nw.kernels, "GATHER_BYTES", rows * row_bytes)
+            assert nw.forward(params, planned, cfg)[0].tobytes() == want, rows
+
+    def test_a_plan_of_several_batches_is_each_batch_planned_alone(self):
+        cfg, params, batch = self.model((35, 35), 12, np.float32)
+        codes, labels = batch.codes.reshape(3, 4, 200), batch.labels.reshape(3, 4)
+        together = nw.plan(codes, labels, cfg)
+        assert len(together) == 3
+        for step, planned in enumerate(together):
+            (alone,) = nw.plan(codes[step][None], labels[step][None], cfg)
+            assert planned.k == alone.k and len(planned) == 4
+            for name in ("codes", "labels", "index"):
+                assert np.array_equal(getattr(planned, name), getattr(alone, name)), name
+            rows = planned.index.shape[-1]  # the taps of every conv row
+            assert np.array_equal(planned.taps[..., :rows], alone.taps[..., :rows])
+            probs, cache = nw.forward(params, planned, cfg)
+            grads = nw.flatten_grads(nw.backward(params, cache, labels[step], cfg))
+            want_probs, want_cache = nw.forward(params, alone, cfg)
+            want = nw.flatten_grads(nw.backward(params, want_cache, labels[step], cfg))
+            assert probs.tobytes() == want_probs.tobytes()
+            assert grads.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("position", [0, 100, 183, 184, 199])
+    def test_a_code_above_3_anywhere_is_rejected_when_planned(self, position):
+        # bases 0-183 are read at L = 200; 184-199 are the unread tail
+        cfg = nw.ModelConfig(seq_length=200)
+        codes = np.zeros((2, 3, 200), dtype=np.uint8)
+        codes[1, 2, position] = 4
+        with pytest.raises(ValidationError, match="0-3, got 4"):
+            nw.plan(codes, np.zeros((2, 3), dtype=np.float32), cfg)
+
+    @pytest.mark.parametrize("label", [2.0, 0.5, -1.0, np.nan])
+    def test_a_label_outside_0_1_is_rejected_when_planned(self, label):
+        cfg = nw.ModelConfig(seq_length=200)
+        labels = np.zeros((2, 3), dtype=np.float32)
+        labels[1, 0] = label
+        with pytest.raises(ValidationError, match="0 or 1"):
+            nw.plan(np.zeros((2, 3, 200), dtype=np.uint8), labels, cfg)
+        batch = SimpleNamespace(codes=np.zeros((3, 200), dtype=np.uint8), labels=labels[1])
+        with pytest.raises(ValidationError, match="0 or 1"):
+            nw.forward(nw.init_params(cfg, seed=0), batch, cfg)
+
+    def test_a_forward_only_plan_has_no_backward(self):
+        cfg, params, batch = self.model((35, 35), 3, np.float32)
+        (planned,) = nw.plan(batch.codes[None], batch.labels[None], cfg, backward=False)
+        assert planned.taps is None
+        _, cache = nw.forward(params, planned, cfg)
+        with pytest.raises(InternalConsistencyError, match="backward"):
+            nw.backward(params, cache, batch.labels, cfg)
+
+    def test_plan_nbytes_counts_the_plan(self):
+        cfg, _, batch = self.model((10, 4), 5, np.float32)
+        (planned,) = nw.plan(batch.codes[None], batch.labels[None], cfg)
+        rows = planned.index.shape[-1]  # the taps of every conv row
+        assert nw.plan_nbytes(cfg, 5) == (planned.index.size * planned.index.itemsize
+                                          + planned.taps[..., :rows].size
+                                          * planned.taps.itemsize)
+
+    def test_backward_writes_into_out_only_in_the_runs_dtype(self):
+        cfg, params, batch = self.model((35, 35), 4, np.float32)
+        probs, cache = nw.forward(params, batch, cfg)
+        want = nw.flatten_grads(nw.backward(params, cache, batch.labels, cfg))
+        vec = np.full(cfg.param_count, np.nan, dtype=np.float32)
+        out = nw.unflatten_grads(vec, cfg)
+        assert nw.backward(params, cache, batch.labels, cfg, out=out) is out
+        assert vec.tobytes() == want.tobytes()
+        for bad in (nw.unflatten_grads(np.zeros(cfg.param_count), cfg),  # float64
+                    nw.unflatten_grads(np.zeros(2 * cfg.param_count, np.float32)[::2], cfg)):
+            with pytest.raises(ShapeError, match="C-contiguous float32"):
+                nw.backward(params, cache, batch.labels, cfg, out=bad)
 
 
 def adam_out_of_place(theta, g, m, v, t, alpha=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -8,15 +8,20 @@ Run it on two versions of the program on the same machine, then compare:
     PYTHONPATH=../parent/src python3 tools/identity_sweep.py --out parent.json
     PYTHONPATH=src python3 tools/identity_sweep.py --out change.json --against parent.json
 
-For each case the JSON holds the sha256 of the final parameters (null for
-a run that diverged), every report field except the wall-clock ones (a
-divergence's partial report included, with its last good epoch) and the
-transport totals ``total_messages``/``total_bytes``.  ``--against FILE``
-prints the id of every case whose entry differs from FILE's, or that only
-one of the two files has, and exits 1 if there is any.  A case whose
-only differences are the transport totals is printed on a line of its
-own and does not fail the comparison: a protocol change moves those
-totals on purpose, and the tests pin their closed forms.
+The JSON holds the run's ``environment`` (the NumPy version and the CPU
+features NumPy found, ``numpy._core._multiarray_umath.__cpu_features__``,
+after any ``NPY_DISABLE_CPU_FEATURES``) and its ``cases``.  For each case
+it holds the sha256 of the final parameters (null for a run that
+diverged), every report field except the wall-clock ones (a divergence's
+partial report included, with its last good epoch) and the transport
+totals ``total_messages``/``total_bytes``.  ``--against FILE`` prints the
+id of every case whose entry differs from FILE's, or that only one of the
+two files has, and exits 1 if there is any.  A case whose only
+differences are the transport totals is printed on a line of its own and
+does not fail the comparison: a protocol change moves those totals on
+purpose, and the tests pin their closed forms.  An environment that
+differs from FILE's is printed too: its bits may differ with the SIMD
+loops NumPy picks.
 
 The cases are the determinism contract's sweep: strategy x N in {1,2,3} x
 backend x precision; early stopping and divergence at learning rate 1e25
@@ -29,6 +34,9 @@ L = 200, where the model convolves only the bases its max-pool reads,
 with pools that leave unread tails of different lengths: the default
 pool 35/35 (16 conv rows), an overlapping pool 10/4 (1 row) and a gapped
 pool 9/12 (2 rows), each as allreduce x 2 on forked ranks at f32 and f64.
+Two more exercise how training plans its steps ahead: forked allreduce
+at one record per replica, and one rank at 8 records a step, whose 17
+steps an epoch are not a whole number of plan blocks.
 
 A committed golden file would not carry over between machines (bits may
 differ between NumPy builds), so the two versions run on one machine.
@@ -138,6 +146,12 @@ def _cases() -> dict:
         cases[f"gossip-last-epoch-nan-{backend}"] = (
             dict(strategy="gossip", n_replicas=2, backend=backend),
             lambda: nan_scores_in_epoch(2))
+    cases["allreduce-n2-batch1-processes"] = (
+        dict(strategy="allreduce", n_replicas=2, backend="processes", batch_per_replica=1),
+        None)
+    cases["allreduce-n1-batch8-threads"] = (
+        dict(strategy="allreduce", n_replicas=1, backend="threads", batch_per_replica=8),
+        None)
     cases = {case_id: (kwargs, patches, MODEL)
              for case_id, (kwargs, patches) in cases.items()}
     for window, stride in TAIL_POOLS:
@@ -190,8 +204,19 @@ def run_case(case_id: str) -> dict:
     return {"params_sha256": digest, **_report_fields(report)}
 
 
+def environment() -> dict:
+    """The NumPy version and the CPU features it dispatches on."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # NumPy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+
+    return {"numpy": np.__version__, "cpu_features": dict(__cpu_features__)}
+
+
 def sweep(case_ids) -> dict:
-    return {case_id: run_case(case_id) for case_id in case_ids}
+    return {"environment": environment(),
+            "cases": {case_id: run_case(case_id) for case_id in case_ids}}
 
 
 def dumps(results: dict) -> str:
@@ -217,14 +242,21 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--against", help="an earlier output to compare with")
     args = parser.parse_args(argv)
-    results = sweep(CASES)
+    output = sweep(CASES)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(dumps(results))
+        fh.write(dumps(output))
+    results = output["cases"]
     print(f"{len(results)} cases of {dcnn.__file__} written to {args.out}")
     if args.against is None:
         return 0
     with open(args.against, encoding="utf-8") as fh:
-        other = json.load(fh)
+        earlier = json.load(fh)
+    if "cases" not in earlier:  # written before the environment was recorded
+        earlier = {"environment": {}, "cases": earlier}
+    other = earlier["cases"]
+    for key, value in output["environment"].items():
+        if earlier["environment"].get(key) != value:
+            print(f"environment differs (not a failure): {key}")
     changed = differing(results, other, ignore=TRANSPORT_FIELDS)
     for case_id in changed:
         print(f"differs: {case_id}")
