@@ -19,7 +19,7 @@ from .errors import (
 )
 from .genome import Pwm, SequenceRecord, SimConfig, default_tal1_pwm, generate_dataset
 from .network import ModelConfig, ModelParams, init_params, load_checkpoint, save_checkpoint
-from .pipeline import Batch, SplitSpec, one_hot, split
+from .pipeline import Batch, SplitSpec, split
 from .training import (
     Dataset,
     EarlyStopConfig,
@@ -59,7 +59,6 @@ __all__ = [
     "generate_dataset",
     "init_params",
     "load_checkpoint",
-    "one_hot",
     "run_benchmark",
     "save_checkpoint",
     "split",

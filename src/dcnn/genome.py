@@ -61,16 +61,10 @@ class Pwm:
             raise ValidationError(
                 f"PWM matrix must have shape [rows, 4], got {mat.shape}"
             )
-        if mat.shape[0] < 1:
-            raise ValidationError("PWM must have at least one row")
-        if np.any(mat < 0.0) or np.any(mat > 1.0):
-            raise ValidationError("PWM entries must lie in [0, 1]")
-        sums = mat.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > _ROW_TOL)[0]
-        if bad.size:
-            raise ValidationError(
-                f"PWM row {bad[0]} sums to {sums[bad[0]]:.8f}, expected 1"
-            )
+        fault = _row_fault(mat)
+        if fault is not None:
+            row, what = fault
+            raise ValidationError(what if row is None else f"PWM row {row}: {what}")
         if not self.name or any(ch.isspace() for ch in self.name):
             raise ValidationError("PWM name must be non-empty without whitespace")
         object.__setattr__(self, "matrix", mat)
@@ -83,6 +77,23 @@ class Pwm:
     def consensus(self) -> str:
         """Most probable base per row (ties go to the earlier base in ACGT)."""
         return "".join(ALPHABET[i] for i in np.argmax(self.matrix, axis=1))
+
+
+def _row_fault(mat: np.ndarray):
+    """Why the matrix [rows, 4] is not a PWM, or None: (None, why) if it
+    has no rows, else (r, why) for the first row r with an entry outside
+    [0, 1] (NaN included) or a sum more than _ROW_TOL away from 1."""
+    if mat.shape[0] < 1:
+        return None, "PWM must have at least one row"
+    inside = ((mat >= 0.0) & (mat <= 1.0)).all(axis=1)
+    sums = mat.sum(axis=1)
+    bad = np.flatnonzero(~(inside & (np.abs(sums - 1.0) <= _ROW_TOL)))
+    if not bad.size:
+        return None
+    row = int(bad[0])
+    if not inside[row]:
+        return row, f"probabilities must lie in [0, 1], got {mat[row].tolist()}"
+    return row, f"probabilities sum to {sums[row]:.8f}, expected 1"
 
 
 def default_tal1_pwm() -> Pwm:
@@ -388,19 +399,13 @@ def _parse_fasta_records(data: bytes, final: bool, records: list, lines_before: 
 # PWM text format
 
 
-def write_pwm(pwm: Pwm, path) -> None:
-    """``#PWM <name> <rows>`` then one line of 4 probabilities per row."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"#PWM {pwm.name} {pwm.rows}\n")
-        for row in pwm.matrix:
-            fh.write(" ".join(f"{p:.17g}" for p in row))
-            fh.write("\n")
-
-
 def read_pwm(path) -> Pwm:
-    """Inverse of :func:`write_pwm`; raises ParseError naming the file's
-    line.  Rows end only at a newline (text mode's universal newlines),
-    blank lines are skipped, and any other whitespace separates fields."""
+    """The PWM in a ``#PWM <name> <rows>`` header line followed by one
+    line of 4 probabilities (A, C, G, T) per row; raises ParseError naming
+    the file's line, a matrix that :class:`Pwm` rejects included (at the
+    line of the row at fault).  Rows end only at a newline (text mode's
+    universal newlines), blank lines are skipped, and any other whitespace
+    separates fields."""
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         text = fh.read()
     bad = text.find("\ufffd")
@@ -421,7 +426,7 @@ def read_pwm(path) -> Pwm:
     body = [(n, ln) for n, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != rows:
         raise ParseError(
-            f"{path}: header declares {rows} rows but found {len(body)}"
+            f"{path}:1: header declares {rows} rows but found {len(body)}"
         )
     mat = np.empty((rows, 4), dtype=np.float64)
     for r, (lineno, ln) in enumerate(body):
@@ -434,4 +439,8 @@ def read_pwm(path) -> Pwm:
             mat[r] = [float(f) for f in fields]
         except ValueError:
             raise ParseError(f"{path}:{lineno}: non-numeric probability")
+    fault = _row_fault(mat)
+    if fault is not None:
+        row, what = fault
+        raise ParseError(f"{path}:{1 if row is None else body[row][0]}: {what}")
     return Pwm(name, mat)

@@ -17,10 +17,11 @@ tests, because the traced benchmark (``perfbench/tracing.py``) looks
 each of them up by name; they move out with the benchmark change that
 drops them from its ``TIMED`` list.
 
-The base-code conv is split into the work that depends only on the
-codes, which a caller can do once ahead (``conv1d_index`` for the
-forward, ``conv1d_taps`` for the backward), and the work on the
-parameters (``conv1d_table``, ``conv1d_gather``, ``conv1d_scatter``).
+The base-code conv comes only in pieces, which check nothing: the work
+that depends only on the codes, which ``network.plan`` does once ahead
+after checking them (``conv1d_index`` for the forward, ``conv1d_taps``
+for the backward), and the work on the parameters (``conv1d_table``,
+``conv1d_gather``, ``conv1d_scatter``).
 The forward takes its first k taps from a prefix table, as the
 "superalphabet" PWM scan does (Pizzi, Rastas & Ukkonen, IEEE/ACM TCBB
 2011).  Because the sum starts at the bias and adds taps in ascending
@@ -139,38 +140,12 @@ def conv1d_backward(
     return grad_filters, grad_bias
 
 
-def _codes_out_length(codes, filters) -> int:
-    """Validate base codes (integers 0-3) and filters; returns the conv
-    output length."""
-    if codes.ndim < 1 or codes.dtype.kind not in "iu":
-        raise ShapeError(
-            f"conv1d codes must be integer [..., L], got {codes.dtype} {codes.shape}"
-        )
-    if filters.ndim != 3 or filters.shape[2] != 4:
-        raise ShapeError(f"conv1d filters must be [F, W, 4], got shape {filters.shape}")
-    width = filters.shape[1]
-    if codes.shape[-1] < width:
-        raise ShapeError(
-            f"conv1d would produce an empty output: input length {codes.shape[-1]} "
-            f"< filter width {width}"
-        )
-    # The kernels gather and scatter without bounds checks, so a code
-    # outside 0-3 must be caught here: it would alias another k-mer in the
-    # forward's prefix index, or another tap in the backward's flat index.
-    if codes.size and (codes.min() < 0 or codes.max() > 3):
-        raise ValidationError(
-            f"conv1d codes must be 0-3, got values {int(codes.min())} ... {int(codes.max())}"
-        )
-    return codes.shape[-1] - width + 1
-
-
 def prefix_length(rows: int, width: int) -> int:
-    """Default prefix length of the conv's gather table (``network.plan``,
-    :func:`conv1d_forward_codes`) for ``rows`` output rows (B * T) and
-    filter width ``width``: the largest k in 1 ... width with
-    16 * 4**k <= rows, else 1.  Building the table costs about
-    F * 4**k adds, and each tap it absorbs saves B * T * F, so the table
-    stays at most 1/16 of the output."""
+    """Default prefix length of the conv's gather table (``network.plan``)
+    for ``rows`` output rows (B * T) and filter width ``width``: the
+    largest k in 1 ... width with 16 * 4**k <= rows, else 1.  Building
+    the table costs about F * 4**k adds, and each tap it absorbs saves
+    B * T * F, so the table stays at most 1/16 of the output."""
     k = 1
     while k < width and 16 * 4 ** (k + 1) <= rows:
         k += 1
@@ -311,72 +286,6 @@ def conv1d_gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
         else:
             part_out[...] = np.add.accumulate(gathered, axis=0)[-1]
     return out
-
-
-def conv1d_forward_codes(codes: np.ndarray, filters: np.ndarray, bias: np.ndarray,
-                         dtype=None, k: int | None = None) -> np.ndarray:
-    """conv1d_forward on the one-hot encoding of ``codes`` without building it.
-
-    ``codes`` is [..., L] with values 0-3 (A, C, G, T); returns
-    [..., L-W+1, F] in ``dtype`` (default: the filters' dtype).  Each tap j
-    adds the filter column of the base at i+j, filters[:, j, codes[i+j]], in
-    ascending tap order after the bias.  The dense kernel's other three
-    channels add exact zeros, so the two are bit-identical.
-
-    It checks the codes, then gathers through :func:`conv1d_index` into
-    :func:`conv1d_table` (:func:`conv1d_gather`): the first ``k`` taps in
-    one k-mer row that folds them with the same roundings, taps k ... W-1
-    one row each.  ``k`` defaults to prefix_length(B * T, W); k = 1 is the
-    plain tap loop.
-    """
-    codes = np.asarray(codes)
-    filters = np.asarray(filters)
-    bias = np.asarray(bias)
-    out_length = _codes_out_length(codes, filters)
-    n_filters, width, _ = filters.shape
-    if bias.shape != (n_filters,):
-        raise ShapeError(f"conv1d bias must have shape ({n_filters},), got {bias.shape}")
-    if k is None:
-        k = prefix_length(codes.size // codes.shape[-1] * out_length, width)
-    elif not 1 <= k <= width:
-        raise ValidationError(f"conv1d prefix length k must be in 1 ... {width}, got {k}")
-    index = conv1d_index(codes.astype(np.uint8, copy=False), width, k)
-    return conv1d_gather(conv1d_table(filters, bias, k, dtype), index)
-
-
-def conv1d_backward_codes(
-    codes: np.ndarray, filters: np.ndarray, rows: np.ndarray, grad_rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """conv1d_backward for a base-code input whose output gradient is zero
-    everywhere except at given rows, as after a max-pool.
-
-    ``codes`` is [B, L]; ``rows`` [B, P, F] holds the conv output row that
-    carries each gradient in ``grad_rows`` [B, P, F] (for filter f).  It
-    checks the codes and rows, then runs :func:`conv1d_scatter` on the
-    codes' :func:`conv1d_taps`.  Sums run in ``grad_rows``'s dtype;
-    grad_filters comes back in the filters' dtype.
-    """
-    codes = np.asarray(codes)
-    filters = np.asarray(filters)
-    rows = np.asarray(rows)
-    grad_rows = np.asarray(grad_rows)
-    out_length = _codes_out_length(codes, filters)
-    n_filters, width, _ = filters.shape
-    if (codes.ndim != 2 or rows.ndim != 3 or rows.shape != grad_rows.shape
-            or rows.shape[0] != codes.shape[0] or rows.shape[2] != n_filters):
-        raise ShapeError(
-            f"conv1d_backward_codes: codes {codes.shape}, rows {rows.shape} and "
-            f"grad_rows {grad_rows.shape} do not fit filters {filters.shape}"
-        )
-    if rows.size and (rows.min() < 0 or rows.max() >= out_length):
-        raise InternalConsistencyError(
-            f"conv1d gradient row {int(rows.max())} outside output of length {out_length}"
-        )
-    grad_filters = np.empty(filters.shape, dtype=grad_rows.dtype)
-    grad_bias = np.empty(n_filters, dtype=grad_rows.dtype)
-    taps = conv1d_taps(codes.astype(np.uint8, copy=False), width)
-    conv1d_scatter(taps, rows, grad_rows, grad_filters, grad_bias)
-    return grad_filters.astype(filters.dtype, copy=False), grad_bias
 
 
 @functools.cache
@@ -523,11 +432,11 @@ def dense_forward(x: np.ndarray, weights: np.ndarray, bias: float) -> np.ndarray
 def dense_backward(
     x: np.ndarray, weights: np.ndarray, grad_out: np.ndarray, out=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of dense_forward: (grad_weights [D,1], grad_bias scalar, grad_input).
+    """Gradients of dense_forward: (grad_weights [D,1], grad_bias [], grad_input).
 
-    With ``out``, a pair of C-contiguous arrays (grad_weights [D, 1],
-    grad_bias []) in grad_out's dtype, the two gradients are written there
-    and returned; the sums are the same either way.
+    The two gradients are written into ``out``, a pair of C-contiguous
+    arrays (grad_weights [D, 1], grad_bias []) in grad_out's dtype, which
+    is allocated here when it is None, and returned.
     """
     x = np.asarray(x)
     weights = np.asarray(weights)
@@ -540,12 +449,10 @@ def dense_backward(
     flat_x = x.reshape(-1, x.shape[-1])
     flat_grad = grad_out.reshape(-1)
     if out is None:
-        grad_weights = np.einsum("nd,n->d", flat_x, flat_grad)[:, None]
-        grad_bias = grad_out.sum(dtype=grad_out.dtype)
-    else:
-        grad_weights, grad_bias = out
-        np.einsum("nd,n->d", flat_x, flat_grad, out=grad_weights[:, 0])
-        grad_out.sum(dtype=grad_out.dtype, out=grad_bias)
+        out = (np.empty((x.shape[-1], 1), grad_out.dtype), np.empty((), grad_out.dtype))
+    grad_weights, grad_bias = out
+    np.einsum("nd,n->d", flat_x, flat_grad, out=grad_weights[:, 0])
+    grad_out.sum(dtype=grad_out.dtype, out=grad_bias)
     grad_input = grad_out[..., None] * weights[:, 0]
     return grad_weights, grad_bias, grad_input
 

@@ -213,11 +213,12 @@ def plan(codes: np.ndarray, labels: np.ndarray, config: ModelConfig,
     It checks every code, the unread tail included, and every label
     once, here: a code above 3 or a label other than 0 or 1 raises
     ValidationError.  Then it builds the conv's gather index at prefix
-    length ``k`` (default: ``kernels.prefix_length`` of one batch's conv
-    rows) and, with ``backward``, the scatter index of each conv row's
-    taps.  Only each record's first ``config.read_length`` bases are
-    indexed: the conv rows past them are in no max-pool window, so they
-    cannot reach the output.
+    length ``k``, which must lie in 1 ... W (default:
+    ``kernels.prefix_length`` of one batch's conv rows), and, with
+    ``backward``, the scatter index of each conv row's taps.  Only each
+    record's first ``config.read_length`` bases are indexed: the conv
+    rows past them are in no max-pool window, so they cannot reach the
+    output.
     """
     if codes.dtype != np.uint8 or codes.ndim != 3 or codes.shape[2] != config.seq_length:
         raise _codes_mismatch(f"{codes.dtype} {codes.shape[1:]}", config)
@@ -231,6 +232,8 @@ def plan(codes: np.ndarray, labels: np.ndarray, config: ModelConfig,
     width, read = config.filter_width, config.read_length
     if k is None:
         k = kernels.prefix_length(codes.shape[1] * (read - width + 1), width)
+    elif not 1 <= k <= width:
+        raise ValidationError(f"conv prefix length k must be in 1 ... {width}, got {k}")
     index = kernels.conv1d_index(codes[..., :read], width, k).swapaxes(0, 1)  # [S, K, B, T]
     taps = (kernels.conv1d_taps(codes[..., :read], width).swapaxes(0, 1)
             if backward else [None] * len(codes))  # [S, W, B, read]

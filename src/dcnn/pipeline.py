@@ -2,8 +2,7 @@
 
 Base codes (A, C, G, T -> 0-3), a seeded stratified split, a
 buffer shuffle, batch encoding, and contiguous per-replica sharding.  A
-batch holds base codes only: the model never reads a one-hot array, and
-:func:`one_hot` stays as a small helper for callers who want one.  A
+batch holds base codes only: the model never reads a one-hot array.  A
 :class:`Plan` is a batch as the model runs it, with its checked codes
 and labels and the conv's parameter-free indexes.  All
 randomness flows through PCG64 generators seeded explicitly, so every
@@ -101,7 +100,7 @@ class Plan:
 
 def base_codes(bases: str) -> np.ndarray:
     """[L] uint8 codes with A, C, G, T -> 0, 1, 2, 3: the column of each
-    base's 1 in :func:`one_hot`."""
+    base's 1 in a one-hot encoding."""
     try:
         raw = bases.encode("ascii")
     except UnicodeEncodeError as exc:
@@ -114,11 +113,6 @@ def base_codes(bases: str) -> np.ndarray:
         pos = int(bad[0])
         raise ValidationError(f"cannot encode base {bases[pos]!r} at position {pos}")
     return codes
-
-
-def one_hot(bases: str, dtype=np.float32) -> np.ndarray:
-    """[L, 4] encoding with column order A, C, G, T ('A' -> [1,0,0,0])."""
-    return np.eye(4, dtype=dtype)[base_codes(bases)]
 
 
 def split(records, spec: SplitSpec):

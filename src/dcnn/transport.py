@@ -66,20 +66,14 @@ LINK_TIMEOUT_S = 600.0
 class TransportStats:
     messages: int = 0
     bytes: int = 0
-    max_message_elements: int = 0
 
     def record(self, arr: np.ndarray) -> None:
         self.messages += 1
         self.bytes += arr.nbytes
-        if arr.size > self.max_message_elements:
-            self.max_message_elements = arr.size
 
     def merge(self, other: "TransportStats") -> None:
         self.messages += other.messages
         self.bytes += other.bytes
-        self.max_message_elements = max(
-            self.max_message_elements, other.max_message_elements
-        )
 
 
 def _pipe(timeout: float):

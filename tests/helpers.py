@@ -1,7 +1,8 @@
 """Test tools: :func:`run_group`, which runs a group of ranks the way
 training does, finite-difference gradients with a relative error to
-compare them by, and :func:`identity_sweep`, the sweep tool whose fault
-patches the training tests share.  The reference implementations
+compare them by, :func:`identity_sweep`, the sweep tool whose fault
+patches the training tests share, and the malformed PWM files that the
+reader and the CLI tests share.  The reference implementations
 themselves are in ``oracles.py``.
 """
 
@@ -12,8 +13,19 @@ from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dcnn.transport import LINK_TIMEOUT_S, ProcessLinks, TransportStats, run_ranks
+
+#: PWM files whose matrix Pwm rejects: (text, line of the fault, message)
+BAD_MATRIX_PWMS = [
+    pytest.param("#PWM m 2\n0.25 0.25 0.25 0.25\n0.5 0.5 0.5 0.5\n", 3,
+                 "probabilities sum to 2.00000000, expected 1", id="row-sums-to-2"),
+    pytest.param("#PWM m 0\n", 1, "PWM must have at least one row", id="no-rows"),
+    pytest.param("#PWM m 3\n0.25 0.25 0.25 0.25\n\n0.25 0.25 0.25 0.25\n-0.5 0.5 0.5 0.5\n",
+                 5, "probabilities must lie in [0, 1], got [-0.5, 0.5, 0.5, 0.5]",
+                 id="negative-entry"),
+]
 
 
 def _with_stats(fn, endpoint):

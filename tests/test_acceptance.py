@@ -19,6 +19,7 @@ from dcnn.collective import (
     ring_all_reduce,
 )
 from dcnn.genome import (
+    SequenceRecord,
     SimConfig,
     default_tal1_pwm,
     generate_dataset,
@@ -27,7 +28,7 @@ from dcnn.genome import (
 )
 from dcnn.kernels import conv1d_forward
 from dcnn.metrics import auprc, auroc
-from dcnn.pipeline import Batch, SplitSpec, one_hot, split
+from dcnn.pipeline import Batch, SplitSpec, encode_batch, split
 from dcnn.training import Dataset, TrainConfig, train
 from helpers import max_relative_error, numerical_gradient, run_group
 from oracles import (
@@ -374,11 +375,12 @@ def test_criterion_7_determinism_and_round_trips(tmp_path):
     write_fasta(recovered, second_path)
     assert second_path.read_bytes() == fasta_path.read_bytes()
 
-    # one_hot / decode are inverse on random sequences
+    # one-hot encoding and decode are inverse on random sequences
     base_rng = np.random.default_rng(5)
-    for _ in range(500):
-        sequence = "".join(base_rng.choice(list("ACGT"), size=77))
-        assert decode(one_hot(sequence)) == sequence
+    sequences = ["".join(base_rng.choice(list("ACGT"), size=77)) for _ in range(500)]
+    batch = encode_batch([SequenceRecord(f"r{i}", s, 0, []) for i, s in enumerate(sequences)])
+    for sequence, encoded in zip(sequences, one_hot_inputs(batch)):
+        assert decode(encoded) == sequence
 
     # identical seed + config -> byte-identical checkpoints
     sim = SimConfig(seq_length=200, n_positive=150, n_negative=150, seed=1)

@@ -13,6 +13,7 @@ from dcnn.genome import SimConfig, read_fasta
 from dcnn.network import ModelConfig
 from dcnn.pipeline import SplitSpec
 from dcnn.training import EarlyStopConfig, TrainConfig
+from helpers import BAD_MATRIX_PWMS
 
 TINY_MODEL = {
     "n_filters": 6,
@@ -429,6 +430,15 @@ def test_pwm_bytes_outside_ascii_are_a_parse_error(tmp_path, capsys):
     path.write_bytes(b"#PWM TAL1\xff 1\n0.25 0.25 0.25 0.25\n")
     assert main(["generate", "--pwm", str(path), "--out", str(tmp_path / "g")]) == 2
     assert capsys.readouterr().err == f"error: {path}:1: byte outside ASCII\n"
+
+
+@pytest.mark.parametrize("text,line,message", BAD_MATRIX_PWMS)
+def test_a_pwm_matrix_at_fault_exits_2_naming_its_line(tmp_path, capsys, text, line,
+                                                        message):
+    path = tmp_path / "bad.pwm"
+    path.write_text(text)
+    assert main(["generate", "--pwm", str(path), "--out", str(tmp_path / "g")]) == 2
+    assert capsys.readouterr().err == f"error: {path}:{line}: {message}\n"
 
 
 def test_undecodable_checkpoint_tensor_name_is_a_checkpoint_error(workspace, tmp_path,

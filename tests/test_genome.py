@@ -25,8 +25,8 @@ from dcnn.genome import (
     sample_background,
     sample_motif_instance,
     write_fasta,
-    write_pwm,
 )
+from helpers import BAD_MATRIX_PWMS
 from oracles import read_fasta_lines
 
 
@@ -67,7 +67,13 @@ class TestPwm:
     def test_negative_entry_rejected(self):
         mat = np.full((2, 4), 0.25)
         mat[0] = [-0.1, 0.5, 0.3, 0.3]
-        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+        with pytest.raises(ValidationError, match=r"row 0: .* \[0, 1\]"):
+            Pwm("bad", mat)
+
+    def test_nan_entry_rejected(self):
+        mat = np.full((3, 4), 0.25)
+        mat[1, 2] = np.nan
+        with pytest.raises(ValidationError, match=r"row 1: .* got \[0.25, 0.25, nan, 0.25\]"):
             Pwm("bad", mat)
 
     def test_consensus_tie_prefers_earlier_base(self):
@@ -448,13 +454,22 @@ class TestFastaReader:
 
 class TestPwmFile:
     def test_round_trip_bit_exact(self, tmp_path):
+        # 17 significant digits name every float64 exactly
         pwm = default_tal1_pwm()
         path = tmp_path / "m.pwm"
-        write_pwm(pwm, path)
+        rows = "".join(" ".join(f"{p:.17g}" for p in row) + "\n" for row in pwm.matrix)
+        path.write_text(f"#PWM {pwm.name} {pwm.rows}\n{rows}")
         back = read_pwm(path)
         assert back.name == pwm.name
         assert np.array_equal(back.matrix, pwm.matrix)
-        assert path.read_text().splitlines()[0] == "#PWM TAL1_default 10"
+
+    @pytest.mark.parametrize("text,line,message", BAD_MATRIX_PWMS)
+    def test_a_matrix_that_pwm_rejects_names_its_line(self, tmp_path, text, line, message):
+        path = tmp_path / "m.pwm"
+        path.write_text(text)
+        with pytest.raises(ParseError) as error:
+            read_pwm(path)
+        assert str(error.value) == f"{path}:{line}: {message}"
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "m.pwm"
@@ -488,7 +503,7 @@ class TestPwmFile:
     def test_invalid_distribution_rejected(self, tmp_path):
         path = tmp_path / "m.pwm"
         path.write_text("#PWM x 1\n0.9 0.2 0.2 0.2\n")
-        with pytest.raises(ValidationError, match="sums to"):
+        with pytest.raises(ParseError, match=r"m\.pwm:2: probabilities sum to 1\.5"):
             read_pwm(path)
 
 

@@ -6,9 +6,12 @@ from hypothesis import strategies as st
 from dcnn.errors import InternalConsistencyError, ShapeError, ValidationError
 from dcnn.kernels import (
     conv1d_backward,
-    conv1d_backward_codes,
     conv1d_forward,
-    conv1d_forward_codes,
+    conv1d_gather,
+    conv1d_index,
+    conv1d_scatter,
+    conv1d_table,
+    conv1d_taps,
     dense_backward,
     dense_forward,
     dtype_for,
@@ -125,6 +128,28 @@ class TestConvBackward:
         filters = rng.standard_normal((3, 5, 4))
         with pytest.raises(ShapeError, match="grad_out"):
             conv1d_backward(x, filters, np.zeros((7, 3)))
+
+
+def conv1d_forward_codes(codes, filters, bias, dtype=None, k=None):
+    """The base-code conv of ``codes`` [..., L] as ``network.plan`` and
+    ``network.forward`` run it: the gather index at prefix length ``k``
+    (default: prefix_length(B * T, W)) into the table of the filters in
+    ``dtype``."""
+    width = filters.shape[1]
+    if k is None:
+        k = prefix_length(codes.size // codes.shape[-1] * (codes.shape[-1] - width + 1), width)
+    return conv1d_gather(conv1d_table(filters, bias, k, dtype), conv1d_index(codes, width, k))
+
+
+def conv1d_backward_codes(codes, filters, rows, grad_rows):
+    """The base-code conv's gradients as ``network.backward`` computes
+    them: a scatter through the codes' taps, in grad_rows's dtype, with
+    the filters' gradient returned in the filters' dtype."""
+    grad_filters = np.empty(filters.shape, grad_rows.dtype)
+    grad_bias = np.empty(filters.shape[0], grad_rows.dtype)
+    conv1d_scatter(conv1d_taps(codes, filters.shape[1]), rows, grad_rows, grad_filters,
+                   grad_bias)
+    return grad_filters.astype(filters.dtype, copy=False), grad_bias
 
 
 class TestBaseCodeConv:
@@ -251,44 +276,6 @@ class TestBaseCodeConv:
                                               (10**9, 10, 10), (10**9, 3, 3)])
     def test_default_prefix_length(self, rows, width, k):
         assert prefix_length(rows, width) == k
-
-    @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("bad", [4, 255])
-    @pytest.mark.parametrize("where", [0, -1])
-    def test_codes_out_of_range_are_rejected(self, rng, k, bad, where):
-        # Codes at the first and last position are read only by the first
-        # and the last tap; in a k-mer index a 4 would alias another k-mer,
-        # and in the backward's flat index the next tap's channel 0.
-        codes, _, filters, bias = self.operands(rng, np.float32, 3, 20, 2, 5)
-        codes[where, where] = bad
-        with pytest.raises(ValidationError, match=f"0-3, got values 0 ... {bad}"):
-            conv1d_forward_codes(codes, filters, bias, k=k)
-        rows = np.full((3, 1, 2), 0 if where == 0 else 15)
-        with pytest.raises(ValidationError, match=f"0-3, got values 0 ... {bad}"):
-            conv1d_backward_codes(codes, filters, rows, np.ones((3, 1, 2), np.float32))
-
-    def test_negative_codes_and_bad_prefix_lengths_are_rejected(self, rng):
-        codes, _, filters, bias = self.operands(rng, np.float32, 3, 20, 2, 5)
-        signed = codes.astype(np.int64)
-        signed[1, 4] = -1
-        with pytest.raises(ValidationError, match="0-3"):
-            conv1d_forward_codes(signed, filters, bias)
-        for k in (0, 6):
-            with pytest.raises(ValidationError, match="prefix length"):
-                conv1d_forward_codes(codes, filters, bias, k=k)
-
-    def test_rejects_float_codes_and_short_input(self):
-        with pytest.raises(ShapeError, match="integer"):
-            conv1d_forward_codes(np.zeros((2, 10)), np.zeros((2, 3, 4)), np.zeros(2))
-        with pytest.raises(ShapeError, match="empty"):
-            conv1d_forward_codes(np.zeros((2, 3), np.uint8), np.zeros((2, 5, 4)),
-                                 np.zeros(2))
-
-    def test_backward_rejects_out_of_range_row(self):
-        codes = np.zeros((1, 10), dtype=np.uint8)
-        with pytest.raises(InternalConsistencyError):
-            conv1d_backward_codes(codes, np.zeros((1, 5, 4)), np.array([[[6]]]),
-                                  np.array([[[1.0]]]))
 
 
 class TestMaxPoolForward:

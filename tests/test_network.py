@@ -555,6 +555,23 @@ class TestPlan:
         with pytest.raises(ValidationError, match="0 or 1"):
             nw.forward(nw.init_params(cfg, seed=0), batch, cfg)
 
+    def test_negative_codes_and_bad_prefix_lengths_are_rejected_when_planned(self):
+        # TINY's filters are W = 5 wide: k = W is the widest table, W + 1
+        # would index past the filters, and k < 1 leaves no k-mer row
+        batch = random_batch(3, 50, seed=4)
+        signed = batch.codes.astype(np.int64)
+        signed[1, 4] = -1
+        with pytest.raises(ShapeError, match=r"uint8 \[B, 50\]"):
+            nw.plan(signed[None], batch.labels[None], TINY)
+        for k in (0, 6, -1):
+            with pytest.raises(ValidationError, match=f"prefix length k .* 1 ... 5, got {k}"):
+                nw.plan(batch.codes[None], batch.labels[None], TINY, k=k)
+        params = nw.init_params(TINY, seed=0)
+        (widest,) = nw.plan(batch.codes[None], batch.labels[None], TINY, k=5)
+        assert widest.k == 5
+        want = dense_forward(params, one_hot_inputs(batch), TINY)[0]
+        assert nw.forward(params, widest, TINY)[0].tobytes() == want.tobytes()
+
     def test_a_forward_only_plan_has_no_backward(self):
         cfg, params, batch = self.model((35, 35), 3, np.float32)
         (planned,) = nw.plan(batch.codes[None], batch.labels[None], cfg, backward=False)

@@ -17,7 +17,6 @@ from dcnn.pipeline import (
     SplitSpec,
     base_codes,
     encode_batch,
-    one_hot,
     shard,
     shuffled_stream,
     split,
@@ -29,6 +28,12 @@ BASES = st.text(alphabet="ACGT", min_size=1, max_size=200)
 
 def neg(i, bases):
     return SequenceRecord(f"n{i}", bases, 0, [])
+
+
+def one_hot(bases, dtype=np.float32):
+    """[L, 4] one-hot of ``bases`` (columns A, C, G, T), through the
+    batch encoder the model reads its codes from."""
+    return one_hot_inputs(encode_batch([neg(0, bases)], dtype=dtype))[0]
 
 
 class TestOneHot:

@@ -24,13 +24,12 @@ class TestStats:
         stats.record(np.zeros(3, dtype=np.float64))
         assert stats.messages == 2
         assert stats.bytes == 40 + 24
-        assert stats.max_message_elements == 10
 
     def test_merge(self):
-        a = TransportStats(messages=2, bytes=100, max_message_elements=5)
-        b = TransportStats(messages=3, bytes=50, max_message_elements=9)
+        a = TransportStats(messages=2, bytes=100)
+        b = TransportStats(messages=3, bytes=50)
         a.merge(b)
-        assert (a.messages, a.bytes, a.max_message_elements) == (5, 150, 9)
+        assert (a.messages, a.bytes) == (5, 150)
 
 
 class TestProcessLinks:
