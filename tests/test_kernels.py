@@ -22,6 +22,7 @@ from dcnn.kernels import (
     relu_grad,
     sigmoid,
 )
+from dcnn.network import ModelConfig, plan
 from helpers import max_relative_error, numerical_gradient
 from oracles import naive_conv1d, naive_maxpool1d
 
@@ -276,6 +277,33 @@ class TestBaseCodeConv:
                                               (10**9, 10, 10), (10**9, 3, 3)])
     def test_default_prefix_length(self, rows, width, k):
         assert prefix_length(rows, width) == k
+
+    #: W = 5 filters whose pool windows reach every one of 20 bases
+    CODES_CONFIG = ModelConfig(n_filters=2, filter_width=5, pool_window=4, pool_stride=4,
+                               seq_length=20)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("bad", [4, 255])
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_codes_out_of_range_are_rejected(self, rng, k, bad, where):
+        # Codes at the first and last position are read only by the first
+        # and the last tap; in a k-mer index a 4 would alias another k-mer,
+        # and in the backward's flat index the next tap's channel 0.  The
+        # kernels take the codes as given, so plan checks them, for the
+        # forward's index and the backward's taps alike.
+        codes, _, filters, bias = self.operands(rng, np.float32, 3, 20, 2, 5)
+        codes[where, where] = bad
+        labels = np.zeros((1, 3), np.float32)
+        assert self.CODES_CONFIG.read_length == 20
+        for backward in (False, True):
+            with pytest.raises(ValidationError, match=f"0-3, got {bad}"):
+                plan(codes[None], labels, self.CODES_CONFIG, backward=backward, k=k)
+
+    def test_rejects_float_codes_and_short_input(self):
+        with pytest.raises(ShapeError, match=r"float64 \(2, 20\).* uint8 \[B, 20\]"):
+            plan(np.zeros((1, 2, 20)), np.zeros((1, 2), np.float32), self.CODES_CONFIG)
+        with pytest.raises(ValidationError, match="seq_length 3 is shorter than filter_width 5"):
+            ModelConfig(n_filters=2, filter_width=5, pool_window=1, pool_stride=1, seq_length=3)
 
 
 class TestMaxPoolForward:
