@@ -19,9 +19,9 @@ drops them from its ``TIMED`` list.
 
 The base-code conv comes only in pieces, which check nothing: the work
 that depends only on the codes, which ``network.plan`` does once ahead
-after checking them (``conv1d_index`` for the forward, ``conv1d_taps``
-for the backward), and the work on the parameters (``conv1d_table``,
-``conv1d_gather``, ``conv1d_scatter``).
+after checking them (``conv1d_index``, the forward's gather index), and
+the work on the parameters (``conv1d_table``, ``conv1d_gather``, and
+``conv1d_scatter``, which reads each winner's taps from the codes).
 The forward takes its first k taps from a prefix table, as the
 "superalphabet" PWM scan does (Pizzi, Rastas & Ukkonen, IEEE/ACM TCBB
 2011).  Because the sum starts at the bias and adds taps in ascending
@@ -169,12 +169,6 @@ def conv1d_index_dtype(width: int, k: int) -> np.dtype:
     return np.min_scalar_type(4**k + 4 * (width - k) - 1)
 
 
-def conv1d_taps_dtype(width: int) -> np.dtype:
-    """The dtype of :func:`conv1d_taps`: the smallest unsigned one that
-    holds 4 W - 1, the last flat index of a [W, 4] array."""
-    return np.min_scalar_type(4 * width - 1)
-
-
 def _windows(codes: np.ndarray, width: int, dtype) -> np.ndarray:
     """The codes [..., L] in ``dtype`` as one flat run of n codes and
     W - 1 zeros, viewed as [W, n]: row j starts j codes on, so that an op
@@ -213,19 +207,6 @@ def conv1d_index(codes: np.ndarray, width: int, k: int) -> np.ndarray:
     np.add(windows[k:], np.arange(4**k, 4**k + 4 * (width - k), 4, dtype=dtype)[:, None],
            out=index[1:])
     return index.reshape((n_taps,) + codes.shape)[..., : codes.shape[-1] - width + 1]
-
-
-def conv1d_taps(codes: np.ndarray, width: int) -> np.ndarray:
-    """The scatter index of :func:`conv1d_scatter` for base codes [..., L]
-    (0-3, unchecked): [W, ..., L], where entry j at position i is
-    4 j + codes[i + j], the flat index of [j, codes[i + j]] in a [W, 4]
-    array, in :func:`conv1d_taps_dtype` (uint8 up to W = 64), for every
-    position i <= L - W that a conv row starts at; the positions past it
-    hold no taps of their record."""
-    dtype = conv1d_taps_dtype(width)
-    taps = np.add(_windows(codes, width, dtype),
-                  np.arange(0, 4 * width, 4, dtype=dtype)[:, None])
-    return taps.reshape((width,) + codes.shape)
 
 
 def conv1d_table(filters: np.ndarray, bias: np.ndarray, k: int, dtype=None) -> np.ndarray:
@@ -293,25 +274,29 @@ def _scatter_offsets(batch: int, pools: int, n_filters: int, width: int,
                      length: int) -> tuple:
     """For gradients [B, P, F] of records of ``length`` codes: (the flat
     position of each record's first code, [B, 1, 1]; the filter f of each
-    gradient, flattened; and the offset 4 W f of its filter in a
-    [F, W, 4] array).  Built once per shape and read-only, since every
-    call with that shape shares them."""
+    gradient, flattened; and the offset 4 W f + 4 j of tap j of its
+    filter in a [F, W, 4] array, [W, B * P * F], in the smallest unsigned
+    dtype that holds 4 W F - 1).  Built once per shape and read-only,
+    since every call with that shape shares them."""
     records = np.arange(0, batch * length, length)[:, None, None]
     filters = np.arange(batch * pools * n_filters) % n_filters
-    offsets = filters * (4 * width)
+    dtype = np.min_scalar_type(4 * width * n_filters - 1)
+    # built in that dtype, with no intp [W, B * P * F] on the way: at
+    # [64, 1500] that one is 3.2 MB, and the heap kept its size
+    offsets = np.add.outer(np.arange(0, 4 * width, 4, dtype=dtype),
+                           (filters * (4 * width)).astype(dtype))
     for array in (records, filters, offsets):
         array.setflags(write=False)
     return records, filters, offsets
 
 
-def conv1d_scatter(taps: np.ndarray, rows: np.ndarray, grad_rows: np.ndarray,
+def conv1d_scatter(codes: np.ndarray, rows: np.ndarray, grad_rows: np.ndarray,
                    grad_filters: np.ndarray, grad_bias: np.ndarray) -> None:
     """The gradients of the base-code conv, written into ``grad_filters``
     [F, W, 4] and ``grad_bias`` [F], which must be C-contiguous in
-    ``grad_rows``'s dtype.  No checks: ``taps`` [W, B, L] must be the
-    :func:`conv1d_taps` of the convolved codes, viewable as [W, B * L],
-    and ``rows`` [B, P, F] conv rows of them, such as the winning rows of
-    the model's own forward.
+    ``grad_rows``'s dtype.  No checks: ``codes`` [B, L] must be the
+    convolved base codes (0-3), and ``rows`` [B, P, F] conv rows of them,
+    such as the winning rows of the model's own forward.
 
     Each gradient g at (b, p, f) in ``grad_rows`` [B, P, F], from conv row
     r = rows[b, p, f], adds g to grad_bias[f] and to
@@ -320,18 +305,21 @@ def conv1d_scatter(taps: np.ndarray, rows: np.ndarray, grad_rows: np.ndarray,
     That is the order in which conv1d_backward sums the same nonzero
     terms; the zero ones change no bit of a sum that starts at +0.0 (no
     such sum is ever -0.0).  The flat index of the taps is one ``take`` of
-    the rows' planned taps plus the filter's offset 4 W f, tap by tap;
-    only tap j reaches grad_filters[:, j], so each element still gets its
-    terms in ascending (b, p) order.
+    the rows' codes, from the batch's flat codes viewed as [W, B L - W + 1]
+    with row j starting j codes on, plus the offset 4 W f + 4 j, tap by
+    tap; only tap j reaches grad_filters[:, j], so each element still gets
+    its terms in ascending (b, p) order.
     """
     n_filters, width, _ = grad_filters.shape
     records, filters, offsets = _scatter_offsets(*grad_rows.shape[:2], n_filters, width,
-                                                 taps.shape[-1])
+                                                 codes.shape[-1])
+    flat = np.ravel(codes)
+    windows = np.ndarray((width, flat.size - width + 1), flat.dtype, buffer=flat,
+                         strides=(flat.itemsize,) * 2)
     # the position of each gradient's conv row in the batch's flat codes
     starts = rows + records
-    index = taps.reshape(width, -1).take(starts.reshape(-1), axis=1)  # [W, B * P * F]
-    index = index.astype(np.intp)  # add.at's fast path takes intp indexes
-    index += offsets
+    # add.at's fast path takes intp indexes
+    index = np.add(windows.take(starts.reshape(-1), axis=1), offsets, dtype=np.intp)
     values = np.empty(index.shape, grad_rows.dtype)
     values[...] = grad_rows.reshape(-1)
     grad_filters[...] = 0

@@ -12,8 +12,9 @@ gradient of each max-pool winner straight to the filter taps of its
 k-mer.  A dense one-hot model built from the dense kernels is the
 tests' oracle for both, bit for bit.  What does not depend on the
 parameters is done once per batch, ahead of its step, by :func:`plan`:
-the checks of its codes and labels and the conv's gather and scatter
-indexes.  The forward and backward then do parameter work only.
+the checks of its codes and labels and the conv's gather index.  The
+forward and backward then do parameter work only; the backward reads
+each winner's taps from the plan's codes.
 
 The forward max-pools the raw conv output and applies ReLU to the
 pooled [B, P, F] only, which gives the bits of ReLU-then-pool with
@@ -194,17 +195,16 @@ def _codes_mismatch(got: str, config: ModelConfig) -> ShapeError:
 
 
 def plan_nbytes(config: ModelConfig, records: int) -> int:
-    """Bytes of the indexes of a :func:`plan` of one batch of ``records``
-    records, at its default prefix length, with the backward's taps."""
+    """Bytes of the gather index of a :func:`plan` of one batch of
+    ``records`` records, at its default prefix length."""
     rows = records * (config.read_length - config.filter_width + 1)
     width = config.filter_width
     k = kernels.prefix_length(rows, width)
-    return rows * ((1 + width - k) * kernels.conv1d_index_dtype(width, k).itemsize
-                   + width * kernels.conv1d_taps_dtype(width).itemsize)
+    return rows * (1 + width - k) * kernels.conv1d_index_dtype(width, k).itemsize
 
 
 def plan(codes: np.ndarray, labels: np.ndarray, config: ModelConfig,
-         backward: bool = True, k: int | None = None) -> list:
+         k: int | None = None) -> list:
     """One :class:`~dcnn.pipeline.Plan` for each of S batches, from their
     codes (uint8 [S, B, L], A/C/G/T = 0-3) and labels [S, B], built in one
     vectorized pass that holds all the work of a step that does not
@@ -214,11 +214,10 @@ def plan(codes: np.ndarray, labels: np.ndarray, config: ModelConfig,
     once, here: a code above 3 or a label other than 0 or 1 raises
     ValidationError.  Then it builds the conv's gather index at prefix
     length ``k``, which must lie in 1 ... W (default:
-    ``kernels.prefix_length`` of one batch's conv rows), and, with
-    ``backward``, the scatter index of each conv row's taps.  Only each
+    ``kernels.prefix_length`` of one batch's conv rows).  Only each
     record's first ``config.read_length`` bases are indexed: the conv
     rows past them are in no max-pool window, so they cannot reach the
-    output.
+    output.  The same plan serves training, validation and scoring.
     """
     if codes.dtype != np.uint8 or codes.ndim != 3 or codes.shape[2] != config.seq_length:
         raise _codes_mismatch(f"{codes.dtype} {codes.shape[1:]}", config)
@@ -235,9 +234,7 @@ def plan(codes: np.ndarray, labels: np.ndarray, config: ModelConfig,
     elif not 1 <= k <= width:
         raise ValidationError(f"conv prefix length k must be in 1 ... {width}, got {k}")
     index = kernels.conv1d_index(codes[..., :read], width, k).swapaxes(0, 1)  # [S, K, B, T]
-    taps = (kernels.conv1d_taps(codes[..., :read], width).swapaxes(0, 1)
-            if backward else [None] * len(codes))  # [S, W, B, read]
-    return [Plan(*step, k) for step in zip(codes, labels, index, taps)]
+    return [Plan(*step, k) for step in zip(codes, labels, index)]
 
 
 def forward(params: ModelParams, batch, config: ModelConfig):
@@ -304,8 +301,7 @@ def backward(params: ModelParams, cache: ForwardCache, labels: np.ndarray,
     the numerically stable (p - y) / B with no division by p(1-p).  The
     labels are not checked here: the plan the forward ran checked them.
     The conv's gradients go only to the taps of each max-pool winner's
-    row, through the plan's scatter index (``kernels.conv1d_scatter``),
-    so the plan must have been built with ``backward``.
+    row, which ``kernels.conv1d_scatter`` reads from the plan's codes.
 
     With ``out`` (Gradients, typically :func:`unflatten_grads` views of
     a flat vector) the gradients are written straight into its tensors,
@@ -322,9 +318,6 @@ def backward(params: ModelParams, cache: ForwardCache, labels: np.ndarray,
         raise ShapeError(
             f"labels shape {np.shape(labels)} does not match batch of {batch_size}"
         )
-    taps = cache.plan.taps
-    if taps is None:
-        raise InternalConsistencyError("backward needs a forward on a plan built with backward")
     dtype = cache.flat.dtype
     shapes = _tensor_shapes(config)
     if out is None:
@@ -347,8 +340,8 @@ def backward(params: ModelParams, cache: ForwardCache, labels: np.ndarray,
     # pooled value is positive
     if config.conv_activation == "relu":
         dpooled = dpooled * (cache.flat.reshape(dpooled.shape) > 0)
-    kernels.conv1d_scatter(taps, cache.argmax_rows, dpooled, grads.conv_filters,
-                           grads.conv_bias)
+    kernels.conv1d_scatter(cache.plan.codes, cache.argmax_rows, dpooled,
+                           grads.conv_filters, grads.conv_bias)
     if out is None:
         grads.conv_filters = grads.conv_filters.astype(params.conv_filters.dtype, copy=False)
     return grads
@@ -436,22 +429,16 @@ def adam_step(theta: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
 #   u16 name length, UTF-8 name, u8 rank, u32 dims, raw little-endian f32.
 
 _META_NAME = "model_config"
-_ACTIVATION_CODE = {"relu": 0.0, "linear": 1.0}
-_ACTIVATION_FROM_CODE = {0: "relu", 1: "linear"}
+#: The fields of the model_config tensor, in order; each is an integer
+#: stored as float32, the activation as its index in _ACTIVATIONS.
+_META_FIELDS = ("n_filters", "filter_width", "pool_window", "pool_stride", "seq_length",
+                "conv_activation")
 
 
 def _config_meta(config: ModelConfig) -> np.ndarray:
-    return np.array(
-        [
-            config.n_filters,
-            config.filter_width,
-            config.pool_window,
-            config.pool_stride,
-            config.seq_length,
-            _ACTIVATION_CODE[config.conv_activation],
-        ],
-        dtype=np.float32,
-    )
+    values = [getattr(config, name) for name in _META_FIELDS[:-1]]
+    return np.array(values + [_ACTIVATIONS.index(config.conv_activation)],
+                    dtype=np.float32)
 
 
 def save_checkpoint(params: ModelParams, config: ModelConfig, path) -> None:
@@ -530,18 +517,18 @@ def load_checkpoint(path):
     meta = tensors[_META_NAME]
     if meta.shape != (6,):
         raise CheckpointError(f"{_META_NAME} tensor has shape {meta.shape}, expected (6,)")
-    activation = _ACTIVATION_FROM_CODE.get(int(meta[5]))
-    if activation is None:
-        raise CheckpointError(f"unknown activation code {meta[5]} in {_META_NAME}")
+    values = {}
+    for name, value in zip(_META_FIELDS, meta.tolist()):
+        if not value.is_integer():  # NaN and inf are not either
+            raise CheckpointError(f"{_META_NAME} field {name} is {value}, not an integer")
+        values[name] = int(value)
+    code = values["conv_activation"]
+    if code not in range(len(_ACTIVATIONS)):
+        raise CheckpointError(f"{_META_NAME} field conv_activation is {code}, "
+                              f"an unknown activation code")
+    values["conv_activation"] = _ACTIVATIONS[code]
     try:
-        config = ModelConfig(
-            n_filters=int(meta[0]),
-            filter_width=int(meta[1]),
-            pool_window=int(meta[2]),
-            pool_stride=int(meta[3]),
-            conv_activation=activation,
-            seq_length=int(meta[4]),
-        )
+        config = ModelConfig(**values)
     except ValidationError as exc:
         raise CheckpointError(f"invalid {_META_NAME}: {exc}") from exc
 

@@ -4,7 +4,7 @@ Base codes (A, C, G, T -> 0-3), a seeded stratified split, a
 buffer shuffle, batch encoding, and contiguous per-replica sharding.  A
 batch holds base codes only: the model never reads a one-hot array.  A
 :class:`Plan` is a batch as the model runs it, with its checked codes
-and labels and the conv's parameter-free indexes.  All
+and labels and the conv's parameter-free gather index.  All
 randomness flows through PCG64 generators seeded explicitly, so every
 stage is reproducible.
 """
@@ -75,23 +75,21 @@ class Batch:
 
 class Plan:
     """A batch prepared for the model's convolution (``network.plan``):
-    its codes and labels, checked, and the indexes of the conv that do not
-    depend on the parameters.  ``index`` [K, B, T] is the forward's gather
-    index for prefix length ``k`` (``kernels.conv1d_index``); ``taps``
-    [W, B, read length] is the backward's scatter index (``kernels.conv1d_taps``),
-    or None for a batch that is only scored.  ``table``, when set, is the
-    conv's gather table of the parameters being scored, which a caller
-    scoring several plans of one ``k`` with the same parameters builds
-    once; ``network.forward`` builds its own when it is None."""
+    its codes and labels, checked, and the conv's gather index, which does
+    not depend on the parameters: ``index`` [K, B, T] for prefix length
+    ``k`` (``kernels.conv1d_index``).  The backward reads its taps from
+    ``codes``.  ``table``, when set, is the conv's gather table of the
+    parameters being scored, which a caller scoring several plans of one
+    ``k`` with the same parameters builds once; ``network.forward`` builds
+    its own when it is None."""
 
-    __slots__ = ("codes", "labels", "k", "index", "taps", "table")
+    __slots__ = ("codes", "labels", "k", "index", "table")
 
-    def __init__(self, codes, labels, index, taps, k, table=None):
+    def __init__(self, codes, labels, index, k, table=None):
         self.codes = codes
         self.labels = labels
         self.k = k
         self.index = index
-        self.taps = taps
         self.table = table
 
     def __len__(self) -> int:

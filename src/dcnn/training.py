@@ -12,8 +12,10 @@ workers, and each is one small class with the same hooks:
 * ``ps`` — a parameter-server context at rank N averages the gradient
   reports, applies the canonical Adam step, and broadcasts parameters.
 * ``gossip`` — each rank takes local Adam steps and averages parameters
-  with an alternating ring partner every ``gossip_period`` steps;
-  consistency is established exactly once by the final averaging.
+  with an alternating ring partner every ``gossip_period`` steps; every
+  epoch the ranks score the exact mean of all replicas, and the last
+  epoch's mean is every rank's final parameters.  There is no separate
+  final averaging, so no divergence can be met after the last epoch.
 
 Each rank plans its micro-batches ahead (``network.plan``), PLAN_BYTES
 of steps at a time in one vectorized pass, so that a step does only the
@@ -196,7 +198,7 @@ def epoch_stream_seed(seed: int, epoch: int) -> int:
 #: Bytes of conv output [chunk, T, F] that one scoring chunk fills, so
 #: that a chunk's activations stay in a core's L2 cache between layers.
 EVAL_CHUNK_BYTES = 512 * 1024
-#: Bytes of conv indexes (``network.plan_nbytes``) of the micro-batches
+#: Bytes of gather indexes (``network.plan_nbytes``) of the micro-batches
 #: a rank plans ahead at a time, at least one step's.
 PLAN_BYTES = 128 * 1024
 
@@ -210,10 +212,9 @@ def probabilities(params: nw.ModelParams, batch: Batch,
     Records are scored ``chunk_size`` at a time, by default as many as
     keep the conv output within EVAL_CHUNK_BYTES; each record's
     probability does not depend on the chunking.  Each chunk is planned
-    for the forward only (``network.plan``) as it comes, all at the
-    prefix length of the whole pass's conv rows, so the conv's gather
-    table is built once a pass, from ``params``, and shared by the
-    chunks' forwards.
+    (``network.plan``) as it comes, all at the prefix length of the whole
+    pass's conv rows, so the conv's gather table is built once a pass,
+    from ``params``, and shared by the chunks' forwards.
     """
     if not len(batch):
         return np.empty(0, dtype=batch.labels.dtype)
@@ -228,8 +229,7 @@ def probabilities(params: nw.ModelParams, batch: Batch,
     parts = []
     for start in range(0, len(batch), chunk_size):
         chunk = batch.rows(start, start + chunk_size)
-        (planned,) = nw.plan(chunk.codes[None], chunk.labels[None], model_config,
-                             backward=False, k=k)
+        (planned,) = nw.plan(chunk.codes[None], chunk.labels[None], model_config, k=k)
         planned.table = table
         parts.append(nw.forward(params, planned, model_config)[0])
     return np.concatenate(parts)
@@ -277,9 +277,9 @@ def _should_stop(val_losses, early: EarlyStopConfig) -> bool:
 
 class _Replica:
     """This rank's parameters plus the hooks the worker loop calls:
-    ``step`` once per batch, ``snapshot`` once per epoch, ``finish``
-    after the last epoch and ``stop`` whenever the loop ends (diverged
-    too).  A hook that a strategy does not need does nothing.
+    ``step`` once per batch, ``snapshot`` once per epoch and ``stop``
+    whenever the loop ends (diverged too).  A hook that a strategy does
+    not need does nothing.
 
     Each rank works on two flat vectors of the run's dtype, each with a
     trailing loss slot, so the loss rides along in the same message:
@@ -310,9 +310,6 @@ class _Replica:
         return self.params, epoch_loss
 
     def stop(self):
-        pass
-
-    def finish(self):
         pass
 
 
@@ -362,8 +359,8 @@ class _ParameterServer(_Replica):
 class _Gossip(_LocalAdam):
     """Local Adam steps, and every ``gossip_period`` steps an average with
     this round's ring partner.  Each epoch every rank scores the mean of
-    all replicas without installing it; the final consensus installs that
-    mean everywhere."""
+    all replicas without installing it; the last epoch's mean is the
+    run's result."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -388,9 +385,6 @@ class _Gossip(_LocalAdam):
         mean_vec = gossip_finalize_exchange(self.endpoint, self.vec)
         return nw.unflatten_params(mean_vec[:-1], self.model_config), float(mean_vec[-1])
 
-    def finish(self):
-        self.theta[:] = gossip_finalize_exchange(self.endpoint, self.theta)
-
 
 _REPLICAS = {"allreduce": _AllReduce, "ps": _ParameterServer, "gossip": _Gossip}
 
@@ -404,9 +398,10 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
     """One replica's whole training run; returns a result dict.
 
     ``train_set`` and ``validation_set`` are the encoded Batches of the
-    dataset's splits.  A replica that diverges, or whose peer ended
-    first, returns its stop reason ``diverged``, its epochs, its last
-    good epoch and its transport stats, and no parameters.
+    dataset's splits.  A replica that ends its epochs returns the
+    parameters its last epoch scored.  A replica that diverges, or whose
+    peer ended first, returns its stop reason ``diverged``, its epochs,
+    its last good epoch and its transport stats, and no parameters.
     """
     replica = _REPLICAS[config.strategy](rank, endpoint, config, model_config)
     steps_per_epoch = len(train_set) // config.global_batch
@@ -492,15 +487,14 @@ def _worker_loop(rank, endpoint, config: TrainConfig, model_config, train_set,
             if halt == _HALT:
                 stop_reason = "converged"
                 break
-        replica.finish()
-    except (TrainingDivergedError, PeerClosed):  # or a peer ended first, even in finish()
-        replica.stop()  # finish() is skipped: it would wait on ranks that have ended
+    except (TrainingDivergedError, PeerClosed):  # or a peer ended first
+        replica.stop()
         return {"stop_reason": "diverged", "last_good_epoch": last_good_epoch,
                 "epochs": epoch_rows, "stats": endpoint.stats}
 
     replica.stop()
     return {
-        "params_vec": replica.theta,
+        "params_vec": nw.flatten_params(eval_params),
         "epochs": epoch_rows,
         "stop_reason": stop_reason,
         "stats": endpoint.stats,

@@ -2,6 +2,7 @@
 and the error messages the interface promises."""
 
 import json
+import struct
 from dataclasses import asdict, fields
 
 import pytest
@@ -451,6 +452,20 @@ def test_undecodable_checkpoint_tensor_name_is_a_checkpoint_error(workspace, tmp
                  str(workspace["out"] / "dataset.fasta"), "--out", str(tmp_path / "e")])
     assert code == 2
     assert capsys.readouterr().err == "error: tensor name at byte 10 is not UTF-8\n"
+
+
+def test_a_nan_in_the_checkpoints_model_config_exits_2(workspace, tmp_path, capsys):
+    blob = bytearray((workspace["out"] / "model.ckpt").read_bytes())
+    # n_filters, the model_config tensor's first entry: after magic,
+    # version, name length, "model_config", rank and one dim
+    blob[27:31] = struct.pack("<f", float("nan"))
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(blob))
+    code = main(["evaluate", "--checkpoint", str(bad), "--dataset",
+                 str(workspace["out"] / "dataset.fasta"), "--out", str(tmp_path / "e")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: model_config field n_filters is nan, not an integer\n")
 
 
 def test_corrupted_checkpoint_message(workspace, tmp_path, capsys):

@@ -29,7 +29,7 @@ def named_cases() -> list:
     ids += [f"{s}-{kind}-{b}" for s in strategies for b in backends
             for kind in ("nan-loss-step25", "lr1e19")]
     ids += [f"gossip-last-epoch-nan-{b}" for b in backends]
-    ids += ["allreduce-n2-batch1-processes", "allreduce-n1-batch8-threads"]
+    ids += ["allreduce-n2-batch1-processes", "allreduce-n1-batch7-threads"]
     ids += [f"allreduce-n2-l200-pool{pool}-processes-{p}"
             for pool in ("35s35", "10s4", "9s12") for p in ("f32", "f64")]
     return ids
@@ -103,12 +103,12 @@ def test_an_environment_that_differs_is_named_but_not_a_failure(tool, tmp_path, 
     assert "numpy" not in out.replace(str(tmp_path), "")
 
 
-def test_the_batch8_case_ends_its_epochs_inside_a_plan_block(tool):
+def test_the_batch7_case_ends_its_epochs_inside_a_plan_block(tool):
     # training plans training.PLAN_BYTES of steps at a time; this case's
     # epoch must take more than one block and end inside the last
     from dcnn import network, training
 
-    kwargs, _patches, model = tool.CASES["allreduce-n1-batch8-threads"]
+    kwargs, _patches, model = tool.CASES["allreduce-n1-batch7-threads"]
     block = training.PLAN_BYTES // network.plan_nbytes(model, kwargs["batch_per_replica"])
     steps = len(tool.dataset(model.seq_length).train) // kwargs["batch_per_replica"]
     assert 1 < block < steps and steps % block

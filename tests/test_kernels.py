@@ -11,7 +11,6 @@ from dcnn.kernels import (
     conv1d_index,
     conv1d_scatter,
     conv1d_table,
-    conv1d_taps,
     dense_backward,
     dense_forward,
     dtype_for,
@@ -144,12 +143,11 @@ def conv1d_forward_codes(codes, filters, bias, dtype=None, k=None):
 
 def conv1d_backward_codes(codes, filters, rows, grad_rows):
     """The base-code conv's gradients as ``network.backward`` computes
-    them: a scatter through the codes' taps, in grad_rows's dtype, with
-    the filters' gradient returned in the filters' dtype."""
+    them: a scatter of the taps read from the codes, in grad_rows's dtype,
+    with the filters' gradient returned in the filters' dtype."""
     grad_filters = np.empty(filters.shape, grad_rows.dtype)
     grad_bias = np.empty(filters.shape[0], grad_rows.dtype)
-    conv1d_scatter(conv1d_taps(codes, filters.shape[1]), rows, grad_rows, grad_filters,
-                   grad_bias)
+    conv1d_scatter(codes, rows, grad_rows, grad_filters, grad_bias)
     return grad_filters.astype(filters.dtype, copy=False), grad_bias
 
 
@@ -295,9 +293,8 @@ class TestBaseCodeConv:
         codes[where, where] = bad
         labels = np.zeros((1, 3), np.float32)
         assert self.CODES_CONFIG.read_length == 20
-        for backward in (False, True):
-            with pytest.raises(ValidationError, match=f"0-3, got {bad}"):
-                plan(codes[None], labels, self.CODES_CONFIG, backward=backward, k=k)
+        with pytest.raises(ValidationError, match=f"0-3, got {bad}"):
+            plan(codes[None], labels, self.CODES_CONFIG, k=k)
 
     def test_rejects_float_codes_and_short_input(self):
         with pytest.raises(ShapeError, match=r"float64 \(2, 20\).* uint8 \[B, 20\]"):

@@ -171,27 +171,34 @@ class TestForward:
 
     def test_the_plan_indexes_only_the_codes_the_pool_reaches(self, monkeypatch):
         # at L = 200 the default pool reads conv rows 0-174, so the plan
-        # indexes bases 0-183 for the gather and for the scatter; the
-        # tail test above checks that it still checks bases 184-199
+        # indexes bases 0-183 for the gather, and the scatter reads no
+        # base past them; the tail test above checks that it still checks
+        # bases 184-199
         cfg = nw.ModelConfig(seq_length=200)
         params = nw.init_params(cfg, seed=0)
         batch = random_batch(3, 200, seed=1)
         seen = []
-        for name in ("conv1d_index", "conv1d_taps"):
-            def spy(codes, *args, real=getattr(nw.kernels, name), **kwargs):
-                seen.append(codes)
-                return real(codes, *args, **kwargs)
 
-            monkeypatch.setattr(nw.kernels, name, spy)
-        _, cache = nw.forward(params, batch, cfg)
-        assert len(seen) == 2
-        for codes in seen:
-            assert np.array_equal(codes, batch.codes[None, :, :184])
+        def spy(codes, *args, real=nw.kernels.conv1d_index):
+            seen.append(codes)
+            return real(codes, *args)
+
+        monkeypatch.setattr(nw.kernels, "conv1d_index", spy)
+        probs, cache = nw.forward(params, batch, cfg)
+        assert len(seen) == 1 and np.array_equal(seen[0], batch.codes[None, :, :184])
         k = nw.kernels.prefix_length(3 * 175, 10)
         assert cache.plan.index.shape == (1 + 10 - k, 3, 175)
-        assert cache.plan.taps.shape == (10, 3, 184)
         assert np.array_equal(cache.plan.codes, batch.codes)
         assert cache.argmax_rows.max() < 175
+        grads = nw.flatten_grads(nw.backward(params, cache, batch.labels, cfg))
+        # other valid codes in every record's unread tail change no bit
+        tail = batch.codes.copy()
+        tail[:, 184:] = (tail[:, 184:] + 1 + np.arange(3)[:, None]) % 4
+        assert (tail[:, 184:] != batch.codes[:, 184:]).all()
+        other_probs, other_cache = nw.forward(params, Batch(tail, batch.labels), cfg)
+        other = nw.flatten_grads(nw.backward(params, other_cache, batch.labels, cfg))
+        assert other_probs.tobytes() == probs.tobytes()
+        assert other.tobytes() == grads.tobytes()
 
     def test_linear_activation_supported(self):
         cfg = nw.ModelConfig(
@@ -526,8 +533,6 @@ class TestPlan:
             assert planned.k == alone.k and len(planned) == 4
             for name in ("codes", "labels", "index"):
                 assert np.array_equal(getattr(planned, name), getattr(alone, name)), name
-            rows = planned.index.shape[-1]  # the taps of every conv row
-            assert np.array_equal(planned.taps[..., :rows], alone.taps[..., :rows])
             probs, cache = nw.forward(params, planned, cfg)
             grads = nw.flatten_grads(nw.backward(params, cache, labels[step], cfg))
             want_probs, want_cache = nw.forward(params, alone, cfg)
@@ -572,21 +577,10 @@ class TestPlan:
         want = dense_forward(params, one_hot_inputs(batch), TINY)[0]
         assert nw.forward(params, widest, TINY)[0].tobytes() == want.tobytes()
 
-    def test_a_forward_only_plan_has_no_backward(self):
-        cfg, params, batch = self.model((35, 35), 3, np.float32)
-        (planned,) = nw.plan(batch.codes[None], batch.labels[None], cfg, backward=False)
-        assert planned.taps is None
-        _, cache = nw.forward(params, planned, cfg)
-        with pytest.raises(InternalConsistencyError, match="backward"):
-            nw.backward(params, cache, batch.labels, cfg)
-
     def test_plan_nbytes_counts_the_plan(self):
         cfg, _, batch = self.model((10, 4), 5, np.float32)
         (planned,) = nw.plan(batch.codes[None], batch.labels[None], cfg)
-        rows = planned.index.shape[-1]  # the taps of every conv row
-        assert nw.plan_nbytes(cfg, 5) == (planned.index.size * planned.index.itemsize
-                                          + planned.taps[..., :rows].size
-                                          * planned.taps.itemsize)
+        assert nw.plan_nbytes(cfg, 5) == planned.index.size * planned.index.itemsize
 
     def test_backward_writes_into_out_only_in_the_runs_dtype(self):
         cfg, params, batch = self.model((35, 35), 4, np.float32)
@@ -825,6 +819,30 @@ class TestCheckpoint:
             fh.write(st.pack("<H", len(name)) + name + st.pack("<B", 1))
             fh.write(st.pack("<I", 6) + meta.astype("<f4").tobytes())
         with pytest.raises(CheckpointError, match="conv_filters"):
+            nw.load_checkpoint(path)
+
+    #: byte offset of the model_config tensor's data: magic, version, name
+    #: length, "model_config", rank and one dim
+    META_DATA = 4 + 4 + 2 + 12 + 1 + 4
+
+    @pytest.mark.parametrize("field,value,message", [
+        (0, np.nan, "field n_filters is nan, not an integer"),
+        (5, np.nan, "field conv_activation is nan, not an integer"),
+        (0, np.inf, "field n_filters is inf, not an integer"),
+        (4, -np.inf, "field seq_length is -inf, not an integer"),
+        (0, 15.5, "field n_filters is 15.5, not an integer"),
+        (5, 0.5, "field conv_activation is 0.5, not an integer"),
+        (5, 2.0, "field conv_activation is 2, an unknown activation code"),
+        (5, -1.0, "field conv_activation is -1, an unknown activation code")])
+    def test_a_corrupt_config_entry_is_named(self, tmp_path, field, value, message):
+        path = tmp_path / "model.ckpt"
+        nw.save_checkpoint(nw.init_params(TINY, 0), TINY, path)
+        blob = bytearray(path.read_bytes())
+        start = self.META_DATA + 4 * field
+        assert blob[start : start + 4] == nw._config_meta(TINY)[field].tobytes()
+        blob[start : start + 4] = np.float32(value).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=f"model_config {message}"):
             nw.load_checkpoint(path)
 
 

@@ -386,8 +386,7 @@ def _expected_traffic(strategy, n, epochs, steps, early_stopping, validation, it
     the (gradient, loss) vector and the parameter server takes N reports
     and sends N replies; the server gets one halt at the end.  Gossip
     swaps parameters once per pair and step, and gathers the (parameters,
-    loss) mean to rank 0 and broadcasts it every epoch, and the
-    parameters once more at the end.
+    loss) mean to rank 0 and broadcasts it every epoch.
     """
     carried = MODEL.param_count + 1
     shares = sum(hi - lo for lo, hi in ring_chunks(validation, n)[1:])
@@ -402,9 +401,8 @@ def _expected_traffic(strategy, n, epochs, steps, early_stopping, validation, it
         elements += epochs * steps * 2 * n * carried + 1
     elif n > 1:
         swaps = sum(len(gossip_pairs(n, r)) for r in range(epochs * steps))
-        messages += 2 * swaps + (epochs + 1) * 2 * (n - 1)
-        elements += (2 * swaps * (carried - 1) + epochs * 2 * (n - 1) * carried
-                     + 2 * (n - 1) * (carried - 1))
+        messages += 2 * swaps + epochs * 2 * (n - 1)
+        elements += 2 * swaps * (carried - 1) + epochs * 2 * (n - 1) * carried
     return messages, elements * itemsize
 
 
@@ -417,8 +415,8 @@ def test_message_counts_match_strategy_shape(dataset):
         for strategy, closed_form in [
             ("allreduce", steps * 4 + 3 + flags),  # ring chunks, shares, flags
             ("ps", steps * 4 + 3 + flags + 1),  # reports and replies, shares, flags, halt
-            # swaps, shares, flags, per-epoch gather and broadcast, final consensus
-            ("gossip", steps * 2 + 3 + flags + 3 + 3 + 2),
+            # swaps, shares, flags, per-epoch gather and broadcast
+            ("gossip", steps * 2 + 3 + flags + 3 + 3),
         ]:
             _, report = run(dataset, n_replicas=2, strategy=strategy, batch_per_replica=16,
                             backend="threads", early_stopping=early_stopping)
@@ -690,10 +688,10 @@ def test_partial_report_counts_every_ranks_traffic(dataset, monkeypatch, strateg
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("backend", ["threads", "processes"])
-def test_gossip_divergence_in_the_last_epoch_ends_the_final_consensus(
+def test_gossip_divergence_rank_zero_alone_finds_in_the_last_epoch_fails_the_run(
         dataset, monkeypatch, backend):
-    # rank 0 alone finds the last epoch's val loss NaN and ends, while rank 1
-    # goes on to the final consensus exchange and finds rank 0's link closed
+    # rank 0 alone finds the last epoch's val loss NaN and ends diverged,
+    # while rank 1 ends its loop normally: rank 0's report decides the run
     ended = _spy_on_endpoint_stats(monkeypatch)
     _patch(monkeypatch, identity_sweep().nan_scores_in_epoch(2))
     with pytest.raises(TrainingDivergedError) as excinfo:

@@ -35,7 +35,7 @@ with pools that leave unread tails of different lengths: the default
 pool 35/35 (16 conv rows), an overlapping pool 10/4 (1 row) and a gapped
 pool 9/12 (2 rows), each as allreduce x 2 on forked ranks at f32 and f64.
 Two more exercise how training plans its steps ahead: forked allreduce
-at one record per replica, and one rank at 8 records a step, whose 17
+at one record per replica, and one rank at 7 records a step, whose 20
 steps an epoch are not a whole number of plan blocks.
 
 A committed golden file would not carry over between machines (bits may
@@ -149,8 +149,8 @@ def _cases() -> dict:
     cases["allreduce-n2-batch1-processes"] = (
         dict(strategy="allreduce", n_replicas=2, backend="processes", batch_per_replica=1),
         None)
-    cases["allreduce-n1-batch8-threads"] = (
-        dict(strategy="allreduce", n_replicas=1, backend="threads", batch_per_replica=8),
+    cases["allreduce-n1-batch7-threads"] = (
+        dict(strategy="allreduce", n_replicas=1, backend="threads", batch_per_replica=7),
         None)
     cases = {case_id: (kwargs, patches, MODEL)
              for case_id, (kwargs, patches) in cases.items()}
