@@ -33,6 +33,11 @@ columns are stacked under it, so that one ``take`` gathers every tap of
 every row and one ``np.add.reduce`` over the leading tap axis folds
 them, in the loop's own order.
 
+The index orders the conv rows window-first, [K, window, B, P]: row w of
+max-pool window p is conv row p * stride + w.  So the conv output is
+[window, B, P, F], which ``maxpool1d_forward`` takes without a copy
+and folds over its leading axis with a few branch-free whole-array ops.
+
 All kernels are pure functions on numpy arrays in float32 or float64 and
 accept an optional leading batch dimension. Reductions run in a fixed
 order so identical inputs give bit-identical outputs: the convolution
@@ -42,8 +47,9 @@ reductions go through single-threaded ``einsum``/``add.at`` paths (the
 base-code backward through ``add.at`` alone, in ascending sample and row
 order) that never depend on thread scheduling.  These sums keep their
 bits at every SIMD level NumPy picks at run time (only ``exp`` and
-``log`` move, in float64); ``tests/test_identity_sweep.py`` checks
-float32 training with AVX-512 off.
+``log`` move, in float64), and so do the max-pool's winners;
+``tests/test_identity_sweep.py`` checks float32 training and the
+max-pool with AVX-512 off.
 """
 
 from __future__ import annotations
@@ -51,7 +57,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InternalConsistencyError, ShapeError, ValidationError
 
@@ -169,44 +174,52 @@ def conv1d_index_dtype(width: int, k: int) -> np.dtype:
     return np.min_scalar_type(4**k + 4 * (width - k) - 1)
 
 
-def _windows(codes: np.ndarray, width: int, dtype) -> np.ndarray:
-    """The codes [..., L] in ``dtype`` as one flat run of n codes and
-    W - 1 zeros, viewed as [W, n]: row j starts j codes on, so that an op
-    over the view is an op over W contiguous runs.  At the positions past
-    L - W, which no conv row starts at, a row reads on into the next
-    record's codes or the zeros."""
-    n = codes.size
-    flat = np.zeros(n + width - 1, dtype)
-    flat[:n].reshape(codes.shape)[...] = codes
+def conv1d_index(codes: np.ndarray, width: int, k: int, window: int,
+                 stride: int) -> np.ndarray:
+    """The gather index of :func:`conv1d_gather` for base codes [..., B, L]
+    (0-3, unchecked), in max-pool window order: [..., K, window, B, P],
+    entry [j, w, b, p] for conv row p * stride + w of record b, row w of
+    pool window p.  Each conv row sums K = 1 + W - k rows of
+    :func:`conv1d_table`: entry 0 of conv row i is its k-mer
+    codes[i : i+k], first base most significant, which names the table
+    row holding bias + taps 0 ... k-1; entry 1 + m is
+    4**k + 4 m + codes[i + k + m], the row of tap k + m's filter column.
+    The dtype is :func:`conv1d_index_dtype` (uint8 or uint16 at this
+    model's sizes).  Rows in no window are not indexed, and rows in two
+    windows are indexed twice.
+
+    The codes are copied once, through a strided view with step
+    ``stride``, to [..., window + W - 1, B, P], the code at each offset of
+    every window, and each index row is one op over a slice of that copy:
+    tap j of window row w is at offset w + j.
+    """
+    lead, (batch, length) = codes.shape[:-2], codes.shape[-2:]
+    pools = (length - width + 1 - window) // stride + 1
+    span, n_taps = window + width - 1, 1 + width - k
+    dtype = conv1d_index_dtype(width, k)
+    codes = np.ascontiguousarray(codes)
     # a view straight from the buffer: as_strided's __array_interface__
     # route took 0.5 MiB more peak RSS over 200 train() calls
-    windows = np.ndarray((width, n), dtype, buffer=flat, strides=(flat.itemsize,) * 2)
-    windows.flags.writeable = False
-    return windows
-
-
-def conv1d_index(codes: np.ndarray, width: int, k: int) -> np.ndarray:
-    """The gather index of :func:`conv1d_gather` for base codes [..., L]
-    (0-3, unchecked): [K, ..., T] for the K = 1 + W - k rows of
-    :func:`conv1d_table` that each of the T = L - W + 1 conv rows sums.
-
-    Entry 0 of row i is its k-mer codes[i : i+k], first base most
-    significant, which names the table row holding bias + taps 0 ... k-1;
-    entry 1 + m is 4**k + 4 m + codes[i + k + m], the row of tap k + m's
-    filter column, in :func:`conv1d_index_dtype` (uint8 or uint16 at this
-    model's sizes).  It is a view of a [K, ..., L] array.
-    """
-    n_taps, dtype = 1 + width - k, conv1d_index_dtype(width, k)
-    windows = _windows(codes, width, dtype)
-    index = np.empty((n_taps, windows.shape[1]), dtype)
-    kmer = index[0]
-    kmer[...] = windows[0]
+    item = codes.itemsize
+    runs = np.ndarray(lead + (batch, pools, span), codes.dtype, buffer=codes,
+                      strides=codes.strides[:-1] + (stride * item, item))
+    offsets = np.empty(lead + (span, batch, pools), dtype)  # [..., span, B, P]
+    # through a window-last copy, whose contiguous runs transpose faster
+    # than the strided view
+    offsets[...] = np.moveaxis(runs.astype(dtype, order="C"), -1, -3)
+    index = np.empty(lead + (n_taps, window, batch, pools), dtype)
+    kmer = index[..., 0, :, :, :]
+    kmer[...] = offsets[..., :window, :, :]
     for j in range(1, k):
         np.multiply(kmer, 4, out=kmer)
-        np.add(kmer, windows[j], out=kmer)
-    np.add(windows[k:], np.arange(4**k, 4**k + 4 * (width - k), 4, dtype=dtype)[:, None],
-           out=index[1:])
-    return index.reshape((n_taps,) + codes.shape)[..., : codes.shape[-1] - width + 1]
+        np.add(kmer, offsets[..., j : j + window, :, :], out=kmer)
+    # [..., W - k, window, B, P]: tap k + m of window row w, at offset w + k + m
+    strides = offsets.strides
+    taps = np.ndarray(lead + (width - k, window, batch, pools), dtype, buffer=offsets,
+                      offset=k * strides[-3], strides=strides[:-2] + strides[-3:])
+    np.add(taps, np.arange(4**k, 4**k + 4 * (width - k), 4, dtype=dtype)[:, None, None, None],
+           out=index[..., 1:, :, :, :])
+    return index
 
 
 def conv1d_table(filters: np.ndarray, bias: np.ndarray, k: int, dtype=None) -> np.ndarray:
@@ -232,10 +245,11 @@ def conv1d_table(filters: np.ndarray, bias: np.ndarray, k: int, dtype=None) -> n
 
 
 def conv1d_gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """The conv output [..., T, F] of a gather index [K, ..., T]
+    """The conv output [..., F] of a gather index [K, ...]
     (:func:`conv1d_index`) into a table (:func:`conv1d_table`): each row
     is the sum of the K table rows its index names, folded in index
-    order, which is the order bias, tap 0, ..., tap W-1.
+    order, which is the order bias, tap 0, ..., tap W-1.  A step's index
+    [K, window, B, P] gives the window-first [window, B, P, F].
 
     The rows are gathered whole, or GATHER_BYTES at a time, with one
     ``take`` into a C-contiguous [K, rows, F] block, which one
@@ -328,44 +342,43 @@ def conv1d_scatter(codes: np.ndarray, rows: np.ndarray, grad_rows: np.ndarray,
     np.add.at(grad_bias, filters, grad_rows.reshape(-1))
 
 
-def maxpool1d_forward(
-    x: np.ndarray, window: int, stride: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel max over sliding windows.
+def maxpool1d_forward(x: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel max over pool windows laid out window-first, as
+    :func:`conv1d_gather` returns them: ``x`` is [window, ..., P, F],
+    x[w, ..., p, f] row w of window p, the input row p * stride + w.
+    Returns (pooled [..., P, F], argmax_rows), the input row of each
+    winner: ``np.argmax``'s, the first maximum, or the first NaN if the
+    window has one.
 
-    ``x`` is [..., T, F]; returns (pooled [..., n_out, F], argmax_rows)
-    where n_out = (T - window)//stride + 1 and argmax_rows holds the input
-    row index of each winning element: ``np.argmax``'s winner, so the
-    first occurrence on ties and the first NaN if the window has one.
-
-    The windows are copied window-last, [..., n_out, F, window], so that
-    ``argmax`` scans contiguous rows, and the winners are read back with
-    one flat gather: each pooled value is the winning element itself,
-    its bits (the sign of a zero, a NaN's payload) included.
+    Every step is a branch-free whole-array op.  ``top``, the max over
+    the leading axis, is NaN exactly where the window holds one, so the
+    candidates, x == top or x a NaN, are the maxima, or the NaNs.  The
+    first is the leading-axis max of the candidates times the weights
+    window, ..., 1.  Each pooled value is gathered from its winner, so it
+    has the winner's bits (the sign of a zero, a NaN's payload),
+    whichever of two equal values ``np.maximum`` returns.
     """
     x = np.asarray(x)
-    if window < 1 or stride < 1:
-        raise ValidationError(f"maxpool window and stride must be >= 1, got {window}, {stride}")
-    if x.ndim < 2:
-        raise ShapeError(f"maxpool input must be at least 2-D [T, F], got shape {x.shape}")
-    rows = x.shape[-2]
-    if rows < window:
+    if stride < 1:
+        raise ValidationError(f"maxpool stride must be >= 1, got {stride}")
+    if x.ndim < 3 or x.shape[0] < 1:
         raise ShapeError(
-            f"maxpool would produce an empty output: input length {rows} < window {window}"
+            f"maxpool input must be window-first [window, ..., P, F] with window >= 1, "
+            f"got shape {x.shape}"
         )
-    n_out = (rows - window) // stride + 1
-    if stride == window:  # non-overlapping: the windows are a reshape
-        windows = x[..., : n_out * window, :].reshape(
-            x.shape[:-2] + (n_out, window, x.shape[-1])
-        ).swapaxes(-1, -2)
-    else:
-        windows = sliding_window_view(x, window, axis=-2)[..., ::stride, :, :]
-    windows = np.ascontiguousarray(windows)  # [..., n_out, F, window]
-    arg_in_window = windows.argmax(axis=-1)
-    flat_winner = np.arange(0, windows.size, window).reshape(arg_in_window.shape)
-    flat_winner += arg_in_window
-    pooled = windows.reshape(-1)[flat_winner]
-    argmax_rows = np.arange(0, n_out * stride, stride)[:, None] + arg_in_window
+    window = x.shape[0]
+    top = np.maximum.reduce(x, axis=0)
+    hit = x == top
+    hit |= x != x
+    weights = np.arange(window, 0, -1, dtype=np.min_scalar_type(window))
+    score = np.multiply(hit, weights.reshape((window,) + (1,) * (x.ndim - 1)),
+                        dtype=weights.dtype)
+    first = np.subtract(window, np.maximum.reduce(score, axis=0), dtype=np.intp)
+    winner = first * top.size
+    winner += np.arange(top.size).reshape(top.shape)
+    pooled = np.ravel(x).take(winner)
+    argmax_rows = first  # the winner's row in its window, made its input row
+    argmax_rows += np.arange(0, top.shape[-2] * stride, stride)[:, None]
     return pooled, argmax_rows
 
 

@@ -16,7 +16,9 @@ the checks of its codes and labels and the conv's gather index.  The
 forward and backward then do parameter work only; the backward reads
 each winner's taps from the plan's codes.
 
-The forward max-pools the raw conv output and applies ReLU to the
+The plan orders the conv rows window-first, so the max-pool folds the
+leading axis of the conv output [window, B, P, F] with no copy.  The
+forward max-pools the raw conv output and applies ReLU to the
 pooled [B, P, F] only, which gives the bits of ReLU-then-pool with
 T/P times less ReLU work.  ReLU is monotone and never returns -0.0, so
 relu(max(x)) equals the max of relu(x), NaN included (both pools pick
@@ -196,10 +198,11 @@ def _codes_mismatch(got: str, config: ModelConfig) -> ShapeError:
 
 def plan_nbytes(config: ModelConfig, records: int) -> int:
     """Bytes of the gather index of a :func:`plan` of one batch of
-    ``records`` records, at its default prefix length."""
-    rows = records * (config.read_length - config.filter_width + 1)
+    ``records`` records, at its default prefix length: window * P conv
+    rows a record."""
     width = config.filter_width
-    k = kernels.prefix_length(rows, width)
+    k = kernels.prefix_length(records * (config.read_length - width + 1), width)
+    rows = records * config.pool_window * config.pool_out_length
     return rows * (1 + width - k) * kernels.conv1d_index_dtype(width, k).itemsize
 
 
@@ -214,10 +217,13 @@ def plan(codes: np.ndarray, labels: np.ndarray, config: ModelConfig,
     once, here: a code above 3 or a label other than 0 or 1 raises
     ValidationError.  Then it builds the conv's gather index at prefix
     length ``k``, which must lie in 1 ... W (default:
-    ``kernels.prefix_length`` of one batch's conv rows).  Only each
-    record's first ``config.read_length`` bases are indexed: the conv
-    rows past them are in no max-pool window, so they cannot reach the
-    output.  The same plan serves training, validation and scoring.
+    ``kernels.prefix_length`` of one batch's conv rows), in max-pool
+    window order: [K, window, B, P] a step, so that the conv output is
+    window-first and the max-pool folds its leading axis
+    (``kernels.conv1d_index``).  Only the conv rows in a max-pool window
+    are indexed, so no base past each record's first
+    ``config.read_length`` is read: the rest cannot reach the output.
+    The same plan serves training, validation and scoring.
     """
     if codes.dtype != np.uint8 or codes.ndim != 3 or codes.shape[2] != config.seq_length:
         raise _codes_mismatch(f"{codes.dtype} {codes.shape[1:]}", config)
@@ -233,7 +239,8 @@ def plan(codes: np.ndarray, labels: np.ndarray, config: ModelConfig,
         k = kernels.prefix_length(codes.shape[1] * (read - width + 1), width)
     elif not 1 <= k <= width:
         raise ValidationError(f"conv prefix length k must be in 1 ... {width}, got {k}")
-    index = kernels.conv1d_index(codes[..., :read], width, k).swapaxes(0, 1)  # [S, K, B, T]
+    index = kernels.conv1d_index(codes, width, k, config.pool_window,
+                                 config.pool_stride)  # [S, K, window, B, P]
     return [Plan(*step, k) for step in zip(codes, labels, index)]
 
 
@@ -246,7 +253,8 @@ def forward(params: ModelParams, batch, config: ModelConfig):
     The conv gathers every tap of every row through the plan's index in
     one ``take`` and folds the taps with one ``np.add.reduce``
     (``kernels.conv1d_gather``), into the plan's table or one built here
-    from ``params``.
+    from ``params``.  Its output is window-first, [window, B, P, F], the
+    layout the max-pool folds.
     """
     if not isinstance(batch, Plan):
         codes = getattr(batch, "codes", None)
@@ -258,10 +266,8 @@ def forward(params: ModelParams, batch, config: ModelConfig):
     if table is None:
         table = kernels.conv1d_table(params.conv_filters, params.conv_bias, batch.k,
                                      dtype=batch.labels.dtype)
-    conv_out = kernels.conv1d_gather(table, batch.index)
-    pooled, argmax_rows = kernels.maxpool1d_forward(
-        conv_out, config.pool_window, config.pool_stride
-    )
+    conv_out = kernels.conv1d_gather(table, batch.index)  # [window, B, P, F]
+    pooled, argmax_rows = kernels.maxpool1d_forward(conv_out, config.pool_stride)
     if config.conv_activation == "relu":  # pooled first: see the module docstring
         pooled = kernels.relu(pooled)
     flat = pooled.reshape(pooled.shape[0], -1)

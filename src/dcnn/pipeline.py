@@ -76,12 +76,13 @@ class Batch:
 class Plan:
     """A batch prepared for the model's convolution (``network.plan``):
     its codes and labels, checked, and the conv's gather index, which does
-    not depend on the parameters: ``index`` [K, B, T] for prefix length
-    ``k`` (``kernels.conv1d_index``).  The backward reads its taps from
-    ``codes``.  ``table``, when set, is the conv's gather table of the
-    parameters being scored, which a caller scoring several plans of one
-    ``k`` with the same parameters builds once; ``network.forward`` builds
-    its own when it is None."""
+    not depend on the parameters: ``index`` [K, window, B, P] for prefix
+    length ``k``, C-contiguous, with the conv rows in max-pool window
+    order, row w of window p at [:, w, :, p] (``kernels.conv1d_index``).
+    The backward reads its taps from ``codes``.  ``table``, when set, is
+    the conv's gather table of the parameters being scored, which a
+    caller scoring several plans of one ``k`` with the same parameters
+    builds once; ``network.forward`` builds its own when it is None."""
 
     __slots__ = ("codes", "labels", "k", "index", "table")
 

@@ -195,8 +195,11 @@ def epoch_stream_seed(seed: int, epoch: int) -> int:
     return int(state[0] >> 1)  # keep it inside a signed 64-bit range
 
 
-#: Bytes of conv output [chunk, T, F] that one scoring chunk fills, so
-#: that a chunk's activations stay in a core's L2 cache between layers.
+#: Bytes of conv output that one scoring chunk fills, so that a chunk's
+#: activations stay in a core's L2 cache between layers, counted at the
+#: T = ``conv_out_length`` rows of a record.  The gather fills window * P
+#: rows a record, [window, chunk, P, F], which for a pool whose windows
+#: do not overlap is at most T.
 EVAL_CHUNK_BYTES = 512 * 1024
 #: Bytes of gather indexes (``network.plan_nbytes``) of the micro-batches
 #: a rank plans ahead at a time, at least one step's.

@@ -10,7 +10,9 @@ it with, most of them bit for bit.
 
 The dense model is built from the dense kernels in ``dcnn.kernels``
 (``conv1d_forward``, ``conv1d_backward``, ``maxpool1d_backward`` and
-``relu_grad``), which the model itself no longer calls.
+``relu_grad``), which the model itself no longer calls, and pools by
+the loop of ``naive_maxpool1d``, so that it shares no pool code with
+the model.
 """
 
 from __future__ import annotations
@@ -123,12 +125,12 @@ class DenseCache:
 def dense_forward(params: nw.ModelParams, inputs: np.ndarray, config: nw.ModelConfig):
     """(probs, cache) of the model on float inputs [B, L, 4], through the
     dense convolution, with ReLU applied to the whole conv output before
-    the pool (the model pools first); computed in the inputs' dtype."""
+    the pool (the model pools first) and each record pooled by the loop
+    of :func:`naive_maxpool1d`; computed in the inputs' dtype."""
     conv_out = kernels.conv1d_forward(inputs, params.conv_filters, params.conv_bias)
     act = kernels.relu(conv_out) if config.conv_activation == "relu" else conv_out
-    pooled, argmax_rows = kernels.maxpool1d_forward(
-        act, config.pool_window, config.pool_stride
-    )
+    pooled, argmax_rows = map(np.stack, zip(*(
+        naive_maxpool1d(record, config.pool_window, config.pool_stride) for record in act)))
     flat = pooled.reshape(pooled.shape[0], -1)
     probs = kernels.sigmoid(
         kernels.dense_forward(flat, params.dense_weights, params.dense_bias)
@@ -214,6 +216,18 @@ def naive_conv1d(x: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.nda
                     acc = acc + filters[f, j, c] * x[i + j, c]
             out[i, f] = acc
     return out
+
+
+def conv_index_by_rows(codes: np.ndarray, width: int, k: int) -> np.ndarray:
+    """The base-code conv's gather index in conv-row order, [K, ..., T]
+    for codes [..., L]: entry 0 of conv row i is its k-mer codes[i : i+k]
+    read as a base-4 number, first base most significant, and entry
+    1 + m is 4**k + 4 m + codes[i + k + m], written out one tap at a
+    time."""
+    rows = codes.shape[-1] - width + 1
+    taps = [codes[..., j : j + rows].astype(np.int64) for j in range(width)]
+    kmer = sum(taps[j] * 4 ** (k - 1 - j) for j in range(k))
+    return np.stack([kmer] + [4**k + 4 * m + taps[k + m] for m in range(width - k)])
 
 
 def naive_maxpool1d(x: np.ndarray, window: int, stride: int):

@@ -129,11 +129,12 @@ def _sweep_in_subprocess(tool, env):
     return done.stdout
 
 
-def test_f32_cases_keep_their_bits_without_avx512(tool):
-    # NumPy picks its SIMD loops at run time; NPY_DISABLE_CPU_FEATURES turns
-    # the AVX-512 ones off for one process.  The planned gather (take and
-    # add.reduce over the tap axis) and the scatter (add.at) must give the
-    # same f32 bits either way.
+def _avx512_off():
+    """(the environment of a subprocess with NumPy's default SIMD targets,
+    the same with every AVX-512 one switched off, and the AVX-512 targets
+    NumPy dispatches to on this CPU); skips the test if there are none.
+    NumPy picks its SIMD loops at run time, and NPY_DISABLE_CPU_FEATURES
+    turns the AVX-512 ones off for one process."""
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     except ImportError:  # NumPy 1.x
@@ -146,10 +147,64 @@ def test_f32_cases_keep_their_bits_without_avx512(tool):
         pytest.skip("NumPy dispatches to no AVX-512 target on this CPU")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    return env, {**env, "NPY_DISABLE_CPU_FEATURES": " ".join(avx512)}, targets
+
+
+def test_f32_cases_keep_their_bits_without_avx512(tool):
+    # The planned gather (take and add.reduce over the tap axis), the
+    # max-pool and the scatter (add.at) must give the same f32 bits with
+    # AVX-512 on and off.
+    env, off, targets = _avx512_off()
     with_avx512 = json.loads(_sweep_in_subprocess(tool, env))
-    without = json.loads(_sweep_in_subprocess(
-        tool, {**env, "NPY_DISABLE_CPU_FEATURES": " ".join(avx512)}))
+    without = json.loads(_sweep_in_subprocess(tool, off))
     # the switch took effect: NumPy dispatches to no AVX-512 target
     assert not any(without["environment"]["cpu_features"][t] for t in targets)
     assert with_avx512["cases"] == without["cases"]
     assert set(without["cases"]) == set(SIMD_CASES)
+
+
+#: Prints, for each precision and for the model's pool, an overlapping
+#: and a gapped one, the sha256 of the max-pool's pooled bytes and of its
+#: winning rows, on windows that tie, mix -0.0 with +0.0 and hold NaNs of
+#: several payloads and both signs, some windows NaN only; and the CPU
+#: features NumPy dispatches to.
+POOL_CODE = """
+import hashlib, json
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from dcnn.kernels import maxpool1d_forward
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
+digests = {}
+for dtype in (np.float32, np.float64):
+    uint = np.dtype(f"u{np.dtype(dtype).itemsize}").type
+    nans = (np.full(3, np.nan, dtype).view(uint) | np.arange(1, 4, dtype=uint)).view(dtype)
+    rng = np.random.default_rng(5)
+    x = rng.choice(np.array([-1.5, -0.0, 0.0, 2.0, 2.0], dtype), size=(4, 191, 15))
+    sprinkled = rng.random(x.shape) < 0.02
+    x[sprinkled] = rng.choice(np.concatenate([nans, -nans]), sprinkled.sum())
+    x[:, :, 14] = rng.choice(nans, (4, 191))
+    for window, stride in ((35, 35), (10, 4), (9, 12)):
+        windows = sliding_window_view(x, window, axis=-2)[..., ::stride, :, :]
+        pooled, rows = maxpool1d_forward(np.ascontiguousarray(np.moveaxis(windows, -1, 0)),
+                                         stride)
+        digests[f"{np.dtype(dtype).name}-{window}s{stride}"] = [
+            hashlib.sha256(part.tobytes()).hexdigest()
+            for part in (pooled, rows.astype(np.int64))]
+print(json.dumps({"cpu_features": __cpu_features__, "digests": digests}))
+"""
+
+
+def test_the_max_pool_keeps_its_bits_without_avx512():
+    # np.maximum.reduce and the compares dispatch to AVX-512 loops; the
+    # winners, and so the pooled bits and rows, must not depend on them
+    env, off, targets = _avx512_off()
+    runs = [json.loads(subprocess.run([sys.executable, "-c", POOL_CODE], env=e,
+                                      capture_output=True, text=True, check=True).stdout)
+            for e in (env, off)]
+    assert any(runs[0]["cpu_features"][t] for t in targets)
+    assert not any(runs[1]["cpu_features"][t] for t in targets)
+    assert len(runs[0]["digests"]) == 6
+    assert runs[0]["digests"] == runs[1]["digests"]

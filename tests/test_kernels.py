@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from dcnn.errors import InternalConsistencyError, ShapeError, ValidationError
 from dcnn.kernels import (
@@ -9,6 +10,7 @@ from dcnn.kernels import (
     conv1d_forward,
     conv1d_gather,
     conv1d_index,
+    conv1d_index_dtype,
     conv1d_scatter,
     conv1d_table,
     dense_backward,
@@ -23,7 +25,7 @@ from dcnn.kernels import (
 )
 from dcnn.network import ModelConfig, plan
 from helpers import max_relative_error, numerical_gradient
-from oracles import naive_conv1d, naive_maxpool1d
+from oracles import conv_index_by_rows, naive_conv1d, naive_maxpool1d
 
 
 @pytest.fixture
@@ -131,14 +133,30 @@ class TestConvBackward:
 
 
 def conv1d_forward_codes(codes, filters, bias, dtype=None, k=None):
-    """The base-code conv of ``codes`` [..., L] as ``network.plan`` and
-    ``network.forward`` run it: the gather index at prefix length ``k``
-    (default: prefix_length(B * T, W)) into the table of the filters in
-    ``dtype``."""
-    width = filters.shape[1]
+    """The base-code conv of ``codes`` [..., L], [..., T, F], as
+    ``network.plan`` and ``network.forward`` run it: the gather index at
+    prefix length ``k`` (default: prefix_length(B * T, W)) into the table
+    of the filters in ``dtype``.  Every conv row is its own pool window
+    (window 1, stride 1), so the index covers all T rows."""
+    n_filters, width, _ = filters.shape
+    rows = codes.shape[-1] - width + 1
     if k is None:
-        k = prefix_length(codes.size // codes.shape[-1] * (codes.shape[-1] - width + 1), width)
-    return conv1d_gather(conv1d_table(filters, bias, k, dtype), conv1d_index(codes, width, k))
+        k = prefix_length(codes.size // codes.shape[-1] * rows, width)
+    index = conv1d_index(codes.reshape(-1, codes.shape[-1]), width, k, window=1, stride=1)
+    out = conv1d_gather(conv1d_table(filters, bias, k, dtype), index)  # [1, B, T, F]
+    return out.reshape(codes.shape[:-1] + (rows, n_filters))
+
+
+def window_first(x, window, stride):
+    """The pool windows of ``x`` [..., T, F] laid out window-first,
+    [window, ..., P, F], as the conv of a planned batch returns them."""
+    windows = sliding_window_view(x, window, axis=-2)[..., ::stride, :, :]  # [..., P, F, window]
+    return np.ascontiguousarray(np.moveaxis(windows, -1, 0))
+
+
+def maxpool_rows(x, window, stride):
+    """The max-pool of ``x`` [..., T, F], through its window-first layout."""
+    return maxpool1d_forward(window_first(x, window, stride), stride)
 
 
 def conv1d_backward_codes(codes, filters, rows, grad_rows):
@@ -191,7 +209,7 @@ class TestBaseCodeConv:
     def test_backward_bit_equal_to_dense(self, rng, dtype, shape, pool):
         codes, x, filters, bias = self.operands(rng, dtype, *shape)
         conv_out = conv1d_forward_codes(codes, filters, bias)
-        pooled, rows = maxpool1d_forward(relu(conv_out), pool, pool)
+        pooled, rows = maxpool_rows(relu(conv_out), pool, pool)
         grad_pooled = rng.standard_normal(pooled.shape).astype(dtype)
         # winners-only, relu-masked at the winner
         gf, gb = conv1d_backward_codes(codes, filters, rows, grad_pooled * (pooled > 0))
@@ -269,6 +287,20 @@ class TestBaseCodeConv:
         for k in range(1, 13):
             self.assert_bits_equal(conv1d_forward_codes(codes, filters, bias, k=k), want)
 
+    @pytest.mark.parametrize("window,stride", [(35, 35), (10, 4), (9, 12), (1, 1)])
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    def test_index_is_the_row_order_index_window_first(self, rng, window, stride, k):
+        # [S, K, window, B, P]: tap row j of conv row p * stride + w of
+        # record b at [s, j, w, b, p], each step's index contiguous
+        codes = rng.integers(0, 4, size=(2, 3, 200)).astype(np.uint8)
+        index = conv1d_index(codes, 10, k, window, stride)
+        pools = (191 - window) // stride + 1
+        assert index.shape == (2, 11 - k, window, 3, pools)
+        assert index.dtype == conv1d_index_dtype(10, k) and index.flags.c_contiguous
+        rows = np.arange(pools) * stride + np.arange(window)[:, None]  # [window, P]
+        by_rows = conv_index_by_rows(codes, 10, k)[..., rows]  # [K, S, B, window, P]
+        np.testing.assert_array_equal(index, np.moveaxis(by_rows, (0, 3), (1, 2)))
+
     @pytest.mark.parametrize("rows,width,k", [(0, 10, 1), (63, 10, 1), (64, 10, 1),
                                               (255, 10, 1), (256, 10, 2), (764, 10, 2),
                                               (38200, 10, 5), (95424, 10, 6),
@@ -306,13 +338,13 @@ class TestBaseCodeConv:
 class TestMaxPoolForward:
     def test_hand_evaluated_column(self):
         x = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0])[:, None]
-        out, idx = maxpool1d_forward(x, window=2, stride=2)
+        out, idx = maxpool_rows(x, 2, 2)
         np.testing.assert_array_equal(out[:, 0], [3.0, 4.0, 9.0])
         np.testing.assert_array_equal(idx[:, 0], [0, 2, 5])
 
     def test_constant_input_tie_break(self):
         x = np.full((10, 3), 7.0)
-        out, idx = maxpool1d_forward(x, window=3, stride=3)
+        out, idx = maxpool_rows(x, 3, 3)
         assert np.all(out == 7.0)
         np.testing.assert_array_equal(idx[:, 0], [0, 3, 6])
 
@@ -322,7 +354,7 @@ class TestMaxPoolForward:
         # last non-overlapping window
         x = rng.integers(0, 3, size=(5, 19, 3)).astype(np.float32)
         x[0, :4, 0] = [1.0, 2.0, 1.0, 2.0]  # tie inside the first window
-        out, idx = maxpool1d_forward(x, window, stride)
+        out, idx = maxpool_rows(x, window, stride)
         assert idx[0, 0, 0] == 1
         for b in range(x.shape[0]):
             ref_out, ref_idx = naive_maxpool1d(x[b], window, stride)
@@ -331,13 +363,13 @@ class TestMaxPoolForward:
 
     def test_window_count_for_model_shape(self, rng):
         x = rng.standard_normal((1491, 15))
-        out, _ = maxpool1d_forward(x, window=35, stride=35)
+        out, _ = maxpool_rows(x, 35, 35)
         assert out.shape == (42, 15)
 
     @pytest.mark.parametrize("window,stride", [(2, 2), (3, 1), (4, 2), (5, 5)])
     def test_matches_naive(self, rng, window, stride):
         x = rng.standard_normal((17, 3))
-        out, idx = maxpool1d_forward(x, window, stride)
+        out, idx = maxpool_rows(x, window, stride)
         ref_out, ref_idx = naive_maxpool1d(x, window, stride)
         np.testing.assert_array_equal(out, ref_out)
         np.testing.assert_array_equal(idx, ref_idx)
@@ -354,26 +386,72 @@ class TestMaxPoolForward:
         x = rng.choice(values, size=(2, 3, 23, 4), p=[0.3, 0.2, 0.2, 0.2, 0.05, 0.05])
         x[0, 0, :, 0] = -0.0  # a window of negative zeros only
         x[0, 1, :, 1] = [0.0, -0.0] * 11 + [0.0]
-        out, idx = maxpool1d_forward(x, window, stride)
+        out, idx = maxpool_rows(x, window, stride)
         assert out.dtype == dtype
         for lead in np.ndindex(x.shape[:-2]):
             ref_out, ref_idx = naive_maxpool1d(x[lead], window, stride)
             assert out[lead].tobytes() == ref_out.tobytes()
             np.testing.assert_array_equal(idx[lead], ref_idx)
 
-    def test_too_short_input(self):
-        with pytest.raises(ShapeError, match="empty"):
-            maxpool1d_forward(np.zeros((3, 2)), window=5, stride=1)
+    @staticmethod
+    def nan(dtype, payload, negative=False):
+        """A quiet NaN of ``dtype`` with this payload and sign."""
+        uint = np.dtype(f"u{np.dtype(dtype).itemsize}").type
+        bits = np.array(np.nan, dtype).view(uint) | uint(payload)
+        if negative:
+            bits |= uint(1) << uint(8 * np.dtype(dtype).itemsize - 1)
+        return bits.view(dtype)
 
-    def test_bad_window(self):
-        with pytest.raises(ValidationError):
-            maxpool1d_forward(np.zeros((5, 2)), window=0, stride=1)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("window,stride", [(35, 35), (10, 4), (9, 12)],
+                             ids=["35s35", "10s4", "9s12"])
+    def test_first_winner_and_its_bits_at_the_model_pools(self, rng, dtype, window, stride):
+        # one record (B = 1) of an L = 200 model's 191 conv rows, one case
+        # a column, at the model's pool, an overlapping and a gapped one
+        rows = np.arange(191)
+        a, b, c = self.nan(dtype, 1), self.nan(dtype, 2, True), self.nan(dtype, 3)
+        x = np.full((1, 191, 7), -1.0, dtype)
+        x[0, rows % 3 == 0, 0] = 2.0  # ties: the first 2.0 wins
+        x[0, :, 1] = np.where(rows % 2, 0.0, -0.0)  # -0.0 before +0.0 at even rows
+        x[0, :, 2] = np.where(rows % 2, -0.0, 0.0)  # +0.0 before -0.0
+        x[0, rows % 5 == 2, 3] = a  # the first NaN wins, with its payload
+        x[0, rows % 5 == 4, 3] = b
+        for payload, nan in enumerate((a, b, c)):  # windows of NaNs only
+            x[0, rows % 3 == payload, 4] = nan
+        x[0, :, 5] = rng.standard_normal(191)
+        x[0, :, 6] = rng.choice(np.array([-0.0, 0.0, 1.0, 1.0, a, b], dtype), 191)
+        out, idx = maxpool_rows(x, window, stride)
+        ref_out, ref_idx = naive_maxpool1d(x[0], window, stride)
+        assert out.shape == (1,) + ref_out.shape and out.dtype == dtype
+        assert out[0].tobytes() == ref_out.tobytes()
+        np.testing.assert_array_equal(idx[0], ref_idx)
+        # spelled out: the window's first row wins each zero tie and each
+        # all-NaN window, the first 2.0 each tie of 2.0s, and the first
+        # NaN (row 2 or 4 mod 5, with its own payload) each window of column 3
+        starts = np.arange(ref_out.shape[0]) * stride
+        for f in (1, 2, 4):
+            np.testing.assert_array_equal(idx[0, :, f], starts)
+            assert out[0, :, f].tobytes() == x[0, starts, f].tobytes()
+        np.testing.assert_array_equal(idx[0, :, 0], starts + (-starts) % 3)
+        first_nan = [next(r for r in range(s, s + window) if r % 5 in (2, 4)) for s in starts]
+        np.testing.assert_array_equal(idx[0, :, 3], first_nan)
+        assert out[0, :, 3].tobytes() == x[0, first_nan, 3].tobytes()
+
+    def test_input_must_be_window_first(self):
+        # [T, F] and an empty window are not pool windows
+        for shape in ((5, 2), (0, 3, 2)):
+            with pytest.raises(ShapeError, match="window-first"):
+                maxpool1d_forward(np.zeros(shape), stride=1)
+
+    def test_bad_stride(self):
+        with pytest.raises(ValidationError, match="stride must be >= 1, got 0"):
+            maxpool1d_forward(np.zeros((5, 3, 2)), stride=0)
 
 
 class TestMaxPoolBackward:
     def test_ones_route_to_winners(self, rng):
         x = rng.permutation(12).reshape(6, 2).astype(np.float64)
-        out, idx = maxpool1d_forward(x, window=3, stride=3)
+        out, idx = maxpool_rows(x, 3, 3)
         grad_in = maxpool1d_backward(idx, np.ones_like(out), input_length=6)
         # exactly one 1 per window per channel, at the max position
         assert grad_in.sum() == out.size
@@ -387,7 +465,7 @@ class TestMaxPoolBackward:
     def test_gradient_mass_conserved(self, seed):
         r = np.random.default_rng(seed)
         x = r.standard_normal((13, 4))
-        out, idx = maxpool1d_forward(x, window=4, stride=2)
+        out, idx = maxpool_rows(x, 4, 2)
         grad_out = r.standard_normal(out.shape)
         grad_in = maxpool1d_backward(idx, grad_out, input_length=13)
         assert np.isclose(grad_in.sum(), grad_out.sum())
@@ -398,10 +476,10 @@ class TestMaxPoolBackward:
         probe = rng.standard_normal((4, 2))
 
         def objective():
-            pooled, _ = maxpool1d_forward(x, window=3, stride=3)
+            pooled, _ = maxpool_rows(x, 3, 3)
             return float(np.sum(pooled * probe))
 
-        _, idx = maxpool1d_forward(x, window=3, stride=3)
+        _, idx = maxpool_rows(x, 3, 3)
         analytic = maxpool1d_backward(idx, probe, input_length=12)
         fd = numerical_gradient(objective, x)
         assert max_relative_error(analytic, fd) <= 1e-4
@@ -511,5 +589,5 @@ class TestPrecision:
         x = rng.standard_normal((20, 4)).astype(dtype)
         filters = rng.standard_normal((3, 5, 4)).astype(dtype)
         out = conv1d_forward(x, filters, np.zeros(3, dtype=dtype))
-        pooled, idx = maxpool1d_forward(out, 4, 4)
+        pooled, idx = maxpool_rows(out, 4, 4)
         assert out.dtype == dtype and pooled.dtype == dtype

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -169,25 +170,20 @@ class TestForward:
             with pytest.raises(ValidationError, match="0-3"):
                 nw.forward(params, Batch(codes, np.zeros(2, dtype=np.float32)), cfg)
 
-    def test_the_plan_indexes_only_the_codes_the_pool_reaches(self, monkeypatch):
+    def test_the_plan_indexes_only_the_codes_the_pool_reaches(self):
         # at L = 200 the default pool reads conv rows 0-174, so the plan
-        # indexes bases 0-183 for the gather, and the scatter reads no
-        # base past them; the tail test above checks that it still checks
-        # bases 184-199
+        # indexes bases 0-183 for the gather, as it does for records of
+        # those 184 bases alone, and the scatter reads no base past them;
+        # the tail test above checks that it still checks bases 184-199
         cfg = nw.ModelConfig(seq_length=200)
         params = nw.init_params(cfg, seed=0)
         batch = random_batch(3, 200, seed=1)
-        seen = []
-
-        def spy(codes, *args, real=nw.kernels.conv1d_index):
-            seen.append(codes)
-            return real(codes, *args)
-
-        monkeypatch.setattr(nw.kernels, "conv1d_index", spy)
         probs, cache = nw.forward(params, batch, cfg)
-        assert len(seen) == 1 and np.array_equal(seen[0], batch.codes[None, :, :184])
         k = nw.kernels.prefix_length(3 * 175, 10)
-        assert cache.plan.index.shape == (1 + 10 - k, 3, 175)
+        assert cache.plan.index.shape == (1 + 10 - k, 35, 3, 5)  # [K, window, B, P]
+        short = dataclasses.replace(cfg, seq_length=184)
+        (alone,) = nw.plan(batch.codes[None, :, :184], batch.labels[None], short)
+        assert alone.k == k and np.array_equal(alone.index, cache.plan.index)
         assert np.array_equal(cache.plan.codes, batch.codes)
         assert cache.argmax_rows.max() < 175
         grads = nw.flatten_grads(nw.backward(params, cache, batch.labels, cfg))
@@ -197,6 +193,7 @@ class TestForward:
         assert (tail[:, 184:] != batch.codes[:, 184:]).all()
         other_probs, other_cache = nw.forward(params, Batch(tail, batch.labels), cfg)
         other = nw.flatten_grads(nw.backward(params, other_cache, batch.labels, cfg))
+        assert np.array_equal(other_cache.plan.index, cache.plan.index)
         assert other_probs.tobytes() == probs.tobytes()
         assert other.tobytes() == grads.tobytes()
 
@@ -577,10 +574,17 @@ class TestPlan:
         want = dense_forward(params, one_hot_inputs(batch), TINY)[0]
         assert nw.forward(params, widest, TINY)[0].tobytes() == want.tobytes()
 
-    def test_plan_nbytes_counts_the_plan(self):
-        cfg, _, batch = self.model((10, 4), 5, np.float32)
+    @pytest.mark.parametrize("pool", POOLS, ids=["35s35", "10s4", "9s12"])
+    def test_plan_nbytes_counts_the_plan(self, pool):
+        # window * P conv rows a record, which overlapping pools (10/4)
+        # index twice and gapped ones (9/12) in part
+        cfg, _, batch = self.model(pool, 5, np.float32)
         (planned,) = nw.plan(batch.codes[None], batch.labels[None], cfg)
-        assert nw.plan_nbytes(cfg, 5) == planned.index.size * planned.index.itemsize
+        window, pools = cfg.pool_window, cfg.pool_out_length
+        n_taps = planned.index.shape[0]
+        assert planned.index.shape == (n_taps, window, 5, pools)
+        assert nw.plan_nbytes(cfg, 5) == planned.index.nbytes
+        assert planned.index.nbytes == 5 * window * pools * n_taps * planned.index.itemsize
 
     def test_backward_writes_into_out_only_in_the_runs_dtype(self):
         cfg, params, batch = self.model((35, 35), 4, np.float32)
@@ -774,6 +778,15 @@ class TestCheckpoint:
         loaded, _ = nw.load_checkpoint(tmp_path / "f64.ckpt")
         assert np.array_equal(loaded.conv_filters, params.conv_filters.astype(np.float32))
 
+    def test_the_rounding_warning_names_the_callers_line(self, tmp_path):
+        # the warning points at the save_checkpoint call, not inside it
+        params = nw.init_params(TINY, seed=21, dtype=np.float64)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = sys._getframe().f_lineno + 1
+            nw.save_checkpoint(params, TINY, tmp_path / "f64.ckpt")
+        assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
+
     def test_f32_tensors_save_silently(self, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -824,6 +837,21 @@ class TestCheckpoint:
     #: byte offset of the model_config tensor's data: magic, version, name
     #: length, "model_config", rank and one dim
     META_DATA = 4 + 4 + 2 + 12 + 1 + 4
+
+    @pytest.mark.parametrize("name,start", [
+        (b"model_config", 10),  # after magic, version and the name's length
+        (b"conv_filters", META_DATA + 4 * 6 + 2)])  # after model_config's data
+    @pytest.mark.parametrize("corrupt", [0, 7])
+    def test_an_undecodable_tensor_name_is_named_by_its_first_byte(self, tmp_path, name,
+                                                                   start, corrupt):
+        path = tmp_path / "model.ckpt"
+        nw.save_checkpoint(nw.init_params(TINY, 0), TINY, path)
+        blob = bytearray(path.read_bytes())
+        assert blob[start : start + len(name)] == name
+        blob[start + corrupt] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=f"^tensor name at byte {start} is not UTF-8$"):
+            nw.load_checkpoint(path)
 
     @pytest.mark.parametrize("field,value,message", [
         (0, np.nan, "field n_filters is nan, not an integer"),
